@@ -20,21 +20,26 @@ from typing import Callable, Iterator
 from . import io
 from .ctc import PhoneTrack, TimedPhone, read_tracks, track_to_obj
 from .errors import NoVoicingCounterpart, PhonaugError, UtteranceMismatch
-from .inventory import (
-    BREATHY_VOICED, VOICED, Inventory, phonation_of, serialize, with_phonation,
-)
+from .inventory import BREATHY_VOICED, VOICED, Inventory, phonation_of, with_phonation
 
 
 @dataclass(frozen=True)
 class MappingTable:
     entries: tuple[tuple[frozenset[str], frozenset[str]], ...]
     window_offsets: frozenset[int]
+    # lookup sets derived from entries
+    _rm_bases: frozenset[str] = field(init=False, repr=False, compare=False)
+    _pairs: frozenset[tuple[str, str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.window_offsets:
             raise PhonaugError("window_offsets must be non-empty")
         if any(abs(d) > 2 for d in self.window_offsets):
             raise PhonaugError("window offsets beyond |2| are not supported")
+        object.__setattr__(self, "_rm_bases",
+                           frozenset(b for rm, _ in self.entries for b in rm))
+        object.__setattr__(self, "_pairs", frozenset(
+            (r, h) for rm, hm in self.entries for r in rm for h in hm))
 
     @classmethod
     def from_obj(cls, obj: dict, inventory: Inventory | None = None) -> "MappingTable":
@@ -58,10 +63,10 @@ class MappingTable:
         return cls.from_obj(json.loads(data), inventory)
 
     def rm_covered(self, base: str) -> bool:
-        return any(base in rm for rm, _ in self.entries)
+        return base in self._rm_bases
 
     def admits(self, rm_base: str, hm_base: str) -> bool:
-        return any(rm_base in rm and hm_base in hm for rm, hm in self.entries)
+        return (rm_base, hm_base) in self._pairs
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,7 @@ def match_phones(rm: PhoneTrack, hm: PhoneTrack, table: MappingTable,
     used_hm: set[int] = set()
     offsets = sorted(table.window_offsets, key=lambda d: (d != 0, abs(d)))
     for i, rm_tp in enumerate(rm.phones):
-        rm_base = rm_tp.phone.stripped_base()
+        rm_base = rm_tp.phone.base
         if not table.rm_covered(rm_base):
             continue
         candidates = []
@@ -127,7 +132,7 @@ def match_phones(rm: PhoneTrack, hm: PhoneTrack, table: MappingTable,
             if j < 0 or j >= len(hm.phones) or j in used_hm:
                 continue
             hm_tp = hm.phones[j]
-            if not table.admits(rm_base, hm_tp.phone.stripped_base()):
+            if not table.admits(rm_base, hm_tp.phone.base):
                 continue
             if not proximity(rm_tp, hm_tp):
                 continue
@@ -161,7 +166,7 @@ def augment_track(rm: PhoneTrack, hm: PhoneTrack, matches: list[MatchPair],
         matched_idx.add(pair.rm_index)
         if stats is not None:
             stats.matched += 1
-            stats.counts[serialize([phone])] += 1
+            stats.counts[phone.text] += 1
     if stats is not None:
         stats.unmatched_rm_plosives += sum(
             1 for i, tp in enumerate(rm.phones)

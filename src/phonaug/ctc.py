@@ -12,8 +12,8 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import io
-from .errors import PhonaugError
-from .inventory import Inventory, Phone, serialize, tokenize_ipa
+from .errors import NotSinglePhone, PhonaugError
+from .inventory import Inventory, Phone, tokenize_ipa
 
 MODEL_TAGS = ("RM", "HM", "BM", "TM", "OTHER")
 
@@ -121,7 +121,7 @@ def track_to_obj(track: PhoneTrack) -> dict:
         "model": track.model_tag,
         "frame_ms": track.frame_ms,
         "phones": [
-            {"symbol": serialize([tp.phone]), "start": tp.start_frame, "end": tp.end_frame}
+            {"symbol": tp.phone.text, "start": tp.start_frame, "end": tp.end_frame}
             for tp in track.phones
         ],
     }
@@ -129,12 +129,11 @@ def track_to_obj(track: PhoneTrack) -> dict:
 
 def track_from_obj(obj: dict, inventory: Inventory | None = None) -> PhoneTrack:
     inv = inventory or Inventory.default()
-    phones = []
-    for entry in obj["phones"]:
-        segs = tokenize_ipa(entry["symbol"], inv)
-        if len(segs) != 1:
-            raise PhonaugError(f"{obj['utt_id']}: {entry['symbol']!r} is not a single phone")
-        phones.append(TimedPhone(segs[0], int(entry["start"]), int(entry["end"])))
+    try:
+        phones = [TimedPhone(inv.phone(entry["symbol"]), int(entry["start"]), int(entry["end"]))
+                  for entry in obj["phones"]]
+    except NotSinglePhone as e:
+        raise PhonaugError(f"{obj['utt_id']}: {e}") from None
     return PhoneTrack(obj["utt_id"], obj.get("model", "OTHER"), phones, float(obj["frame_ms"]))
 
 

@@ -25,6 +25,14 @@ class OrphanDiacritic(PhonaugError):
         super().__init__(f"diacritic {char!r} at offset {offset} has no preceding base")
 
 
+class NotSinglePhone(PhonaugError):
+    """A symbol that must spell exactly one phone spells none or several."""
+
+    def __init__(self, symbol: str):
+        self.symbol = symbol
+        super().__init__(f"{symbol!r} is not a single phone")
+
+
 class NoVoicingCounterpart(PhonaugError):
     """The base symbol has no registered voicing pair, so phonation cannot be rewritten."""
 

@@ -1,9 +1,11 @@
 """IPA phone inventory: tokenization, serialization and phonation rewriting.
 
 The inventory ships as a JSON data file (see data/inventory.json) so new
-languages can extend it without touching code. All functions are pure and the
-loaded Inventory is read-only, so everything here is safe to share across
-workers.
+languages can extend it without touching code. All functions are pure. An
+Inventory's symbol tables never change after loading; its only mutable state is
+memo tables (one shared Phone per (base, diacritics), per single-phone symbol
+and per phonation rewrite) whose contents never change a result, so everything
+here is safe to share across workers.
 """
 
 from __future__ import annotations
@@ -11,11 +13,13 @@ from __future__ import annotations
 import json
 import unicodedata
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .errors import NoVoicingCounterpart, OrphanDiacritic, PhonaugError, UnknownSymbol
+from .errors import (
+    NotSinglePhone, NoVoicingCounterpart, OrphanDiacritic, PhonaugError, UnknownSymbol,
+)
 
 # U+0361 combining double inverted breve / U+035C combining double breve below
 TIE_BARS = ("͡", "͜")
@@ -72,19 +76,14 @@ class Phone:
     diacritics: tuple[str, ...]
     features: PhoneFeatures
 
-    @property
+    @cached_property
     def text(self) -> str:
         return unicodedata.normalize("NFC", self.base + "".join(self.diacritics))
 
-    def stripped_base(self) -> str:
-        """Base symbol with phonation diacritics ignored (what the mapping
-        table speaks about)."""
-        return self.base
-
 
 class Inventory:
-    """Read-only symbol table: base symbols with features, voicing pairs and
-    diacritic semantics."""
+    """Symbol table: base symbols with features, voicing pairs and diacritic
+    semantics, plus memo tables of the shared phones built from them."""
 
     def __init__(self, raw: dict):
         self.base_features: dict[str, tuple[str, str, bool]] = {}
@@ -115,6 +114,11 @@ class Inventory:
                     "voiced base with identical place and manner")
             self.voicing_pairs[voiceless] = voiced
             self.voicing_pairs[voiced] = voiceless
+
+        # memo tables, filled on first use
+        self._phones: dict[tuple[str, tuple[str, ...]], Phone] = {}
+        self._by_symbol: dict[str, Phone] = {}
+        self._rephonated: dict[tuple[str, tuple[str, ...], bool, bool], Phone] = {}
 
     @classmethod
     def load(cls, path: str | Path) -> "Inventory":
@@ -152,7 +156,24 @@ class Inventory:
         return self.base_features[base]
 
     def make_phone(self, base: str, diacritics: tuple[str, ...] = ()) -> Phone:
-        return Phone(base, diacritics, self.features_of(base, diacritics))
+        """The one shared Phone for (base, diacritics)."""
+        key = (base, diacritics)
+        phone = self._phones.get(key)
+        if phone is None:
+            phone = self._phones[key] = Phone(base, diacritics,
+                                              self.features_of(base, diacritics))
+        return phone
+
+    def phone(self, symbol: str) -> Phone:
+        """The shared Phone a symbol spells. Raises if it spells not exactly
+        one phone; errors are not memoised."""
+        phone = self._by_symbol.get(symbol)
+        if phone is None:
+            phones = tokenize_ipa(symbol, self)
+            if len(phones) != 1:
+                raise NotSinglePhone(symbol)
+            phone = self._by_symbol[symbol] = phones[0]
+        return phone
 
 
 @lru_cache(maxsize=1)
@@ -249,6 +270,14 @@ def with_phonation(p: Phone, target: Phonation, inventory: Inventory | None = No
     override the swap).
     """
     inv = inventory or Inventory.default()
+    key = (p.base, p.diacritics, target.voiced, target.spread_glottis)
+    out = inv._rephonated.get(key)
+    if out is None:
+        out = inv._rephonated[key] = _rephonate(p, target, inv)
+    return out
+
+
+def _rephonate(p: Phone, target: Phonation, inv: Inventory) -> Phone:
     if p.base not in inv.voicing_pairs:
         raise NoVoicingCounterpart(f"{p.base!r} has no voicing counterpart")
     base = p.base

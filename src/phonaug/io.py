@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from .errors import PhonaugError
 
@@ -48,13 +48,4 @@ def write_jsonl(path: str | Path, objs: Iterable[dict]) -> int:
             f.write(dump_line(obj))
             f.write("\n")
             n += 1
-    return n
-
-
-def write_jsonl_stream(f: IO[str], objs: Iterable[dict]) -> int:
-    n = 0
-    for obj in objs:
-        f.write(dump_line(obj))
-        f.write("\n")
-        n += 1
     return n

@@ -20,8 +20,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import EmptyDenominator, PhonaugError, ZeroBaseline
 from .inventory import ASPIRATION, Inventory, phonation_of, tokenize_ipa
 
@@ -203,7 +201,9 @@ def mcnemar_exact(bm: Sequence[bool], tm: Sequence[bool]) -> float:
     if n == 0:
         return 1.0
     k = min(b, c)
-    p = 2.0 * sum(math.comb(n, i) for i in range(k + 1)) * 0.5 ** n
+    # an integer ratio stays exact for any n; in floats, 0.5 ** n is subnormal
+    # past n = 1022 and 2.0 * tail overflows near n = 1026
+    p = 2 * sum(math.comb(n, i) for i in range(k + 1)) / 2 ** n
     return min(p, 1.0)
 
 
@@ -310,6 +310,8 @@ def boxplot_rows(items: Sequence[Classified]) -> list[dict]:
     min/max are whisker ends (most extreme values within 1.5*IQR of the
     quartiles); values beyond the fences are listed as outliers.
     """
+    import numpy as np  # deferred: the only numpy user, kept off CLI start-up
+
     buckets: dict[tuple[str, str, str], list[float]] = {}
     for c in items:
         key = (c.instance.model_tag, POA_GROUP_OF[c.instance.target_phoneme],

@@ -243,6 +243,31 @@ def test_mcnemar_matches_closed_form():
         assert mcnemar_exact(bm, tm) == pytest.approx(expected)
 
 
+def discordant(b, c):
+    """Paired flags with b pairs favoring the first model and c the second."""
+    return [True] * b + [False] * c, [False] * b + [True] * c
+
+
+def test_mcnemar_many_balanced_pairs():
+    # 1200 discordant pairs: the float form overflowed here
+    assert mcnemar_exact(*discordant(600, 600)) == 1.0
+
+
+def test_mcnemar_past_float_underflow():
+    # n = 1025: 0.5 ** n is subnormal, and the float form returned 1.0
+    assert mcnemar_exact(*discordant(510, 515)) == pytest.approx(0.9005797624890893,
+                                                                 rel=1e-12)
+
+
+def test_mcnemar_bit_identical_to_float_form_below_1023():
+    rng = random.Random(1022)
+    cases = [(n, k) for n in (1, 2, 3, 511, 1021, 1022) for k in (0, n // 2)]
+    cases += [(n, rng.randint(0, n // 2)) for n in rng.sample(range(1, 1023), 150)]
+    for n, k in cases:
+        tail = sum(math.comb(n, i) for i in range(k + 1))
+        assert mcnemar_exact(*discordant(k, n - k)) == min(2.0 * tail * 0.5 ** n, 1.0)
+
+
 def velar_tm_fixture():
     """Frozen counts reproducing the velar-only TM row: VoicingAcc 91.9,
     Asp% 66.7, Ten% 52.6, NULL 5.0."""
