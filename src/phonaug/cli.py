@@ -278,7 +278,7 @@ def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
     }
     models = sorted(reports)
     if len(models) == 2:
-        payload["significance"] = _significance(classified, models)
+        payload["significance"] = metrics.paired_voicing_significance(classified, models)
 
     text = metrics.format_report(reports)
     if "significance" in payload:
@@ -295,24 +295,6 @@ def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
     csv = metrics.boxplot_csv(metrics.boxplot_rows(classified))
     Path(str(prefix) + "_boxplot.csv").write_text(csv, encoding="utf-8")
     click.echo(text)
-
-
-def _significance(classified: list[metrics.Classified], models: list[str]) -> dict:
-    """Paired voicing-correctness comparison over shared /b d g/ utterances."""
-    flags: dict[str, dict[str, bool]] = {m: {} for m in models}
-    for c in classified:
-        inst = c.instance
-        if inst.target_phoneme not in metrics.VOICED_PHONEMES:
-            continue
-        if c.realization is metrics.Realization.NULL:
-            continue
-        correct = (c.realization is metrics.Realization.VOICED) == (inst.vot_ms < 0)
-        flags[inst.model_tag][inst.utt_id] = correct
-    shared = sorted(set(flags[models[0]]) & set(flags[models[1]]))
-    a = [flags[models[0]][u] for u in shared]
-    b = [flags[models[1]][u] for u in shared]
-    return {"models": models, "n_pairs": len(shared),
-            "p_value": metrics.mcnemar_exact(a, b)}
 
 
 if __name__ == "__main__":

@@ -15,13 +15,14 @@ from __future__ import annotations
 import enum
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import EmptyDenominator, PhonaugError, ZeroBaseline
-from .inventory import ASPIRATION, Inventory, phonation_of, tokenize_ipa
+from .inventory import ASPIRATION, Inventory, Phone, phonation_of, tokenize_ipa
 
 VOICED_PHONEMES = ("b", "d", "g")
 VOICELESS_PHONEMES = ("p", "t", "k")
@@ -53,6 +54,10 @@ class EvalInstance:
         if self.target_phoneme not in ALL_PHONEMES:
             raise PhonaugError(f"target phoneme must be one of {ALL_PHONEMES}, "
                                f"got {self.target_phoneme!r}")
+        if not math.isfinite(self.vot_ms):
+            # NaN compares false with everything: it would score as voiceless
+            # and leave the boxplot quartiles undefined
+            raise PhonaugError(f"{self.utt_id}: vot_ms must be finite, got {self.vot_ms!r}")
 
     @classmethod
     def from_obj(cls, obj: dict) -> "EvalInstance":
@@ -90,23 +95,32 @@ class ClassifierConfig:
         return cls.from_obj(json.loads(data))
 
 
-def classify_prediction(inst: EvalInstance, inventory: Inventory | None = None,
-                        config: ClassifierConfig | None = None,
-                        hard_errors: bool = False) -> Realization:
-    """Assign exactly one realization class to a predicted onset."""
-    inv = inventory or Inventory.default()
-    cfg = config or ClassifierConfig.default()
+# The part of a tokenized onset that decides its realization: the first phone
+# and the base of the second (None when there is none), or None when the onset
+# does not tokenize or is empty.
+_Head = tuple[Phone, str | None] | None
+
+
+def _onset_head(onset: str, inv: Inventory, hard_errors: bool) -> _Head:
+    """Tokenize an onset down to its head; tokenizer errors give None unless
+    hard_errors is set."""
     try:
-        phones = tokenize_ipa(inst.predicted_onset, inv)
+        phones = tokenize_ipa(onset, inv)
     except PhonaugError:
         if hard_errors:
             raise
-        return Realization.NULL
+        return None
     if not phones:
+        return None
+    return phones[0], phones[1].base if len(phones) > 1 else None
+
+
+def _realize(head: _Head, target_phoneme: str, cfg: ClassifierConfig) -> Realization:
+    """The realization class of an onset head for one target phoneme."""
+    if head is None:
         return Realization.NULL
-    first = phones[0]
-    admissible = cfg.poa_groups[inst.target_phoneme]
-    if first.features.place not in admissible:
+    first, next_base = head
+    if first.features.place not in cfg.poa_groups[target_phoneme]:
         return Realization.NULL
     if first.features.manner not in ("plosive", "affricate"):
         return Realization.NULL
@@ -114,65 +128,122 @@ def classify_prediction(inst: EvalInstance, inventory: Inventory | None = None,
         return Realization.ASPIRATED
     phn = phonation_of(first)
     if not phn.voiced and not phn.spread_glottis and first.features.manner == "plosive":
-        if len(phones) > 1 and phones[1].base in cfg.continuants[inst.target_phoneme]:
+        if next_base in cfg.continuants[target_phoneme]:
             return Realization.AMBIGUOUS_ASPIRATED
     if phn.voiced:
         return Realization.VOICED
     return Realization.TENUIS
 
 
+def classify_prediction(inst: EvalInstance, inventory: Inventory | None = None,
+                        config: ClassifierConfig | None = None,
+                        hard_errors: bool = False) -> Realization:
+    """Assign exactly one realization class to a predicted onset."""
+    inv = inventory or Inventory.default()
+    cfg = config or ClassifierConfig.default()
+    return _realize(_onset_head(inst.predicted_onset, inv, hard_errors),
+                    inst.target_phoneme, cfg)
+
+
 def classify_all(instances: Iterable[EvalInstance], inventory: Inventory | None = None,
                  config: ClassifierConfig | None = None,
                  hard_errors: bool = False) -> list[Classified]:
+    """classify_prediction over many instances, tokenizing each distinct onset once."""
     inv = inventory or Inventory.default()
     cfg = config or ClassifierConfig.default()
-    return [Classified(i, classify_prediction(i, inv, cfg, hard_errors)) for i in instances]
+    heads: dict[str, _Head] = {}
+    out = []
+    for i in instances:
+        onset = i.predicted_onset
+        if onset not in heads:
+            heads[onset] = _onset_head(onset, inv, hard_errors)
+        out.append(Classified(i, _realize(heads[onset], i.target_phoneme, cfg)))
+    return out
 
 
-def _non_null(items: Sequence[Classified]) -> list[Classified]:
-    return [c for c in items if c.realization is not Realization.NULL]
+# -- metrics ------------------------------------------------------------------
+#
+# Every metric is a share of a tally: instance counts keyed by
+# (model_tag, target_phoneme, realization, vot_ms < 0), which is all any metric
+# reads, so a report is one pass over the instances.
+
+_Tally = dict[tuple[str, str, Realization, bool], int]
+
+_ASP_HITS = {"strict": frozenset({Realization.ASPIRATED}),
+             "lenient": frozenset({Realization.ASPIRATED,
+                                   Realization.AMBIGUOUS_ASPIRATED})}
+_TEN_HITS = {"strict": frozenset({Realization.TENUIS, Realization.AMBIGUOUS_ASPIRATED}),
+             "lenient": frozenset({Realization.TENUIS})}
+
+
+def _tally(items: Iterable[Classified]) -> _Tally:
+    return Counter((c.instance.model_tag, c.instance.target_phoneme, c.realization,
+                    c.instance.vot_ms < 0) for c in items)
+
+
+def _voicing_correct(realization: Realization, voicing_lead: bool) -> bool:
+    """Predicted voicing agrees with the VOT sign (vot_ms < 0 means voiced;
+    0 counts as voiceless)."""
+    return (realization is Realization.VOICED) == voicing_lead
+
+
+def _share(t: _Tally, phonemes: Sequence[str], hit, what: str) -> float:
+    """Percent of the non-Null tallied instances of `phonemes` for which
+    hit(realization, voicing_lead) holds."""
+    pool = hits = 0
+    for (_, phoneme, realization, lead), k in t.items():
+        if realization is not Realization.NULL and phoneme in phonemes:
+            pool += k
+            if hit(realization, lead):
+                hits += k
+    if not pool:
+        raise EmptyDenominator(f"no non-Null {what}instances")
+    return 100.0 * hits / pool
+
+
+def _voicing_acc(t: _Tally) -> float:
+    return _share(t, VOICED_PHONEMES, _voicing_correct, "/b d g/ ")
+
+
+def _asp_pct(t: _Tally, mode: str) -> float:
+    _check_mode(mode)
+    hits = _ASP_HITS[mode]
+    return _share(t, VOICELESS_PHONEMES, lambda r, _: r in hits, "/p t k/ ")
+
+
+def _ten_pct(t: _Tally, mode: str) -> float:
+    _check_mode(mode)
+    hits = _TEN_HITS[mode]
+    return _share(t, ALL_PHONEMES, lambda r, _: r in hits, "")
+
+
+def _n_null(t: _Tally) -> int:
+    return sum(k for (_, _, realization, _), k in t.items() if realization is Realization.NULL)
+
+
+def _null_pct(t: _Tally) -> float:
+    n = sum(t.values())
+    return 100.0 * _n_null(t) / n if n else 0.0
 
 
 def voicing_acc(items: Sequence[Classified]) -> float:
     """Percent of non-Null /b d g/ instances where predicted voicing agrees
     with the VOT sign (vot_ms < 0 means voiced; 0 counts as voiceless)."""
-    pool = [c for c in _non_null(items) if c.instance.target_phoneme in VOICED_PHONEMES]
-    if not pool:
-        raise EmptyDenominator("no non-Null /b d g/ instances")
-    correct = sum(
-        1 for c in pool
-        if (c.realization is Realization.VOICED) == (c.instance.vot_ms < 0))
-    return 100.0 * correct / len(pool)
+    return _voicing_acc(_tally(items))
 
 
 def asp_pct(items: Sequence[Classified], mode: str = "strict") -> float:
     """Aspiration percentage over non-Null /p t k/ instances."""
-    _check_mode(mode)
-    pool = [c for c in _non_null(items) if c.instance.target_phoneme in VOICELESS_PHONEMES]
-    if not pool:
-        raise EmptyDenominator("no non-Null /p t k/ instances")
-    hits = {Realization.ASPIRATED}
-    if mode == "lenient":
-        hits.add(Realization.AMBIGUOUS_ASPIRATED)
-    return 100.0 * sum(1 for c in pool if c.realization in hits) / len(pool)
+    return _asp_pct(_tally(items), mode)
 
 
 def ten_pct(items: Sequence[Classified], mode: str = "strict") -> float:
     """Tenuis (conflation-class) percentage over all six phonemes, non-Null."""
-    _check_mode(mode)
-    pool = _non_null(items)
-    if not pool:
-        raise EmptyDenominator("no non-Null instances")
-    hits = {Realization.TENUIS}
-    if mode == "strict":
-        hits.add(Realization.AMBIGUOUS_ASPIRATED)
-    return 100.0 * sum(1 for c in pool if c.realization in hits) / len(pool)
+    return _ten_pct(_tally(items), mode)
 
 
 def null_pct(items: Sequence[Classified]) -> float:
-    if not items:
-        return 0.0
-    return 100.0 * sum(1 for c in items if c.realization is Realization.NULL) / len(items)
+    return _null_pct(_tally(items))
 
 
 def _check_mode(mode: str) -> None:
@@ -238,41 +309,60 @@ class MetricsReport:
         }
 
 
-def compute_report(items: Sequence[Classified]) -> MetricsReport:
+def _report_row(t: _Tally) -> MetricsReport:
     def safe(fn, *args):
         try:
-            return fn(items, *args)
+            return fn(t, *args)
         except EmptyDenominator:
             return None
 
     return MetricsReport(
-        voicing_acc=safe(voicing_acc),
-        asp_strict=safe(asp_pct, "strict"),
-        asp_lenient=safe(asp_pct, "lenient"),
-        ten_strict=safe(ten_pct, "strict"),
-        ten_lenient=safe(ten_pct, "lenient"),
-        null_pct=null_pct(items),
-        n_instances=len(items),
-        n_null=sum(1 for c in items if c.realization is Realization.NULL),
+        voicing_acc=safe(_voicing_acc),
+        asp_strict=safe(_asp_pct, "strict"),
+        asp_lenient=safe(_asp_pct, "lenient"),
+        ten_strict=safe(_ten_pct, "strict"),
+        ten_lenient=safe(_ten_pct, "lenient"),
+        null_pct=_null_pct(t),
+        n_instances=sum(t.values()),
+        n_null=_n_null(t),
     )
+
+
+def compute_report(items: Sequence[Classified]) -> MetricsReport:
+    return _report_row(_tally(items))
 
 
 def report(items: Sequence[Classified], groups: Sequence[str] = POA_GROUPS,
            ) -> dict[str, dict[str, MetricsReport]]:
     """Per-model overall and per-PoA-group reports, deterministically keyed."""
-    by_model: dict[str, list[Classified]] = {}
-    for c in sorted(items, key=lambda c: (c.instance.model_tag, c.instance.utt_id)):
-        by_model.setdefault(c.instance.model_tag, []).append(c)
+    t = _tally(items)
     out: dict[str, dict[str, MetricsReport]] = {}
-    for model in sorted(by_model):
-        rows = {"all": compute_report(by_model[model])}
+    for model in sorted({key[0] for key in t}):
+        mine = {key: k for key, k in t.items() if key[0] == model}
+        rows = {"all": _report_row(mine)}
         for group in groups:
-            subset = [c for c in by_model[model]
-                      if POA_GROUP_OF[c.instance.target_phoneme] == group]
+            subset = {key: k for key, k in mine.items() if POA_GROUP_OF[key[1]] == group}
             if subset:
-                rows[group] = compute_report(subset)
+                rows[group] = _report_row(subset)
         out[model] = rows
     return out
+
+
+def paired_voicing_significance(items: Iterable[Classified], models: Sequence[str]) -> dict:
+    """Exact McNemar test of voicing correctness between the two models named,
+    paired by utt_id over the non-Null /b d g/ instances both models have."""
+    flags: dict[str, dict[str, bool]] = {m: {} for m in models}
+    for c in items:
+        inst = c.instance
+        if inst.target_phoneme not in VOICED_PHONEMES:
+            continue
+        if c.realization is Realization.NULL:
+            continue
+        flags[inst.model_tag][inst.utt_id] = _voicing_correct(c.realization, inst.vot_ms < 0)
+    shared = sorted(set(flags[models[0]]) & set(flags[models[1]]))
+    a = [flags[models[0]][u] for u in shared]
+    b = [flags[models[1]][u] for u in shared]
+    return {"models": list(models), "n_pairs": len(shared), "p_value": mcnemar_exact(a, b)}
 
 
 def format_report(reports: dict[str, dict[str, MetricsReport]]) -> str:
@@ -304,14 +394,36 @@ def format_report(reports: dict[str, dict[str, MetricsReport]]) -> str:
     return "\n".join(lines)
 
 
+def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
+    """The 25th, 50th and 75th percentiles of finite values, equal bit for bit
+    to numpy.percentile(values, [25, 50, 75]) with its default linear method.
+
+    One exception: where both -0.0 and 0.0 occur, a zero quartile takes its
+    sign from a stable sort, while numpy's partition leaves equal values in no
+    defined order.
+    """
+    xs = sorted(values)
+    n = len(xs)
+    if n == 1:
+        # numpy takes the last value with weight 1 here: x - 0.0 * 0.0 keeps -0.0
+        return xs[0], xs[0], xs[0]
+    out = []
+    for q in (0.25, 0.5, 0.75):
+        h = (n - 1) * q  # for quarters, equal to numpy's older n*q + (1-q) - 1
+        lo = math.floor(h)
+        t = h - lo
+        a, b = xs[lo], xs[lo + 1]
+        # numpy's lerp: interpolate from the nearer end
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return tuple(out)
+
+
 def boxplot_rows(items: Sequence[Classified]) -> list[dict]:
     """Tukey boxplot stats of vot_ms per (model, PoA group, realization class).
 
     min/max are whisker ends (most extreme values within 1.5*IQR of the
     quartiles); values beyond the fences are listed as outliers.
     """
-    import numpy as np  # deferred: the only numpy user, kept off CLI start-up
-
     buckets: dict[tuple[str, str, str], list[float]] = {}
     for c in items:
         key = (c.instance.model_tag, POA_GROUP_OF[c.instance.target_phoneme],
@@ -319,7 +431,7 @@ def boxplot_rows(items: Sequence[Classified]) -> list[dict]:
         buckets.setdefault(key, []).append(c.instance.vot_ms)
     rows = []
     for (model, group, cls), values in sorted(buckets.items()):
-        q1, med, q3 = np.percentile(values, [25, 50, 75])
+        q1, med, q3 = quartiles(values)
         lo_fence = q1 - 1.5 * (q3 - q1)
         hi_fence = q3 + 1.5 * (q3 - q1)
         inside = [v for v in values if lo_fence <= v <= hi_fence]

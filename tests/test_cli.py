@@ -24,6 +24,11 @@ def write_lines(path, objs):
     path.write_text("".join(dump_line(o) + "\n" for o in objs), encoding="utf-8")
 
 
+def count_lines(path):
+    with path.open(encoding="utf-8") as f:
+        return sum(1 for _ in f)
+
+
 def test_decode_roundtrip_with_synth(tmp_path, runner):
     # frame paths regenerated from synthetic tracks must decode back to them;
     # jitter=1 spaces the slots so repeated phones stay blank-separated
@@ -90,7 +95,7 @@ def test_augment_stats_match_ground_truth(tmp_path, runner):
                                   "--stats-file", str(stats_file)])
     assert result.exit_code == 0, result.output
     stats = json.loads(stats_file.read_text())
-    n_truth = sum(1 for _ in truth.open())
+    n_truth = count_lines(truth)
     assert stats["matched"] == n_truth
 
 
@@ -144,7 +149,7 @@ def test_prepare_filter_sample_split(tmp_path, runner):
     sampled = tmp_path / "sampled.jsonl"
     assert runner.invoke(main, ["prepare", "sample", str(filtered), str(sampled),
                                 "--n", "200", "--seed", "4"]).exit_code == 0
-    assert sum(1 for _ in sampled.open()) == 200
+    assert count_lines(sampled) == 200
 
     sampled2 = tmp_path / "sampled2.jsonl"
     runner.invoke(main, ["prepare", "sample", str(filtered), str(sampled2),
@@ -156,8 +161,8 @@ def test_prepare_filter_sample_split(tmp_path, runner):
                                   "--seed", "1", "--train-out", str(train),
                                   "--valid-out", str(valid)])
     assert result.exit_code == 0
-    assert sum(1 for _ in valid.open()) == 40
-    assert sum(1 for _ in train.open()) == 160
+    assert count_lines(valid) == 40
+    assert count_lines(train) == 160
 
 
 def test_prepare_onset_testset(tmp_path, runner):

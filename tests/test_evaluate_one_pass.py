@@ -1,0 +1,325 @@
+"""The one-pass evaluate path against list-based and numpy references: tallied
+metrics, per-onset classification memo, plain-Python quartiles, the paired
+significance predicate, and the finite-VOT input contract."""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import phonaug
+from phonaug import (
+    ClassifierConfig, Classified, EvalInstance, Inventory, Realization, asp_pct,
+    classify_all, classify_prediction, mcnemar_exact, null_pct, report, ten_pct, tokenize_ipa,
+    voicing_acc,
+)
+from phonaug.cli import main
+from phonaug.errors import EmptyDenominator, PhonaugError
+from phonaug.metrics import (
+    POA_GROUP_OF, POA_GROUPS, VOICED_PHONEMES, VOICELESS_PHONEMES, MetricsReport,
+    compute_report, paired_voicing_significance, quartiles,
+)
+
+INV = Inventory.default()
+CFG = ClassifierConfig.default()
+PHONEMES = "bdgptk"
+MODELS = ("BM", "TM", "OTHER")
+
+# -- tally-based metrics vs a list-based oracle -------------------------------
+
+NULL = Realization.NULL
+
+
+def oracle_voicing_acc(items):
+    pool = [c for c in items if c.realization is not NULL
+            and c.instance.target_phoneme in VOICED_PHONEMES]
+    if not pool:
+        raise EmptyDenominator("no non-Null /b d g/ instances")
+    correct = sum(1 for c in pool
+                  if (c.realization is Realization.VOICED) == (c.instance.vot_ms < 0))
+    return 100.0 * correct / len(pool)
+
+
+def oracle_asp_pct(items, mode):
+    pool = [c for c in items if c.realization is not NULL
+            and c.instance.target_phoneme in VOICELESS_PHONEMES]
+    if not pool:
+        raise EmptyDenominator("no non-Null /p t k/ instances")
+    hits = {Realization.ASPIRATED}
+    if mode == "lenient":
+        hits.add(Realization.AMBIGUOUS_ASPIRATED)
+    return 100.0 * sum(1 for c in pool if c.realization in hits) / len(pool)
+
+
+def oracle_ten_pct(items, mode):
+    pool = [c for c in items if c.realization is not NULL]
+    if not pool:
+        raise EmptyDenominator("no non-Null instances")
+    hits = {Realization.TENUIS}
+    if mode == "strict":
+        hits.add(Realization.AMBIGUOUS_ASPIRATED)
+    return 100.0 * sum(1 for c in pool if c.realization in hits) / len(pool)
+
+
+def oracle_null_pct(items):
+    if not items:
+        return 0.0
+    return 100.0 * sum(1 for c in items if c.realization is NULL) / len(items)
+
+
+def oracle_row(items):
+    def safe(fn, *args):
+        try:
+            return fn(items, *args)
+        except EmptyDenominator:
+            return None
+
+    return MetricsReport(
+        voicing_acc=safe(oracle_voicing_acc),
+        asp_strict=safe(oracle_asp_pct, "strict"),
+        asp_lenient=safe(oracle_asp_pct, "lenient"),
+        ten_strict=safe(oracle_ten_pct, "strict"),
+        ten_lenient=safe(oracle_ten_pct, "lenient"),
+        null_pct=oracle_null_pct(items),
+        n_instances=len(items),
+        n_null=sum(1 for c in items if c.realization is NULL),
+    )
+
+
+def oracle_report(items):
+    out = {}
+    for model in sorted({c.instance.model_tag for c in items}):
+        mine = [c for c in items if c.instance.model_tag == model]
+        rows = {"all": oracle_row(mine)}
+        for group in POA_GROUPS:
+            subset = [c for c in mine if POA_GROUP_OF[c.instance.target_phoneme] == group]
+            if subset:
+                rows[group] = oracle_row(subset)
+        out[model] = rows
+    return out
+
+
+classified_items = st.lists(
+    st.builds(
+        lambda i, model, phoneme, realization, vot: Classified(
+            EvalInstance(f"u{i}", phoneme, vot, "k", model), realization),
+        st.integers(0, 30),
+        st.sampled_from(MODELS),
+        st.sampled_from(PHONEMES),
+        st.sampled_from(list(Realization)),
+        st.sampled_from([-30.0, -0.5, -0.0, 0.0, 0.5, 45.0]),
+    ),
+    max_size=80,
+)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except EmptyDenominator:
+        return "N/A"
+
+
+@settings(max_examples=300, deadline=None)
+@given(classified_items)
+def test_tallied_metrics_equal_list_oracle(items):
+    assert outcome(voicing_acc, items) == outcome(oracle_voicing_acc, items)
+    for mode in ("strict", "lenient"):
+        assert outcome(asp_pct, items, mode) == outcome(oracle_asp_pct, items, mode)
+        assert outcome(ten_pct, items, mode) == outcome(oracle_ten_pct, items, mode)
+    assert null_pct(items) == oracle_null_pct(items)
+    assert compute_report(items) == oracle_row(items)
+
+
+@settings(max_examples=300, deadline=None)
+@given(classified_items)
+def test_tallied_report_equals_list_oracle(items):
+    # empty groups have no row; empty denominators are None (N/A) cells
+    assert report(items) == oracle_report(items)
+
+
+def test_metric_mode_checked_before_denominator():
+    with pytest.raises(PhonaugError, match="mode"):
+        asp_pct([], "loose")
+    with pytest.raises(PhonaugError, match="mode"):
+        ten_pct([], "loose")
+
+
+# -- significance uses the same voicing predicate as the tally -----------------
+
+
+present = st.one_of(st.none(), st.sampled_from(list(Realization)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(present, present, st.sampled_from(PHONEMES),
+                          st.sampled_from([-12.0, -0.0, 0.0, 20.0])), max_size=40))
+def test_paired_significance_equals_oracle(rows):
+    # one row per utterance: each model's realization, or None when it has no instance
+    items = [Classified(EvalInstance(f"u{n}", phoneme, vot, "b", model), realization)
+             for n, (bm, tm, phoneme, vot) in enumerate(rows)
+             for model, realization in (("BM", bm), ("TM", tm)) if realization is not None]
+    paired = [r for r in rows if r[2] in VOICED_PHONEMES
+              and r[0] not in (None, NULL) and r[1] not in (None, NULL)]
+    a = [(bm is Realization.VOICED) == (vot < 0) for bm, _, _, vot in paired]
+    b = [(tm is Realization.VOICED) == (vot < 0) for _, tm, _, vot in paired]
+    assert paired_voicing_significance(items, ["BM", "TM"]) == {
+        "models": ["BM", "TM"], "n_pairs": len(paired), "p_value": mcnemar_exact(a, b)}
+
+
+# -- one classification per distinct onset -------------------------------------
+
+ONSET_PIECES = sorted(INV.base_features)[:60] + sorted(INV.diacritics) + [
+    "ʰ", "ʱ", "͡", " ", "x", "h", "a", "#", "!", "1"]
+onsets = st.lists(st.sampled_from(ONSET_PIECES), max_size=4).map("".join)
+
+
+def tokenizes(onset):
+    try:
+        tokenize_ipa(onset, INV)
+    except PhonaugError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(PHONEMES), onsets), max_size=30))
+def test_classify_all_equals_per_instance_classification(pairs):
+    xs = [EvalInstance(f"u{n}", phoneme, 5.0, onset) for n, (phoneme, onset) in enumerate(pairs)]
+    expected = [Classified(x, classify_prediction(x, INV, CFG)) for x in xs]
+    assert classify_all(xs, INV, CFG) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(PHONEMES), onsets), min_size=1, max_size=30))
+def test_classify_all_hard_errors_raise_on_first_bad_onset(pairs):
+    xs = [EvalInstance(f"u{n}", phoneme, 5.0, onset) for n, (phoneme, onset) in enumerate(pairs)]
+    bad = [x for x in xs if not tokenizes(x.predicted_onset)]
+    if not bad:
+        assert classify_all(xs, INV, CFG, hard_errors=True) == classify_all(xs, INV, CFG)
+        return
+    with pytest.raises(PhonaugError) as first:
+        tokenize_ipa(bad[0].predicted_onset, INV)
+    with pytest.raises(PhonaugError) as got:
+        classify_all(xs, INV, CFG, hard_errors=True)
+    assert str(got.value) == str(first.value)
+
+
+def test_classify_all_tokenizes_each_distinct_onset_once(monkeypatch):
+    import phonaug.metrics as metrics_module
+
+    calls = []
+
+    def counting(s, inv=None):
+        calls.append(s)
+        return tokenize_ipa(s, inv)
+
+    monkeypatch.setattr(metrics_module, "tokenize_ipa", counting)
+    xs = [EvalInstance(f"u{n}", p, 5.0, o)
+          for n, (p, o) in enumerate([("k", "kʰa"), ("g", "kʰa"), ("k", "#"), ("t", "#"),
+                                      ("b", "ba"), ("k", "kʰa")])]
+    classify_all(xs, INV, CFG)
+    assert sorted(calls) == sorted({"kʰa", "#", "ba"})
+
+
+# -- quartiles: bit-identical to numpy's default linear percentile -------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def samples(draw):
+    """Up to several thousand values drawn from a small pool, so ties are common."""
+    pool = draw(st.lists(finite, min_size=1, max_size=40))
+    n = draw(st.integers(1, 5000))
+    rnd = draw(st.randoms(use_true_random=False))
+    return [rnd.choice(pool) for _ in range(n)]
+
+
+def bits(x: float) -> bytes:
+    return b"nan" if math.isnan(x) else struct.pack("<d", x)
+
+
+def signed_zero_mix(values) -> bool:
+    zeros = {math.copysign(1.0, v) for v in values if v == 0.0}
+    return len(zeros) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(finite, min_size=1, max_size=300), samples(),
+                 st.lists(finite, min_size=1, max_size=1)))
+def test_quartiles_match_numpy_bit_for_bit(values):
+    np = pytest.importorskip("numpy")
+    expected = [float(x) for x in np.percentile(values, [25, 50, 75])]
+    # numpy's partition leaves equal elements in no defined order, so where
+    # -0.0 and 0.0 both occur a quartile may take either sign of zero
+    canon = (lambda x: x + 0.0) if signed_zero_mix(values) else (lambda x: x)
+    assert [bits(canon(x)) for x in quartiles(values)] == [bits(canon(x)) for x in expected]
+
+
+def test_quartiles_single_value_keeps_its_sign():
+    assert [bits(x) for x in quartiles([-0.0])] == [bits(-0.0)] * 3
+    assert quartiles([42.0]) == (42.0, 42.0, 42.0)
+
+
+# -- finite VOT contract ---------------------------------------------------------
+
+
+@given(st.text(min_size=1, max_size=12), st.sampled_from(PHONEMES), st.floats())
+def test_eval_instance_accepts_exactly_finite_vot(utt_id, phoneme, vot):
+    if math.isfinite(vot):
+        assert EvalInstance(utt_id, phoneme, vot, "k").vot_ms == vot
+        return
+    with pytest.raises(PhonaugError) as err:
+        EvalInstance(utt_id, phoneme, vot, "k")
+    assert str(err.value).startswith(f"{utt_id}: ")
+
+
+@pytest.mark.parametrize("vot", ["NaN", "Infinity", "-Infinity"])
+def test_evaluate_rejects_non_finite_vot(tmp_path, vot):
+    lines = [
+        '{"utt_id": "u1", "phoneme": "k", "vot_ms": 30.0, "onset": "kʰ"}',
+        f'{{"utt_id": "u2", "phoneme": "g", "vot_ms": {vot}, "onset": "ɡ"}}',
+    ]
+    path = tmp_path / "instances.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = CliRunner().invoke(main, ["evaluate", str(path), "--out-prefix",
+                                       str(tmp_path / "rep")])
+    assert result.exit_code == 1
+    assert "u2: vot_ms must be finite" in result.output
+    assert not (tmp_path / "rep.json").exists()
+
+
+# -- evaluate runs without numpy -------------------------------------------------
+
+
+def test_evaluate_does_not_load_numpy(tmp_path):
+    objs = []
+    for n in range(30):
+        for model, onset in (("BM", "ka"), ("TM", "ɡa" if n % 2 else "kʰa")):
+            objs.append({"utt_id": f"u{n:02d}", "phoneme": "gk"[n % 2],
+                         "vot_ms": float(n - 10), "onset": onset, "model": model})
+    path = tmp_path / "instances.jsonl"
+    path.write_text("".join(json.dumps(o) + "\n" for o in objs), encoding="utf-8")
+    prefix = tmp_path / "rep"
+    code = ("import sys\n"
+            "from phonaug.cli import main\n"
+            "main(sys.argv[1:], standalone_mode=False)\n"
+            "sys.exit(3 if 'numpy' in sys.modules else 0)\n")
+    src = str(Path(phonaug.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code, "evaluate", str(path), "--out-prefix", str(prefix)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr or "numpy was imported"
+    assert "significance" in json.loads(prefix.with_suffix(".json").read_text())
+    assert (tmp_path / "rep_boxplot.csv").read_text().count("\n") > 1
