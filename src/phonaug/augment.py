@@ -4,8 +4,8 @@ their phonation.
 The mapping table (which base symbols may pair up, plus the index-offset
 window) ships as JSON data so it can be replaced without code changes. The
 matcher is greedy, left-to-right and one-to-one, preferring offset 0 and then
-the smaller start-frame difference; the timestamp-proximity predicate is
-configurable because "similar timestamps" has no canonical threshold.
+the smaller start-frame difference, among candidates that pass the
+timestamp-proximity predicate `default_proximity`.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import io
 from .ctc import PhoneTrack, TimedPhone, read_tracks, track_to_obj
-from .errors import NoVoicingCounterpart, PhonaugError, UtteranceMismatch
+from .errors import MissingCounterpart, NoVoicingCounterpart, PhonaugError, UtteranceMismatch
 from .inventory import BREATHY_VOICED, VOICED, Inventory, phonation_of, with_phonation
 
 
@@ -85,13 +85,6 @@ class AugmentationStats:
     utterances: int = 0
     missing_counterparts: list[str] = field(default_factory=list)
 
-    def merge(self, other: "AugmentationStats") -> None:
-        self.counts.update(other.counts)
-        self.matched += other.matched
-        self.unmatched_rm_plosives += other.unmatched_rm_plosives
-        self.utterances += other.utterances
-        self.missing_counterparts.extend(other.missing_counterparts)
-
     def to_obj(self) -> dict:
         return {
             "counts": dict(sorted(self.counts.items())),
@@ -112,9 +105,7 @@ def default_proximity(rm: TimedPhone, hm: TimedPhone) -> bool:
     return abs(rm.start_frame - hm.start_frame) <= max(rm_span, hm_span)
 
 
-def match_phones(rm: PhoneTrack, hm: PhoneTrack, table: MappingTable,
-                 proximity: Callable[[TimedPhone, TimedPhone], bool] = default_proximity,
-                 ) -> list[MatchPair]:
+def match_phones(rm: PhoneTrack, hm: PhoneTrack, table: MappingTable) -> list[MatchPair]:
     """Greedy left-to-right one-to-one matching under the mapping table, the
     index-offset window and the timestamp-proximity predicate."""
     if rm.utt_id != hm.utt_id:
@@ -134,7 +125,7 @@ def match_phones(rm: PhoneTrack, hm: PhoneTrack, table: MappingTable,
             hm_tp = hm.phones[j]
             if not table.admits(rm_base, hm_tp.phone.base):
                 continue
-            if not proximity(rm_tp, hm_tp):
+            if not default_proximity(rm_tp, hm_tp):
                 continue
             candidates.append((d != 0, abs(rm_tp.start_frame - hm_tp.start_frame), j, hm_tp))
         if candidates:
@@ -177,15 +168,29 @@ def augment_track(rm: PhoneTrack, hm: PhoneTrack, matches: list[MatchPair],
 def _paired_tracks(rm_file: str | Path, hm_file: str | Path,
                    inventory: Inventory, skip_missing: bool,
                    stats: AugmentationStats) -> Iterator[tuple[PhoneTrack, PhoneTrack]]:
-    hm_by_id = {t.utt_id: t for t in read_tracks(hm_file, inventory)}
+    """RM/HM pairs joined on utt_id, in utt_id order. Each utt_id occurs at most
+    once per file, and a pair shares its frame_ms: the matcher compares raw
+    frame indices."""
+    hm_by_id: dict[str, PhoneTrack] = {}
+    for hm in read_tracks(hm_file, inventory):
+        if hm.utt_id in hm_by_id:
+            raise PhonaugError(f"utterance {hm.utt_id!r} occurs twice in {hm_file}")
+        hm_by_id[hm.utt_id] = hm
     rm_tracks = sorted(read_tracks(rm_file, inventory), key=lambda t: t.utt_id)
+    previous = None
     for rm in rm_tracks:
+        if rm.utt_id == previous:
+            raise PhonaugError(f"utterance {rm.utt_id!r} occurs twice in {rm_file}")
+        previous = rm.utt_id
         hm = hm_by_id.get(rm.utt_id)
         if hm is None:
             if not skip_missing:
-                raise PhonaugError(f"no HM counterpart for utterance {rm.utt_id!r}")
+                raise MissingCounterpart(f"no HM counterpart for utterance {rm.utt_id!r}")
             stats.missing_counterparts.append(rm.utt_id)
             continue
+        if rm.frame_ms != hm.frame_ms:
+            raise PhonaugError(f"utterance {rm.utt_id!r}: RM frame_ms {rm.frame_ms} "
+                               f"differs from HM frame_ms {hm.frame_ms}")
         yield rm, hm
 
 
@@ -209,13 +214,12 @@ def augment_corpus(rm_file: str | Path, hm_file: str | Path, table: MappingTable
 
 
 def prefilter_by_aspiration(rm_file: str | Path, hm_file: str | Path, table: MappingTable,
-                            inventory: Inventory | None = None,
-                            skip_missing: bool = True) -> list[str]:
+                            inventory: Inventory | None = None) -> list[str]:
     """utt_ids whose matches produce at least one aspirated output phone."""
     inv = inventory or Inventory.default()
     stats = AugmentationStats()
     selected = []
-    for rm, hm in _paired_tracks(rm_file, hm_file, inv, skip_missing, stats):
+    for rm, hm in _paired_tracks(rm_file, hm_file, inv, skip_missing=True, stats=stats):
         matches = match_phones(rm, hm, table)
         augmented = augment_track(rm, hm, matches, inv)
         for pair in matches:

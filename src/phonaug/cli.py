@@ -1,14 +1,15 @@
 """Composable pipeline subcommands over JSON Lines files.
 
 Every subcommand is deterministic: identical inputs (and seeds) produce
-byte-identical outputs regardless of --workers. Hard errors exit nonzero with
-a diagnostic on stderr; skip policies emit machine-readable skip reports.
+byte-identical outputs. Hard errors exit nonzero with a diagnostic on stderr;
+skip policies emit machine-readable skip reports.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+from collections import defaultdict
 from pathlib import Path
 
 import click
@@ -33,12 +34,6 @@ def handle_errors(fn):
     return wrapper
 
 
-def workers_option(fn):
-    return click.option("--workers", type=click.IntRange(min=1), default=1,
-                        help="Upper bound on parallel workers (output is "
-                             "deterministic regardless).")(fn)
-
-
 @click.group()
 def main():
     """Selective phonation augmentation pipeline."""
@@ -53,18 +48,16 @@ def main():
 @click.option("--model-tag", default="OTHER", show_default=True,
               type=click.Choice(ctc.MODEL_TAGS))
 @click.option("--inventory", "inventory_path", type=click.Path(exists=True))
-@workers_option
 @handle_errors
-def decode(framepath_file, out_file, blank, frame_ms, model_tag, inventory_path, workers):
+def decode(framepath_file, out_file, blank, frame_ms, model_tag, inventory_path):
     """Collapse per-frame CTC label paths into timestamped phone tracks."""
     inv = _load_inventory(inventory_path)
     tracks = []
     for obj in io.read_jsonl(framepath_file):
         if frame_ms is not None:
             obj = {**obj, "frame_ms": frame_ms}
-        path, _ = ctc.frame_path_from_obj(obj)
-        use_blank = obj["blank"] if "blank" in obj else blank
-        tracks.append(ctc.decode_track(path, use_blank, inv, model_tag))
+        path = ctc.frame_path_from_obj(obj)
+        tracks.append(ctc.decode_track(path, obj.get("blank", blank), inv, model_tag))
     tracks.sort(key=lambda t: t.utt_id)
     n = ctc.write_tracks(out_file, tracks)
     click.echo(f"decoded {n} utterances -> {out_file}", err=True)
@@ -81,10 +74,9 @@ def decode(framepath_file, out_file, blank, frame_ms, model_tag, inventory_path,
               help="Skip RM utterances without an HM counterpart.")
 @click.option("--stats-file", type=click.Path(), default=None,
               help="Write AugmentationStats JSON here (default: stdout).")
-@workers_option
 @handle_errors
 def cmd_augment(rm_file, hm_file, out_file, mapping_path, inventory_path,
-                no_breathy, skip_missing, stats_file, workers):
+                no_breathy, skip_missing, stats_file):
     """Match RM plosives to HM plosives and overwrite their phonation."""
     inv = _load_inventory(inventory_path)
     table = aug.MappingTable.load(mapping_path, inv) if mapping_path \
@@ -105,9 +97,8 @@ def cmd_augment(rm_file, hm_file, out_file, mapping_path, inventory_path,
 @click.option("--inventory", "inventory_path", type=click.Path(exists=True))
 @click.option("--out", "out_file", type=click.Path(), default=None,
               help="Write selected utt_ids here (default: stdout).")
-@workers_option
 @handle_errors
-def prefilter_aspiration(rm_file, hm_file, mapping_path, inventory_path, out_file, workers):
+def prefilter_aspiration(rm_file, hm_file, mapping_path, inventory_path, out_file):
     """List utt_ids whose matches produce at least one aspirated phone."""
     inv = _load_inventory(inventory_path)
     table = aug.MappingTable.load(mapping_path, inv) if mapping_path \
@@ -233,9 +224,8 @@ def prepare_clean_vocab(vocab_file, corpus_file, out_file, remove, add):
 @click.option("--hm-out", type=click.Path(), required=True)
 @click.option("--truth-out", type=click.Path(), default=None)
 @click.option("--inventory", "inventory_path", type=click.Path(exists=True))
-@workers_option
 @handle_errors
-def cmd_synth(spec_file, rm_out, hm_out, truth_out, inventory_path, workers):
+def cmd_synth(spec_file, rm_out, hm_out, truth_out, inventory_path):
     """Generate synthetic paired RM/HM tracks with known ground truth."""
     inv = _load_inventory(inventory_path)
     spec = synth.ScenarioSpec.load(spec_file)
@@ -247,6 +237,21 @@ def cmd_synth(spec_file, rm_out, hm_out, truth_out, inventory_path, workers):
     click.echo(f"generated {len(rm_tracks)} utterances", err=True)
 
 
+def _read_instances(path) -> list[metrics.EvalInstance]:
+    """Eval instances, at most one per (model, utt_id): the significance test
+    pairs the models' instances by utt_id."""
+    instances = [metrics.EvalInstance.from_obj(o) for o in io.read_jsonl(path)]
+    # one set of existing utt_id strings per model: a key tuple per instance
+    # costs several times more, mostly in cyclic GC
+    utt_ids: defaultdict[str, set[str]] = defaultdict(set)
+    for inst in instances:
+        seen = utt_ids[inst.model_tag]
+        if inst.utt_id in seen:
+            raise PhonaugError(f"{inst.utt_id}: more than one {inst.model_tag} instance")
+        seen.add(inst.utt_id)
+    return instances
+
+
 @main.command(name="evaluate")
 @click.argument("instances_file", type=click.Path(exists=True))
 @click.option("--out-prefix", type=click.Path(), required=True,
@@ -254,18 +259,15 @@ def cmd_synth(spec_file, rm_out, hm_out, truth_out, inventory_path, workers):
 @click.option("--continuants", "continuants_path", type=click.Path(exists=True))
 @click.option("--inventory", "inventory_path", type=click.Path(exists=True))
 @click.option("--group", "group_filter", type=click.Choice(metrics.POA_GROUPS),
-              default=None, help="Restrict the report to one PoA group.")
-@click.option("--strict/--lenient", "strict", default=True, show_default=True,
-              help="Which variant leads in the text table (both always computed).")
-@workers_option
+              default=None, help="Report on one PoA group only.")
 @handle_errors
 def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
-                 group_filter, strict, workers):
+                 group_filter):
     """Classify predictions and emit metric tables, JSON and boxplot CSV."""
     inv = _load_inventory(inventory_path)
     cfg = metrics.ClassifierConfig.load(continuants_path) if continuants_path \
         else metrics.ClassifierConfig.default()
-    instances = [metrics.EvalInstance.from_obj(o) for o in io.read_jsonl(instances_file)]
+    instances = _read_instances(instances_file)
     if group_filter:
         instances = [i for i in instances
                      if metrics.POA_GROUP_OF[i.target_phoneme] == group_filter]

@@ -110,9 +110,8 @@ def decode_track(path: FramePath, blank: str, inventory: Inventory | None = None
 # -- JSONL formats ----------------------------------------------------------
 
 
-def frame_path_from_obj(obj: dict) -> tuple[FramePath, str]:
-    path = FramePath(obj["utt_id"], float(obj["frame_ms"]), tuple(obj["labels"]))
-    return path, obj.get("blank", "_")
+def frame_path_from_obj(obj: dict) -> FramePath:
+    return FramePath(obj["utt_id"], float(obj["frame_ms"]), tuple(obj["labels"]))
 
 
 def track_to_obj(track: PhoneTrack) -> dict:

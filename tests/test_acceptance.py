@@ -195,10 +195,9 @@ def test_criterion_9_onset_testset_construction():
     report_line(9, "onset test set: 240 records, 40 per phoneme, byte-reproducible")
 
 
-def _run_pipeline(tmp_path, workers: str) -> bytes:
+def _run_pipeline(work) -> bytes:
     """decode -> augment -> evaluate; returns concatenated output bytes."""
     runner = CliRunner()
-    work = tmp_path / f"w{workers}"
     work.mkdir(parents=True)
 
     # deterministic frame paths from synthetic tracks (jitter spaces the slots)
@@ -222,15 +221,13 @@ def _run_pipeline(tmp_path, workers: str) -> bytes:
     to_frame_paths(hm_tracks, hm_paths)
 
     rm_file, hm_file, tm_file = work / "rm.jsonl", work / "hm.jsonl", work / "tm.jsonl"
-    for args in (["decode", str(rm_paths), str(rm_file), "--model-tag", "RM",
-                  "--workers", workers],
-                 ["decode", str(hm_paths), str(hm_file), "--model-tag", "HM",
-                  "--workers", workers]):
+    for args in (["decode", str(rm_paths), str(rm_file), "--model-tag", "RM"],
+                 ["decode", str(hm_paths), str(hm_file), "--model-tag", "HM"]):
         result = runner.invoke(main, args)
         assert result.exit_code == 0, result.output
     stats_file = work / "stats.json"
     result = runner.invoke(main, ["augment", str(rm_file), str(hm_file), str(tm_file),
-                                  "--workers", workers, "--stats-file", str(stats_file)])
+                                  "--stats-file", str(stats_file)])
     assert result.exit_code == 0, result.output
 
     # deterministic eval instances from the augmented plosives
@@ -251,7 +248,7 @@ def _run_pipeline(tmp_path, workers: str) -> bytes:
     inst_file.write_text("".join(dump_line(o) + "\n" for o in instances),
                          encoding="utf-8")
     result = runner.invoke(main, ["evaluate", str(inst_file), "--out-prefix",
-                                  str(work / "report"), "--workers", workers])
+                                  str(work / "report")])
     assert result.exit_code == 0, result.output
 
     return b"".join(p.read_bytes() for p in (
@@ -260,10 +257,7 @@ def _run_pipeline(tmp_path, workers: str) -> bytes:
 
 
 def test_criterion_10_end_to_end_determinism(tmp_path):
-    first = _run_pipeline(tmp_path / "a", "1")
-    again = _run_pipeline(tmp_path / "b", "1")
-    parallel = _run_pipeline(tmp_path / "c", "8")
+    first = _run_pipeline(tmp_path / "a")
+    again = _run_pipeline(tmp_path / "b")
     assert first == again
-    assert first == parallel
-    report_line(10, "decode -> augment -> evaluate byte-identical across reruns and "
-                    "--workers 1 vs 8")
+    report_line(10, "decode -> augment -> evaluate byte-identical across reruns")

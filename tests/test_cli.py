@@ -73,6 +73,66 @@ def test_decode_malformed_line_reports_lineno(tmp_path, runner):
     assert ":2:" in result.output
 
 
+def decode_symbols(out_file):
+    return [[p.phone.text for p in t.phones] for t in read_tracks(out_file, INV)]
+
+
+def test_decode_line_blank_overrides_option(tmp_path, runner):
+    in_file, out_file = tmp_path / "paths.jsonl", tmp_path / "tracks.jsonl"
+    write_lines(in_file, [{"utt_id": "u1", "frame_ms": 20.0, "blank": "#",
+                           "labels": ["#", "t", "#", "t"]}])
+    # with --blank t the line would lose its phones and fail on "#"
+    result = runner.invoke(main, ["decode", str(in_file), str(out_file), "--blank", "t"])
+    assert result.exit_code == 0, result.output
+    assert decode_symbols(out_file) == [["t", "t"]]
+
+
+def test_decode_blank_option_applies_without_line_blank(tmp_path, runner):
+    in_file, out_file = tmp_path / "paths.jsonl", tmp_path / "tracks.jsonl"
+    write_lines(in_file, [{"utt_id": "u1", "frame_ms": 20.0,
+                           "labels": ["#", "t", "#", "t"]}])
+    result = runner.invoke(main, ["decode", str(in_file), str(out_file), "--blank", "#"])
+    assert result.exit_code == 0, result.output
+    assert decode_symbols(out_file) == [["t", "t"]]
+    assert runner.invoke(main, ["decode", str(in_file), str(out_file)]).exit_code != 0
+
+
+def test_decode_frame_ms_option_overrides_line(tmp_path, runner):
+    in_file, out_file = tmp_path / "paths.jsonl", tmp_path / "tracks.jsonl"
+    write_lines(in_file, [{"utt_id": "u1", "frame_ms": 20.0, "labels": ["_", "t"]}])
+    result = runner.invoke(main, ["decode", str(in_file), str(out_file)])
+    assert result.exit_code == 0, result.output
+    (track,) = read_tracks(out_file, INV)
+    assert track.frame_ms == 20.0
+    result = runner.invoke(main, ["decode", str(in_file), str(out_file),
+                                  "--frame-ms", "10"])
+    assert result.exit_code == 0, result.output
+    (track,) = read_tracks(out_file, INV)
+    assert track.frame_ms == 10.0
+
+
+@pytest.mark.parametrize("command, option", [
+    ("decode", "--workers"), ("augment", "--workers"),
+    ("prefilter-aspiration", "--workers"), ("synth", "--workers"),
+    ("evaluate", "--workers"), ("evaluate", "--lenient"), ("evaluate", "--strict"),
+])
+def test_removed_options_are_unknown(tmp_path, runner, command, option):
+    f = tmp_path / "in.jsonl"
+    f.write_text("", encoding="utf-8")
+    args = {
+        "decode": [str(f), str(tmp_path / "o.jsonl")],
+        "augment": [str(f), str(f), str(tmp_path / "o.jsonl")],
+        "prefilter-aspiration": [str(f), str(f)],
+        "synth": [str(f), "--rm-out", str(tmp_path / "r"), "--hm-out", str(tmp_path / "h")],
+        "evaluate": [str(f), "--out-prefix", str(tmp_path / "rep")],
+    }[command]
+    value = ["2"] if option == "--workers" else []
+    result = runner.invoke(main, [command, *args, option, *value])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and option in result.output
+    assert list(tmp_path.iterdir()) == [f]
+
+
 def synth_files(tmp_path, runner, spec_overrides=None):
     spec = {"seed": 12, "n_utterances": 30, "plosive_rate": 0.6,
             "hm_aspiration_rate": 0.4, "hm_voicing_rate": 0.2,
@@ -276,15 +336,15 @@ def test_evaluate_group_filter(tmp_path, runner):
     assert "bilabial" not in text
 
 
-def test_pipeline_determinism_across_workers(tmp_path, runner):
+def test_pipeline_determinism_across_reruns(tmp_path, runner):
     rm, hm, _ = synth_files(tmp_path, runner, {"jitter": 1, "drop_rate": 0.1,
                                                "n_utterances": 60})
     outputs = []
-    for workers in ("1", "8"):
-        out = tmp_path / f"tm_{workers}.jsonl"
-        stats = tmp_path / f"stats_{workers}.json"
+    for run in ("a", "b"):
+        out = tmp_path / f"tm_{run}.jsonl"
+        stats = tmp_path / f"stats_{run}.json"
         result = runner.invoke(main, ["augment", str(rm), str(hm), str(out),
-                                      "--workers", workers, "--stats-file", str(stats)])
+                                      "--stats-file", str(stats)])
         assert result.exit_code == 0
         outputs.append((out.read_bytes(), stats.read_bytes()))
     assert outputs[0] == outputs[1]
