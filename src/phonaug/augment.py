@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Iterator
 
-from . import io
-from .ctc import PhoneTrack, TimedPhone, read_tracks, track_to_obj
+from .ctc import PhoneTrack, TimedPhone, read_tracks, write_tracks
 from .errors import MissingCounterpart, NoVoicingCounterpart, PhonaugError, UtteranceMismatch
-from .inventory import BREATHY_VOICED, VOICED, Inventory, phonation_of, with_phonation
+from .inventory import (ASPIRATED, BREATHY_VOICED, VOICED, Inventory, phonation_of,
+                        with_phonation)
 
 
 @dataclass(frozen=True)
@@ -168,30 +169,25 @@ def augment_track(rm: PhoneTrack, hm: PhoneTrack, matches: list[MatchPair],
 def _paired_tracks(rm_file: str | Path, hm_file: str | Path,
                    inventory: Inventory, skip_missing: bool,
                    stats: AugmentationStats) -> Iterator[tuple[PhoneTrack, PhoneTrack]]:
-    """RM/HM pairs joined on utt_id, in utt_id order. Each utt_id occurs at most
-    once per file, and a pair shares its frame_ms: the matcher compares raw
-    frame indices."""
-    hm_by_id: dict[str, PhoneTrack] = {}
-    for hm in read_tracks(hm_file, inventory):
-        if hm.utt_id in hm_by_id:
-            raise PhonaugError(f"utterance {hm.utt_id!r} occurs twice in {hm_file}")
-        hm_by_id[hm.utt_id] = hm
-    rm_tracks = sorted(read_tracks(rm_file, inventory), key=lambda t: t.utt_id)
-    previous = None
-    for rm in rm_tracks:
-        if rm.utt_id == previous:
-            raise PhonaugError(f"utterance {rm.utt_id!r} occurs twice in {rm_file}")
-        previous = rm.utt_id
-        hm = hm_by_id.get(rm.utt_id)
-        if hm is None:
-            if not skip_missing:
-                raise MissingCounterpart(f"no HM counterpart for utterance {rm.utt_id!r}")
-            stats.missing_counterparts.append(rm.utt_id)
-            continue
-        if rm.frame_ms != hm.frame_ms:
-            raise PhonaugError(f"utterance {rm.utt_id!r}: RM frame_ms {rm.frame_ms} "
-                               f"differs from HM frame_ms {hm.frame_ms}")
-        yield rm, hm
+    """RM/HM pairs joined on utt_id by a merge of the two utt_id-sorted track
+    files. A pair shares its frame_ms: the matcher compares raw frame indices."""
+    with closing(read_tracks(rm_file, inventory)) as rms, \
+            closing(read_tracks(hm_file, inventory)) as hms:
+        hm = next(hms, None)
+        for rm in rms:
+            while hm is not None and hm.utt_id < rm.utt_id:
+                hm = next(hms, None)
+            if hm is None or hm.utt_id != rm.utt_id:
+                if not skip_missing:
+                    raise MissingCounterpart(f"no HM counterpart for utterance {rm.utt_id!r}")
+                stats.missing_counterparts.append(rm.utt_id)
+                continue
+            if rm.frame_ms != hm.frame_ms:
+                raise PhonaugError(f"utterance {rm.utt_id!r}: RM frame_ms {rm.frame_ms} "
+                                   f"differs from HM frame_ms {hm.frame_ms}")
+            yield rm, hm
+        for _ in hms:  # the rest of the HM file must keep the contract too
+            pass
 
 
 def augment_corpus(rm_file: str | Path, hm_file: str | Path, table: MappingTable,
@@ -201,15 +197,9 @@ def augment_corpus(rm_file: str | Path, hm_file: str | Path, table: MappingTable
     ordered by utt_id."""
     inv = inventory or Inventory.default()
     stats = AugmentationStats()
-
-    def produce() -> Iterator[dict]:
-        for rm, hm in _paired_tracks(rm_file, hm_file, inv, skip_missing, stats):
-            matches = match_phones(rm, hm, table)
-            augmented = augment_track(rm, hm, matches, inv, breathy=breathy, stats=stats)
-            stats.utterances += 1
-            yield track_to_obj(augmented)
-
-    io.write_jsonl(out_file, produce())
+    stats.utterances = write_tracks(out_file, (
+        augment_track(rm, hm, match_phones(rm, hm, table), inv, breathy=breathy, stats=stats)
+        for rm, hm in _paired_tracks(rm_file, hm_file, inv, skip_missing, stats)))
     return stats
 
 
@@ -217,15 +207,11 @@ def prefilter_by_aspiration(rm_file: str | Path, hm_file: str | Path, table: Map
                             inventory: Inventory | None = None) -> list[str]:
     """utt_ids whose matches produce at least one aspirated output phone."""
     inv = inventory or Inventory.default()
-    stats = AugmentationStats()
     selected = []
-    for rm, hm in _paired_tracks(rm_file, hm_file, inv, skip_missing=True, stats=stats):
+    for rm, hm in _paired_tracks(rm_file, hm_file, inv, skip_missing=True,
+                                 stats=AugmentationStats()):
         matches = match_phones(rm, hm, table)
         augmented = augment_track(rm, hm, matches, inv)
-        for pair in matches:
-            out = augmented.phones[pair.rm_index]
-            ph = phonation_of(out.phone)
-            if ph.spread_glottis and not ph.voiced:
-                selected.append(rm.utt_id)
-                break
+        if any(phonation_of(augmented.phones[p.rm_index].phone) == ASPIRATED for p in matches):
+            selected.append(rm.utt_id)
     return selected

@@ -52,14 +52,18 @@ def main():
 def decode(framepath_file, out_file, blank, frame_ms, model_tag, inventory_path):
     """Collapse per-frame CTC label paths into timestamped phone tracks."""
     inv = _load_inventory(inventory_path)
-    tracks = []
-    for obj in io.read_jsonl(framepath_file):
+
+    def from_obj(obj):
         if frame_ms is not None:
             obj = {**obj, "frame_ms": frame_ms}
         path = ctc.frame_path_from_obj(obj)
-        tracks.append(ctc.decode_track(path, obj.get("blank", blank), inv, model_tag))
-    tracks.sort(key=lambda t: t.utt_id)
-    n = ctc.write_tracks(out_file, tracks)
+        return ctc.decode_track(path, obj.get("blank", blank), inv, model_tag)
+
+    # frame paths come from outside phonaug, so they are sorted here, then
+    # checked like every track file: each utt_id once
+    tracks = sorted(io.parse_records(framepath_file, from_obj, ctc.FRAME_PATH_FIELDS),
+                    key=lambda t: t.utt_id)
+    n = ctc.write_tracks(out_file, ctc.in_utt_id_order(tracks, framepath_file))
     click.echo(f"decoded {n} utterances -> {out_file}", err=True)
 
 
@@ -117,7 +121,7 @@ def prepare():
 
 
 def _read_manifest(path) -> list[manifest.SegmentRecord]:
-    return [manifest.SegmentRecord.from_obj(o) for o in io.read_jsonl(path)]
+    return list(io.parse_records(path, manifest.SegmentRecord.from_obj, {"utt_id": str}))
 
 
 def _write_manifest(path, records) -> None:
@@ -240,7 +244,8 @@ def cmd_synth(spec_file, rm_out, hm_out, truth_out, inventory_path):
 def _read_instances(path) -> list[metrics.EvalInstance]:
     """Eval instances, at most one per (model, utt_id): the significance test
     pairs the models' instances by utt_id."""
-    instances = [metrics.EvalInstance.from_obj(o) for o in io.read_jsonl(path)]
+    instances = list(io.parse_records(path, metrics.EvalInstance.from_obj,
+                                      metrics.INSTANCE_FIELDS))
     # one set of existing utt_id strings per model: a key tuple per instance
     # costs several times more, mostly in cyclic GC
     utt_ids: defaultdict[str, set[str]] = defaultdict(set)

@@ -7,6 +7,7 @@ milliseconds happens only at reporting time, so all comparisons are exact.
 from __future__ import annotations
 
 import unicodedata
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -16,6 +17,9 @@ from .errors import NotSinglePhone, PhonaugError
 from .inventory import Inventory, Phone, tokenize_ipa
 
 MODEL_TAGS = ("RM", "HM", "BM", "TM", "OTHER")
+# the required fields of a frame-path line and of a track line
+FRAME_PATH_FIELDS = {"utt_id": str, "labels": list, "frame_ms": (int, float)}
+TRACK_FIELDS = {"utt_id": str, "frame_ms": (int, float), "phones": list}
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,8 @@ class PhoneTrack:
     frame_ms: float
 
     def __post_init__(self):
+        if not isinstance(self.utt_id, str):  # track files are ordered by utt_id
+            raise TypeError(f"utt_id must be a string, not {self.utt_id!r}")
         if not self.utt_id:
             raise PhonaugError("utt_id must be non-empty")
         if self.model_tag not in MODEL_TAGS:
@@ -136,10 +142,22 @@ def track_from_obj(obj: dict, inventory: Inventory | None = None) -> PhoneTrack:
     return PhoneTrack(obj["utt_id"], obj.get("model", "OTHER"), phones, float(obj["frame_ms"]))
 
 
+def in_utt_id_order(tracks: Iterable[PhoneTrack], source: str | Path) -> Iterator[PhoneTrack]:
+    """Pass the tracks on while each utt_id is greater than the one before."""
+    previous = None
+    for track in tracks:
+        if previous is not None and track.utt_id <= previous:
+            problem = "occurs twice" if track.utt_id == previous else f"comes after {previous!r}"
+            raise PhonaugError(f"{source}: utterance {track.utt_id!r} {problem}")
+        previous = track.utt_id
+        yield track
+
+
 def read_tracks(path: str | Path, inventory: Inventory | None = None) -> Iterator[PhoneTrack]:
     inv = inventory or Inventory.default()
-    for obj in io.read_jsonl(path):
-        yield track_from_obj(obj, inv)
+    with closing(io.parse_records(path, lambda obj: track_from_obj(obj, inv),
+                                  TRACK_FIELDS)) as tracks:
+        yield from in_utt_id_order(tracks, path)
 
 
 def write_tracks(path: str | Path, tracks: Iterable[PhoneTrack]) -> int:

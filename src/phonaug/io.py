@@ -1,17 +1,21 @@
 """Streaming JSON Lines helpers.
 
-All corpus files are JSONL so corpora larger than memory can be processed in
-constant space. Writers emit deterministic bytes (sorted keys, no trailing
-spaces) so re-runs are byte-identical, and a file appears at its path only
-once its last record is written.
+All corpus files are JSONL, read one record at a time. `augment` and
+`prefilter-aspiration` hold one RM and one HM track at a time, so they process
+corpora larger than memory in constant space (apart from the utt_ids they
+report); `decode` holds its input in memory so that it can sort it. Writers emit
+deterministic bytes (sorted keys, no trailing spaces) so re-runs are
+byte-identical, and a file appears at its path only once its last record is
+written.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import closing
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .errors import PhonaugError
 
@@ -37,6 +41,37 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
             if not isinstance(obj, dict):
                 raise MalformedLine(str(path), lineno, "expected a JSON object")
             yield obj
+
+
+T = TypeVar("T")
+
+
+def parse_records(path: str | Path, from_obj: Callable[[dict], T],
+                  fields: dict[str, type | tuple[type, ...]]) -> Iterator[T]:
+    """Yield from_obj of each object in the file at `path`. `fields` gives the
+    JSON type of each required field. A record that from_obj cannot read fails
+    with the file, the record's utt_id (or its position) and the field at fault."""
+    with closing(read_jsonl(path)) as objs:
+        for n, obj in enumerate(objs, start=1):
+            try:
+                record = from_obj(obj)
+            except (KeyError, TypeError, ValueError) as e:
+                utt_id = obj.get("utt_id")
+                where = f"utterance {utt_id!r}" if isinstance(utt_id, str) else f"record {n}"
+                problem = _field_problem(obj, fields, e)
+                raise PhonaugError(f"{path}: {where}: {problem}") from None
+            yield record
+
+
+def _field_problem(obj: dict, fields: dict, error: Exception) -> str:
+    for name, kind in fields.items():
+        if name not in obj:
+            return f"missing field {name!r}"
+        if not isinstance(obj[name], kind):
+            return f"field {name!r} has the wrong type: {obj[name]!r}"
+    if isinstance(error, KeyError):
+        return f"missing field {error}"
+    return f"ill-typed field: {error}"
 
 
 def dump_line(obj: Any) -> str:

@@ -32,6 +32,8 @@ POA_GROUP_OF = {"p": "bilabial", "b": "bilabial",
                 "t": "alveolar", "d": "alveolar",
                 "k": "velar", "g": "velar"}
 POA_GROUPS = ("bilabial", "alveolar", "velar")
+# the required fields of an instance line
+INSTANCE_FIELDS = {"utt_id": str, "phoneme": str, "vot_ms": (int, float), "onset": str}
 
 
 class Realization(enum.Enum):
@@ -51,6 +53,8 @@ class EvalInstance:
     model_tag: str = "OTHER"
 
     def __post_init__(self):
+        if not isinstance(self.utt_id, str):  # the significance test sorts utt_ids
+            raise TypeError(f"utt_id must be a string, not {self.utt_id!r}")
         if self.target_phoneme not in ALL_PHONEMES:
             raise PhonaugError(f"target phoneme must be one of {ALL_PHONEMES}, "
                                f"got {self.target_phoneme!r}")

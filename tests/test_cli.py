@@ -73,6 +73,74 @@ def test_decode_malformed_line_reports_lineno(tmp_path, runner):
     assert ":2:" in result.output
 
 
+def test_decode_rejects_duplicate_utt_id(tmp_path, runner):
+    in_file, out_file = tmp_path / "paths.jsonl", tmp_path / "tracks.jsonl"
+    write_lines(in_file, [{"utt_id": u, "frame_ms": 20.0, "labels": ["t"]}
+                          for u in ("u2", "u1", "u1")])
+    result = runner.invoke(main, ["decode", str(in_file), str(out_file)])
+    assert result.exit_code == 1
+    assert "utterance 'u1' occurs twice" in result.output
+    assert list(tmp_path.iterdir()) == [in_file]
+
+
+FRAME_PATH = {"utt_id": "u1", "frame_ms": 20.0, "labels": ["t"]}
+TRACK = {"utt_id": "u1", "model": "RM", "frame_ms": 20.0,
+         "phones": [{"symbol": "t", "start": 0, "end": 1}]}
+INSTANCE = {"utt_id": "u1", "phoneme": "t", "vot_ms": 30.0, "onset": "t", "model": "BM"}
+
+
+@pytest.mark.parametrize("command, record, field, bad, expect", [
+    pytest.param("decode", FRAME_PATH, "utt_id", None, "record 2: missing field 'utt_id'",
+                 id="decode-missing"),
+    pytest.param("decode", FRAME_PATH, "frame_ms", "fast",
+                 "utterance 'u1': field 'frame_ms' has the wrong type: 'fast'",
+                 id="decode-ill-typed"),
+    pytest.param("decode", FRAME_PATH, "utt_id", 7, "record 2: field 'utt_id' has the wrong "
+                 "type: 7", id="decode-numeric-utt_id"),
+    pytest.param("augment", TRACK, "phones", None, "utterance 'u1': missing field 'phones'",
+                 id="augment-missing"),
+    pytest.param("augment", TRACK, "utt_id", 7, "record 2: field 'utt_id' has the wrong "
+                 "type: 7", id="augment-numeric-utt_id"),
+    pytest.param("augment", TRACK, "phones", [{"symbol": "t", "start": "x", "end": 1}],
+                 "utterance 'u1': ill-typed field: invalid literal for int()",
+                 id="augment-ill-typed-phone"),
+    pytest.param("prepare", {"utt_id": "u1", "downvotes": 0}, "utt_id", None,
+                 "record 2: missing field 'utt_id'", id="prepare-missing"),
+    pytest.param("prepare", {"utt_id": "u1", "downvotes": 0}, "downvotes", "none",
+                 "utterance 'u1': ill-typed field: invalid literal for int()",
+                 id="prepare-ill-typed"),
+    pytest.param("evaluate", INSTANCE, "vot_ms", None,
+                 "utterance 'u1': missing field 'vot_ms'", id="evaluate-missing"),
+    pytest.param("evaluate", INSTANCE, "utt_id", 7, "record 2: field 'utt_id' has the wrong "
+                 "type: 7", id="evaluate-numeric-utt_id"),
+    pytest.param("evaluate", INSTANCE, "vot_ms", [30],
+                 "utterance 'u1': field 'vot_ms' has the wrong type: [30]",
+                 id="evaluate-ill-typed"),
+])
+def test_missing_or_ill_typed_field_names_it(tmp_path, runner, command, record, field,
+                                             bad, expect):
+    good = {**record, "utt_id": "u0"}
+    broken = {k: v for k, v in record.items() if k != field}
+    if bad is not None:
+        broken[field] = bad
+    in_file = tmp_path / "in.jsonl"
+    write_lines(in_file, [good, broken])
+    out = tmp_path / "out.jsonl"
+    args = {
+        "decode": [str(in_file), str(out)],
+        "augment": [str(in_file), str(in_file), str(out)],
+        "prepare": ["filter", str(in_file), str(out)],
+        "evaluate": [str(in_file), "--out-prefix", str(tmp_path / "rep")],
+    }[command]
+    result = runner.invoke(main, [command, *args])
+    assert result.exit_code == 1
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    message = result.output.strip()
+    assert message.startswith(f"Error: {in_file}: {expect}"), message
+    assert "\n" not in message and "Traceback" not in message
+    assert list(tmp_path.iterdir()) == [in_file]
+
+
 def decode_symbols(out_file):
     return [[p.phone.text for p in t.phones] for t in read_tracks(out_file, INV)]
 

@@ -1,7 +1,9 @@
-"""Input contracts of augment and evaluate, and all-or-nothing JSONL writes."""
+"""Input contracts of augment and evaluate, the RM/HM merge-join, and
+all-or-nothing JSONL writes."""
 
 from __future__ import annotations
 
+import json
 import os
 import stat
 import tempfile
@@ -9,14 +11,15 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phonaug import (
-    Inventory, MappingTable, PhoneTrack, ScenarioSpec, augment_corpus, generate,
+    AugmentationStats, Inventory, MappingTable, PhoneTrack, ScenarioSpec, augment_corpus,
+    augment_track, generate, match_phones, phonation_of, prefilter_by_aspiration,
 )
 from phonaug.cli import main
-from phonaug.ctc import write_tracks
+from phonaug.ctc import read_tracks, track_to_obj, write_tracks
 from phonaug.errors import MissingCounterpart, PhonaugError
 from phonaug.io import dump_line, write_jsonl
 
@@ -83,16 +86,20 @@ def test_fail_missing_leaves_no_output(tmp_path, runner):
     assert not out.exists()
 
 
-DEFECTS = ("duplicate_rm", "duplicate_hm", "frame_ms")
+DEFECTS = ("duplicate_rm", "duplicate_hm", "frame_ms", "unsorted_rm", "unsorted_hm")
 
 
 def inject(defect, k, rm_tracks, hm_tracks):
-    """Return RM and HM track lists with one defect at utterance k."""
+    """Return RM and HM track lists with one defect at utterance k. The unsorted
+    defects swap utterances k and k + 1."""
     rm_tracks, hm_tracks = list(rm_tracks), list(hm_tracks)
     if defect == "duplicate_rm":
         rm_tracks.insert(k, rm_tracks[k])
     elif defect == "duplicate_hm":
         hm_tracks.append(hm_tracks[k])
+    elif defect.startswith("unsorted"):
+        tracks = rm_tracks if defect == "unsorted_rm" else hm_tracks
+        tracks[k], tracks[k + 1] = tracks[k + 1], tracks[k]
     else:
         hm = hm_tracks[k]
         hm_tracks[k] = PhoneTrack(hm.utt_id, hm.model_tag, hm.phones, hm.frame_ms / 2)
@@ -100,10 +107,12 @@ def inject(defect, k, rm_tracks, hm_tracks):
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(1, 8), data=st.data(),
+@given(seed=st.integers(0, 10_000), data=st.data(),
        defect=st.sampled_from(DEFECTS), command=st.sampled_from(["augment", "prefilter"]))
-def test_one_defect_fails_the_command_without_output(seed, n, data, defect, command):
-    k = data.draw(st.integers(0, n - 1), label="k")
+def test_one_defect_fails_the_command_without_output(seed, data, defect, command):
+    swap = defect.startswith("unsorted")  # needs an utterance k + 1
+    n = data.draw(st.integers(1 + swap, 8), label="n")
+    k = data.draw(st.integers(0, n - 1 - swap), label="k")
     rm_tracks, hm_tracks, _ = generate(ScenarioSpec(seed=seed, n_utterances=n), INV)
     utt_id = rm_tracks[k].utt_id
     rm_tracks, hm_tracks = inject(defect, k, rm_tracks, hm_tracks)
@@ -118,6 +127,115 @@ def test_one_defect_fails_the_command_without_output(seed, n, data, defect, comm
         assert result.exit_code == 1, result.output
         assert repr(utt_id) in result.output
         assert sorted(p.name for p in work.iterdir()) == ["hm.jsonl", "rm.jsonl"]
+
+
+@pytest.mark.parametrize("order, problem", [
+    pytest.param([0, 2, 1], "utterance 'synth-000001' comes after 'synth-000002'",
+                 id="unsorted"),
+    pytest.param([0, 1, 1, 2], "utterance 'synth-000001' occurs twice", id="duplicate"),
+])
+def test_read_tracks_checks_the_order(tmp_path, order, problem):
+    tracks, _, _ = generate(ScenarioSpec(seed=4, n_utterances=3), INV)
+    path = tmp_path / "rm.jsonl"
+    write_tracks(path, [tracks[i] for i in order])
+    with pytest.raises(PhonaugError) as failure:
+        list(read_tracks(path, INV))
+    assert str(failure.value) == f"{path}: {problem}"
+
+
+MEMBERSHIP = ("rm", "hm", "both", "neither")
+
+
+def dict_join_augment(rm_tracks, hm_tracks):
+    """The TM lines, stats and prefilter selection of augment --skip-missing,
+    joined through a dict of HM tracks."""
+    table, stats, lines, aspirated = MappingTable.default(INV), AugmentationStats(), [], []
+    hm_by_id = {hm.utt_id: hm for hm in hm_tracks}
+    for rm in sorted(rm_tracks, key=lambda t: t.utt_id):
+        hm = hm_by_id.get(rm.utt_id)
+        if hm is None:
+            stats.missing_counterparts.append(rm.utt_id)
+            continue
+        matches = match_phones(rm, hm, table)
+        tm = augment_track(rm, hm, matches, INV, stats=stats)
+        stats.utterances += 1
+        lines.append(dump_line(track_to_obj(tm)) + "\n")
+        phonations = [phonation_of(tm.phones[p.rm_index].phone) for p in matches]
+        if any(ph.spread_glottis and not ph.voiced for ph in phonations):
+            aspirated.append(rm.utt_id)
+    return "".join(lines), stats.to_obj(), aspirated
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       membership=st.lists(st.sampled_from(MEMBERSHIP), max_size=12),
+       skip_missing=st.booleans())
+# HM-only utterances before, between and after the RM ones
+@example(seed=5, membership=["hm", "both", "hm", "rm", "both", "hm", "hm"], skip_missing=True)
+@example(seed=5, membership=["hm", "both", "hm", "rm", "both", "hm", "hm"], skip_missing=False)
+def test_merge_join_equals_dict_join(seed, membership, skip_missing):
+    """augment joins RM and HM files made of id subsets of one corpus like a dict join."""
+    rm_all, hm_all, _ = generate(ScenarioSpec(seed=seed, n_utterances=len(membership)), INV)
+    rm_tracks = [t for t, m in zip(rm_all, membership) if m in ("rm", "both")]
+    hm_tracks = [t for t, m in zip(hm_all, membership) if m in ("hm", "both")]
+    want_tm, want_stats, aspirated = dict_join_augment(rm_tracks, hm_tracks)
+    missing = want_stats["missing_counterparts"]
+    with tempfile.TemporaryDirectory() as d:
+        work = Path(d)
+        rm, hm, out, stats = (work / name for name in ("rm.jsonl", "hm.jsonl", "tm.jsonl",
+                                                       "stats.json"))
+        write_tracks(rm, rm_tracks)
+        write_tracks(hm, hm_tracks)
+        result = CliRunner().invoke(main, [
+            "augment", str(rm), str(hm), str(out), "--stats-file", str(stats),
+            "--skip-missing" if skip_missing else "--fail-missing"])
+        if missing and not skip_missing:
+            assert result.exit_code == 1
+            assert f"no HM counterpart for utterance {missing[0]!r}" in result.output
+            assert not out.exists() and not stats.exists()
+        else:
+            assert result.exit_code == 0, result.output
+            assert out.read_text(encoding="utf-8") == want_tm
+            assert json.loads(stats.read_text(encoding="utf-8")) == want_stats
+            # prefilter-aspiration shares the join and always skips
+            assert prefilter_by_aspiration(rm, hm, MappingTable.default(INV), INV) \
+                == aspirated
+
+
+def open_paths():
+    fds = Path("/proc/self/fd")
+    return {os.path.realpath(fds / fd) for fd in os.listdir(fds)}
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("command, defect", [
+    *((command, defect) for command in ("augment", "prefilter")
+      for defect in ("unsorted_rm", "unsorted_hm", "frame_ms", "no_phones")),
+    ("augment", "missing"),
+])
+def test_failed_join_closes_both_files(tmp_path, command, defect):
+    rm_tracks, hm_tracks, _ = generate(ScenarioSpec(seed=2, n_utterances=6), INV)
+    if defect == "missing":
+        del hm_tracks[2]
+    elif defect != "no_phones":
+        rm_tracks, hm_tracks = inject(defect, 2, rm_tracks, hm_tracks)
+    rm, hm, out = tmp_path / "rm.jsonl", tmp_path / "hm.jsonl", tmp_path / "tm.jsonl"
+    write_tracks(rm, rm_tracks)
+    write_tracks(hm, hm_tracks)
+    if defect == "no_phones":
+        lines = hm.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2].replace('"phones"', '"no_phones"')
+        hm.write_text("".join(lines), encoding="utf-8")
+    table = MappingTable.default(INV)
+    with pytest.raises(PhonaugError, match="'synth-000002'") as failure:
+        if command == "augment":
+            augment_corpus(rm, hm, table, out, INV, skip_missing=defect != "missing")
+        else:
+            prefilter_by_aspiration(rm, hm, table, INV)
+    # the failure keeps alive every frame it passed through, yet no file is open
+    assert failure.value.__traceback__ is not None
+    assert not open_paths() & {str(rm.resolve()), str(hm.resolve())}
+    assert not out.exists()
 
 
 def test_evaluate_rejects_duplicate_model_utt_id(tmp_path, runner):
