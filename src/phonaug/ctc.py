@@ -9,11 +9,12 @@ from __future__ import annotations
 import unicodedata
 from contextlib import closing
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from . import io
-from .errors import NotSinglePhone, PhonaugError
+from .errors import PhonaugError, in_context
 from .inventory import Inventory, Phone, tokenize_ipa
 
 MODEL_TAGS = ("RM", "HM", "BM", "TM", "OTHER")
@@ -72,12 +73,13 @@ def greedy_collapse(path: FramePath, blank: str) -> list[tuple[str, int, int]]:
     repeats separated by blank stay distinct.
     """
     runs: list[tuple[str, int, int]] = []
-    for i, label in enumerate(path.labels):
-        if runs and runs[-1][0] == label:
-            runs[-1] = (label, runs[-1][1], i)
-        else:
-            runs.append((label, i, i))
-    return [(t, s, e) for (t, s, e) in runs if t != blank]
+    start = 0
+    for label, frames in groupby(path.labels):
+        end = start + len(list(frames))
+        if label != blank:
+            runs.append((label, start, end - 1))
+        start = end
+    return runs
 
 
 def decode_track(path: FramePath, blank: str, inventory: Inventory | None = None,
@@ -96,7 +98,10 @@ def decode_track(path: FramePath, blank: str, inventory: Inventory | None = None
         for ch in unicodedata.normalize("NFD", t)
     ]
     text = "".join(t for t, _, _ in runs)
-    phones = tokenize_ipa(text, inv)
+    try:
+        phones = tokenize_ipa(text, inv)
+    except PhonaugError as e:
+        raise in_context(e, path.utt_id) from None
 
     # map each phone back onto the character runs it consumed
     timed: list[TimedPhone] = []
@@ -137,8 +142,8 @@ def track_from_obj(obj: dict, inventory: Inventory | None = None) -> PhoneTrack:
     try:
         phones = [TimedPhone(inv.phone(entry["symbol"]), int(entry["start"]), int(entry["end"]))
                   for entry in obj["phones"]]
-    except NotSinglePhone as e:
-        raise PhonaugError(f"{obj['utt_id']}: {e}") from None
+    except PhonaugError as e:
+        raise in_context(e, obj["utt_id"]) from None
     return PhoneTrack(obj["utt_id"], obj.get("model", "OTHER"), phones, float(obj["frame_ms"]))
 
 

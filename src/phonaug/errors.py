@@ -7,6 +7,13 @@ class PhonaugError(Exception):
     """Base class for all phonaug errors."""
 
 
+def in_context(error: PhonaugError, where: object) -> PhonaugError:
+    """The same error, its message prefixed with where it happened; its class
+    and fields stay, so handlers that catch a subclass still do."""
+    error.args = (f"{where}: {error}",)
+    return error
+
+
 class UnknownSymbol(PhonaugError):
     """A code point is neither a base symbol, a diacritic, nor whitespace."""
 

@@ -3,14 +3,15 @@
 The inventory ships as a JSON data file (see data/inventory.json) so new
 languages can extend it without touching code. All functions are pure. An
 Inventory's symbol tables never change after loading; its only mutable state is
-memo tables (one shared Phone per (base, diacritics), per single-phone symbol
-and per phonation rewrite) whose contents never change a result, so everything
-here is safe to share across workers.
+the tokenizer's patterns, compiled on first use, and memo tables (one shared
+Phone per (base, diacritics), per single-phone symbol and per phonation
+rewrite) whose contents never change a result.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import unicodedata
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -26,6 +27,8 @@ TIE_BARS = ("͡", "͜")
 
 ASPIRATION = "ʰ"
 BREATHY = "ʱ"
+# the diacritic roles that spread the glottis; a phone carries at most one
+SPREAD = ("aspiration", "breathy")
 
 PLACES = frozenset({
     "bilabial", "labiodental", "dental", "alveolar", "retroflex",
@@ -86,21 +89,34 @@ class Inventory:
     semantics, plus memo tables of the shared phones built from them."""
 
     def __init__(self, raw: dict):
+        # bases, diacritics, tie bars and whitespace share no code point, so the
+        # tokenizer's patterns need no lookahead and a phone splits into base
+        # and diacritics code point by code point
+        self.diacritics: dict[str, str] = {
+            unicodedata.normalize("NFD", k): v for k, v in raw["diacritics"].items()
+        }
+        for d in self.diacritics:
+            if len(d) != 1 or d in TIE_BARS or d.isspace():
+                raise PhonaugError(f"diacritic {d!r} must be one NFD code point, "
+                                   "not a tie bar or whitespace")
         self.base_features: dict[str, tuple[str, str, bool]] = {}
         for entry in raw["phones"]:
             sym = unicodedata.normalize("NFD", entry["symbol"])
             if sym == "g":
                 raise PhonaugError("inventory must use script ɡ (U+0261), not Latin g")
+            if not sym or any(ch in self.diacritics or ch in TIE_BARS or ch.isspace()
+                              for ch in sym):
+                raise PhonaugError(f"base symbol {sym!r} must be non-empty and hold no "
+                                   "diacritic, tie bar or whitespace")
             if entry["place"] not in PLACES or entry["manner"] not in MANNERS:
                 raise PhonaugError(f"bad place/manner for {sym!r}")
             self.base_features[sym] = (entry["place"], entry["manner"], bool(entry["voiced"]))
-
-        self.diacritics: dict[str, str] = {
-            unicodedata.normalize("NFD", k): v for k, v in raw["diacritics"].items()
-        }
-        # NFD-unstable symbols (e.g. ç -> c + cedilla) make base keys span
-        # several code points; the tokenizer munches the longest match
-        self.max_base_len = max(len(k) for k in self.base_features)
+        # the longest base at a point must be its only reading (as with ç and c)
+        starts = {sym[0] for sym in self.base_features}
+        for sym in self.base_features:
+            if any(sym[:k] in self.base_features and sym[k] in starts for k in range(1, len(sym))):
+                raise PhonaugError(f"base symbol {sym!r} also reads as a shorter base "
+                                   "followed by another")
 
         self.voicing_pairs: dict[str, str] = {}
         for voiceless, voiced in raw["voicing_pairs"]:
@@ -117,8 +133,33 @@ class Inventory:
 
         # memo tables, filled on first use
         self._phones: dict[tuple[str, tuple[str, ...]], Phone] = {}
-        self._by_symbol: dict[str, Phone] = {}
+        self._by_symbol: dict[str, Phone] = {}  # also keyed by each matched phone's NFD text
         self._rephonated: dict[tuple[str, tuple[str, ...], bool, bool], Phone] = {}
+
+    @cached_property
+    def _grammar(self) -> tuple[re.Pattern, re.Pattern]:
+        """The patterns of a phone and of a text (phones and whitespace). A
+        phone is B Dn* (S Dn* (T B Dn*)? | T B Dn* (S Dn*)?)?: a base B, the
+        longest first; diacritics Dn other than ʰ/ʱ; at most one ʰ/ʱ (S); at
+        most one tie bar T, joining a second base."""
+        def one_of(chars) -> str:
+            return "[" + "".join(map(re.escape, sorted(chars))) + "]" if chars else "(?!)"
+
+        longer = sorted((b for b in self.base_features if len(b) > 1), key=lambda b: -len(b))
+        base = "(?:" + "|".join([*map(re.escape, longer),
+                                 one_of([b for b in self.base_features if len(b) == 1])]) + ")"
+        dn = one_of([d for d, role in self.diacritics.items() if role not in SPREAD]) + "*"
+        s = one_of([d for d, role in self.diacritics.items() if role in SPREAD])
+        t = one_of(TIE_BARS)
+        phone = f"{base}{dn}(?:{s}{dn}(?:{t}{base}{dn})?|{t}{base}{dn}(?:{s}{dn})?)?"
+        return re.compile(phone), re.compile(rf"(?:\s*(?:{phone}))*\s*")
+
+    def _spelled(self, text: str) -> Phone:
+        """The shared Phone of one phone match, memoised by its NFD text."""
+        diacritics = tuple(ch for ch in text if ch in self.diacritics)
+        base = "".join(ch for ch in text if ch not in self.diacritics)
+        phone = self._by_symbol[text] = self.make_phone(base, diacritics)
+        return phone
 
     @classmethod
     def load(cls, path: str | Path) -> "Inventory":
@@ -140,20 +181,16 @@ class Inventory:
                 voiced = False
             elif sem == "dental":
                 place = "dental"
-            elif sem in ("aspiration", "breathy"):
+            elif sem in SPREAD:
                 spread = True
         return PhoneFeatures(place, manner, Phonation(voiced, spread))
 
     def _base_triple(self, base: str) -> tuple[str, str, bool]:
-        for tie in TIE_BARS:
-            if tie in base:
-                # tie-bar affricate: voicing from the stop component, place
-                # from the fricative component
-                first, _, second = base.partition(tie)
-                f1 = self.base_features[first]
-                f2 = self.base_features[second]
-                return (f2[0], "affricate", f1[2])
-        return self.base_features[base]
+        first, tie, second = base.replace(TIE_BARS[1], TIE_BARS[0]).partition(TIE_BARS[0])
+        if not tie:
+            return self.base_features[base]
+        # tie-bar affricate: voicing from the stop component, place from the fricative
+        return (self.base_features[second][0], "affricate", self.base_features[first][2])
 
     def make_phone(self, base: str, diacritics: tuple[str, ...] = ()) -> Phone:
         """The one shared Phone for (base, diacritics)."""
@@ -188,68 +225,33 @@ def normalize_g(s: str) -> str:
 
 
 def tokenize_ipa(s: str, inventory: Inventory | None = None) -> list[Phone]:
-    """Segment an IPA string into phones.
-
-    Maximal-munch over NFD code points: combining/modifier diacritics attach
-    to the preceding base, tie bars join the next base into an affricate, and
-    whitespace splits phones. Unknown code points and leading diacritics are
-    hard errors (never silently skipped).
-    """
+    """Segment an IPA string into phones, by the grammar of Inventory._grammar
+    over NFD code points; whitespace splits phones. A fault (unknown code point,
+    leading or doubled mark, chained tie bar) is a hard error, never skipped."""
     inv = inventory or Inventory.default()
     text = unicodedata.normalize("NFD", s)
-    phones: list[Phone] = []
-    base: str | None = None
-    diacritics: list[str] = []
-    pending_tie: tuple[str, int] | None = None
+    phone_re, text_re = inv._grammar
+    if text_re.fullmatch(text) is None:
+        raise _first_fault(text, inv)
+    memo = inv._by_symbol
+    return [memo.get(p) or inv._spelled(p) for p in phone_re.findall(text)]
 
-    def flush():
-        nonlocal base, diacritics
-        if base is not None:
-            phones.append(inv.make_phone(base, tuple(diacritics)))
-        base = None
-        diacritics = []
 
-    def munch_base(i: int) -> str | None:
-        for length in range(min(inv.max_base_len, len(text) - i), 0, -1):
-            if text[i:i + length] in inv.base_features:
-                return text[i:i + length]
-        return None
-
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        matched = munch_base(i)
-        if pending_tie is not None and matched is None:
-            raise OrphanDiacritic(pending_tie[0], pending_tie[1])
-        if matched is not None:
-            if pending_tie is not None:
-                base = base + pending_tie[0] + matched  # type: ignore[operator]
-                pending_tie = None
-            else:
-                flush()
-                base = matched
-            i += len(matched)
-            continue
-        if ch.isspace():
-            flush()
-        elif ch in TIE_BARS:
-            if base is None:
-                raise OrphanDiacritic(ch, i)
-            pending_tie = (ch, i)
-        elif ch in inv.diacritics:
-            if base is None:
-                raise OrphanDiacritic(ch, i)
-            if inv.diacritics[ch] in ("aspiration", "breathy") and any(
-                    inv.diacritics[d] in ("aspiration", "breathy") for d in diacritics):
-                raise PhonaugError(f"phone carries more than one of ʰ/ʱ at offset {i}")
-            diacritics.append(ch)
-        else:
-            raise UnknownSymbol(ch, i)
-        i += 1
-    if pending_tie is not None:
-        raise OrphanDiacritic(pending_tie[0], pending_tie[1])
-    flush()
-    return phones
+def _first_fault(text: str, inv: Inventory) -> PhonaugError:
+    """The error at the first offset that the text pattern does not consume."""
+    phone_re, text_re = inv._grammar
+    i = text_re.match(text).end()
+    ch = text[i]
+    if ch not in inv.diacritics and ch not in TIE_BARS:
+        return UnknownSymbol(ch, i)
+    if i == 0 or text[i - 1].isspace():  # nothing to attach to
+        return OrphanDiacritic(ch, i)
+    if ch not in TIE_BARS:  # the phone before it refused a spread mark: it has one
+        return PhonaugError(f"phone carries more than one of ʰ/ʱ at offset {i}")
+    last = phone_re.findall(text, 0, i)[-1]
+    if any(tie in last for tie in TIE_BARS) and phone_re.match(text, i + 1):
+        return PhonaugError(f"phone carries more than one tie bar at offset {i}")
+    return OrphanDiacritic(ch, i)  # no base follows the tie bar
 
 
 def serialize(phones: list[Phone]) -> str:
@@ -286,11 +288,8 @@ def _rephonate(p: Phone, target: Phonation, inv: Inventory) -> Phone:
     kept = []
     for d in p.diacritics:
         sem = inv.diacritics[d]
-        if sem in ("aspiration", "breathy"):
-            continue
-        if sem == "voiceless" and target.voiced:
-            continue
-        kept.append(d)
+        if sem not in SPREAD and not (sem == "voiceless" and target.voiced):
+            kept.append(d)
     if target.spread_glottis:
         kept.append(BREATHY if target.voiced else ASPIRATION)
     return inv.make_phone(base, tuple(kept))

@@ -17,7 +17,7 @@ from contextlib import closing
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
-from .errors import PhonaugError
+from .errors import PhonaugError, in_context
 
 
 class MalformedLine(PhonaugError):
@@ -50,7 +50,8 @@ def parse_records(path: str | Path, from_obj: Callable[[dict], T],
                   fields: dict[str, type | tuple[type, ...]]) -> Iterator[T]:
     """Yield from_obj of each object in the file at `path`. `fields` gives the
     JSON type of each required field. A record that from_obj cannot read fails
-    with the file, the record's utt_id (or its position) and the field at fault."""
+    with the file, the record's utt_id (or its position) and the field at fault;
+    a PhonaugError from from_obj gains the file as its context."""
     with closing(read_jsonl(path)) as objs:
         for n, obj in enumerate(objs, start=1):
             try:
@@ -60,6 +61,8 @@ def parse_records(path: str | Path, from_obj: Callable[[dict], T],
                 where = f"utterance {utt_id!r}" if isinstance(utt_id, str) else f"record {n}"
                 problem = _field_problem(obj, fields, e)
                 raise PhonaugError(f"{path}: {where}: {problem}") from None
+            except PhonaugError as e:
+                raise in_context(e, path) from None
             yield record
 
 

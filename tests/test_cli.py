@@ -141,6 +141,37 @@ def test_missing_or_ill_typed_field_names_it(tmp_path, runner, command, record, 
     assert list(tmp_path.iterdir()) == [in_file]
 
 
+def u2_track(symbol):
+    return {**TRACK, "utt_id": "u2", "phones": [{"symbol": symbol, "start": 0, "end": 1}]}
+
+
+@pytest.mark.parametrize("command, bad, error", [
+    ("decode", {**FRAME_PATH, "utt_id": "u2", "labels": ["t", "_", "7"]},
+     "u2: unknown symbol '7' (U+0037) at offset 1"),
+    ("augment", u2_track("7"), "u2: unknown symbol '7' (U+0037) at offset 0"),
+    ("augment", u2_track("t͡s͡ʃ"), "u2: phone carries more than one tie bar at offset 3"),
+    ("augment", u2_track("ʰt"), "u2: diacritic 'ʰ' at offset 0 has no preceding base"),
+], ids=["decode-unknown", "augment-unknown", "augment-chained-ties", "augment-orphan"])
+def test_tokenizer_error_names_file_and_utterance(tmp_path, runner, command, bad, error):
+    in_file, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    write_lines(in_file, [FRAME_PATH if command == "decode" else TRACK, bad])
+    args = [str(in_file), str(out)] if command == "decode" else \
+        [str(in_file), str(in_file), str(out)]
+    result = runner.invoke(main, [command, *args])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {in_file}: {error}\n"
+    assert list(tmp_path.iterdir()) == [in_file]
+
+
+def test_evaluate_counts_chained_tie_bars_as_null(tmp_path, runner):
+    path = tmp_path / "instances.jsonl"
+    write_lines(path, [{**INSTANCE, "onset": "t͡s͡ʃa"}, {**INSTANCE, "utt_id": "u2"}])
+    result = runner.invoke(main, ["evaluate", str(path), "--out-prefix", str(tmp_path / "rep")])
+    assert result.exit_code == 0, result.output
+    row = json.loads((tmp_path / "rep.json").read_text(encoding="utf-8"))["models"]["BM"]["all"]
+    assert (row["n_instances"], row["n_null"]) == (2, 1)
+
+
 def decode_symbols(out_file):
     return [[p.phone.text for p in t.phones] for t in read_tracks(out_file, INV)]
 

@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from phonaug import FramePath, Inventory, decode_track, greedy_collapse, serialize
 from phonaug.errors import OrphanDiacritic, PhonaugError
@@ -14,7 +16,8 @@ INV = Inventory.default()
 
 
 def reference_collapse(labels, blank):
-    """Naive two-pass oracle: merge identical runs, then delete blank runs."""
+    """Naive two-pass oracle: merge identical runs, then delete blank runs, one
+    frame at a time; the reference for greedy_collapse's itertools.groupby form."""
     runs = []
     for i, label in enumerate(labels):
         if runs and runs[-1][0] == label:
@@ -22,6 +25,13 @@ def reference_collapse(labels, blank):
         else:
             runs.append([label, i, i])
     return [(t, s, e) for t, s, e in runs if t != blank]
+
+
+@given(st.lists(st.sampled_from(["_", "<b>", "t", "tʰ", "ʰ", "a", ""]), max_size=60),
+       st.sampled_from(["_", "<b>", ""]))
+def test_collapse_equals_the_frame_loop(labels, blank):
+    path = FramePath("u", 10.0, tuple(labels))
+    assert greedy_collapse(path, blank) == reference_collapse(labels, blank)
 
 
 def test_all_blank_path():
