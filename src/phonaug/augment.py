@@ -2,10 +2,11 @@
 their phonation.
 
 The mapping table (which base symbols may pair up, plus the index-offset
-window) ships as JSON data so it can be replaced without code changes. The
-matcher is greedy, left-to-right and one-to-one, preferring offset 0 and then
-the smaller start-frame difference, among candidates that pass the
-timestamp-proximity predicate `default_proximity`.
+window) ships as JSON data so it can be replaced without code changes. Each of
+its RM bases has a voicing pair in the inventory, checked at load, so every
+match transfers. The matcher is greedy, left-to-right and one-to-one, preferring
+offset 0 and then the smaller start-frame difference, among candidates that
+pass the timestamp-proximity predicate `default_proximity`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .ctc import PhoneTrack, TimedPhone, read_tracks, write_tracks
-from .errors import MissingCounterpart, NoVoicingCounterpart, PhonaugError, UtteranceMismatch
+from .errors import MissingCounterpart, PhonaugError, UtteranceMismatch
 from .inventory import (ASPIRATED, BREATHY_VOICED, VOICED, Inventory, phonation_of,
                         with_phonation)
 
@@ -50,6 +51,9 @@ class MappingTable:
             for sym in list(entry["rm"]) + list(entry["hm"]):
                 if sym not in inv.base_features:
                     raise PhonaugError(f"mapping table symbol {sym!r} not in inventory")
+                if sym in entry["rm"] and sym not in inv.voicing_pairs:  # takes any HM phonation
+                    raise PhonaugError(f"mapping table RM base {sym!r} has no voicing pair "
+                                       "in the inventory")
             entries.append((frozenset(entry["rm"]), frozenset(entry["hm"])))
         return cls(tuple(entries), frozenset(obj.get("window_offsets", [0, 1])))
 
@@ -98,12 +102,9 @@ class AugmentationStats:
 
 def default_proximity(rm: TimedPhone, hm: TimedPhone) -> bool:
     """Spans overlap by >= 1 frame, or start frames differ by at most the
-    longer of the two span lengths."""
-    if rm.start_frame <= hm.end_frame and hm.start_frame <= rm.end_frame:
-        return True
-    rm_span = rm.end_frame - rm.start_frame + 1
-    hm_span = hm.end_frame - hm.start_frame + 1
-    return abs(rm.start_frame - hm.start_frame) <= max(rm_span, hm_span)
+    longer span length; overlap implies the latter, so only it is tested."""
+    return abs(rm.start_frame - hm.start_frame) <= 1 + max(rm.end_frame - rm.start_frame,
+                                                           hm.end_frame - hm.start_frame)
 
 
 def match_phones(rm: PhoneTrack, hm: PhoneTrack, table: MappingTable) -> list[MatchPair]:
@@ -113,13 +114,12 @@ def match_phones(rm: PhoneTrack, hm: PhoneTrack, table: MappingTable) -> list[Ma
         raise UtteranceMismatch(f"{rm.utt_id!r} vs {hm.utt_id!r}")
     pairs: list[MatchPair] = []
     used_hm: set[int] = set()
-    offsets = sorted(table.window_offsets, key=lambda d: (d != 0, abs(d)))
     for i, rm_tp in enumerate(rm.phones):
         rm_base = rm_tp.phone.base
         if not table.rm_covered(rm_base):
             continue
         candidates = []
-        for d in offsets:
+        for d in table.window_offsets:
             j = i + d
             if j < 0 or j >= len(hm.phones) or j in used_hm:
                 continue
@@ -129,7 +129,7 @@ def match_phones(rm: PhoneTrack, hm: PhoneTrack, table: MappingTable) -> list[Ma
             if not default_proximity(rm_tp, hm_tp):
                 continue
             candidates.append((d != 0, abs(rm_tp.start_frame - hm_tp.start_frame), j, hm_tp))
-        if candidates:
+        if candidates:  # j is unique, so the window's order does not matter
             _, _, j, hm_tp = min(candidates)
             used_hm.add(j)
             pairs.append(MatchPair(i, j, rm_tp, hm_tp))
@@ -140,26 +140,22 @@ def augment_track(rm: PhoneTrack, hm: PhoneTrack, matches: list[MatchPair],
                   inventory: Inventory | None = None, breathy: bool = True,
                   stats: AugmentationStats | None = None) -> PhoneTrack:
     """Copy the RM track, overwriting the phonation of matched phones with the
-    HM phonation; place, manner, timestamps and unmatched phones are untouched."""
+    HM phonation; place, manner, timestamps and unmatched phones are untouched.
+    `hm` is not read: the matches carry the HM phones."""
     inv = inventory or Inventory.default()
     out = list(rm.phones)
-    matched_idx: set[int] = set()
     for pair in matches:
         target = phonation_of(pair.hm_phone.phone)
         if target == BREATHY_VOICED and not breathy:
             target = VOICED
-        try:
-            phone = with_phonation(pair.rm_phone.phone, target, inv)
-        except NoVoicingCounterpart:
-            # phonation target unrealizable: leave the RM phone untouched
-            continue
+        phone = with_phonation(pair.rm_phone.phone, target, inv)
         out[pair.rm_index] = TimedPhone(phone, pair.rm_phone.start_frame,
                                         pair.rm_phone.end_frame)
-        matched_idx.add(pair.rm_index)
         if stats is not None:
             stats.matched += 1
             stats.counts[phone.text] += 1
     if stats is not None:
+        matched_idx = {p.rm_index for p in matches}
         stats.unmatched_rm_plosives += sum(
             1 for i, tp in enumerate(rm.phones)
             if i not in matched_idx and tp.phone.features.manner == "plosive")
@@ -205,13 +201,13 @@ def augment_corpus(rm_file: str | Path, hm_file: str | Path, table: MappingTable
 
 def prefilter_by_aspiration(rm_file: str | Path, hm_file: str | Path, table: MappingTable,
                             inventory: Inventory | None = None) -> list[str]:
-    """utt_ids whose matches produce at least one aspirated output phone."""
+    """utt_ids whose matches produce at least one aspirated output phone. A
+    transfer gives the RM phone exactly the HM phonation, so the matched HM
+    phones decide and no TM track is built."""
     inv = inventory or Inventory.default()
     selected = []
     for rm, hm in _paired_tracks(rm_file, hm_file, inv, skip_missing=True,
                                  stats=AugmentationStats()):
-        matches = match_phones(rm, hm, table)
-        augmented = augment_track(rm, hm, matches, inv)
-        if any(phonation_of(augmented.phones[p.rm_index].phone) == ASPIRATED for p in matches):
+        if any(phonation_of(p.hm_phone.phone) == ASPIRATED for p in match_phones(rm, hm, table)):
             selected.append(rm.utt_id)
     return selected

@@ -293,14 +293,13 @@ def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
         text += (f"McNemar exact (voicing, {sig['models'][0]} vs {sig['models'][1]}): "
                  f"p = {sig['p_value']:.6g} on {sig['n_pairs']} pairs\n")
 
-    prefix = Path(out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    prefix.with_suffix(".txt").write_text(text, encoding="utf-8")
-    prefix.with_suffix(".json").write_text(
+    Path(out_prefix).parent.mkdir(parents=True, exist_ok=True)
+    Path(f"{out_prefix}.txt").write_text(text, encoding="utf-8")
+    Path(f"{out_prefix}.json").write_text(
         json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
         encoding="utf-8")
     csv = metrics.boxplot_csv(metrics.boxplot_rows(classified))
-    Path(str(prefix) + "_boxplot.csv").write_text(csv, encoding="utf-8")
+    Path(f"{out_prefix}_boxplot.csv").write_text(csv, encoding="utf-8")
     click.echo(text)
 
 

@@ -87,7 +87,8 @@ def decode_track(path: FramePath, blank: str, inventory: Inventory | None = None
     """Collapse a frame path and re-segment the characters into timed phones.
 
     A phone's span is the union of its constituent character runs; combining
-    diacritic runs extend the preceding phone's end frame.
+    diacritic runs extend the preceding phone's end frame, and whitespace runs
+    belong to no phone.
     """
     inv = inventory or Inventory.default()
     # expand each run to NFD code points so precomposed vocab tokens keep a
@@ -103,7 +104,9 @@ def decode_track(path: FramePath, blank: str, inventory: Inventory | None = None
     except PhonaugError as e:
         raise in_context(e, path.utt_id) from None
 
-    # map each phone back onto the character runs it consumed
+    # map each phone back onto the character runs it consumed; whitespace
+    # separates phones and belongs to none
+    runs = [run for run in runs if not run[0].isspace()]
     timed: list[TimedPhone] = []
     run_idx = 0
     for phone in phones:

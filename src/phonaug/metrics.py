@@ -105,14 +105,11 @@ class ClassifierConfig:
 _Head = tuple[Phone, str | None] | None
 
 
-def _onset_head(onset: str, inv: Inventory, hard_errors: bool) -> _Head:
-    """Tokenize an onset down to its head; tokenizer errors give None unless
-    hard_errors is set."""
+def _onset_head(onset: str, inv: Inventory) -> _Head:
+    """Tokenize an onset down to its head; a tokenizer error gives None."""
     try:
         phones = tokenize_ipa(onset, inv)
     except PhonaugError:
-        if hard_errors:
-            raise
         return None
     if not phones:
         return None
@@ -140,18 +137,15 @@ def _realize(head: _Head, target_phoneme: str, cfg: ClassifierConfig) -> Realiza
 
 
 def classify_prediction(inst: EvalInstance, inventory: Inventory | None = None,
-                        config: ClassifierConfig | None = None,
-                        hard_errors: bool = False) -> Realization:
+                        config: ClassifierConfig | None = None) -> Realization:
     """Assign exactly one realization class to a predicted onset."""
     inv = inventory or Inventory.default()
     cfg = config or ClassifierConfig.default()
-    return _realize(_onset_head(inst.predicted_onset, inv, hard_errors),
-                    inst.target_phoneme, cfg)
+    return _realize(_onset_head(inst.predicted_onset, inv), inst.target_phoneme, cfg)
 
 
 def classify_all(instances: Iterable[EvalInstance], inventory: Inventory | None = None,
-                 config: ClassifierConfig | None = None,
-                 hard_errors: bool = False) -> list[Classified]:
+                 config: ClassifierConfig | None = None) -> list[Classified]:
     """classify_prediction over many instances, tokenizing each distinct onset once."""
     inv = inventory or Inventory.default()
     cfg = config or ClassifierConfig.default()
@@ -160,7 +154,7 @@ def classify_all(instances: Iterable[EvalInstance], inventory: Inventory | None 
     for i in instances:
         onset = i.predicted_onset
         if onset not in heads:
-            heads[onset] = _onset_head(onset, inv, hard_errors)
+            heads[onset] = _onset_head(onset, inv)
         out.append(Classified(i, _realize(heads[onset], i.target_phoneme, cfg)))
     return out
 

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phonaug import (
     Inventory, MappingTable, PhoneTrack, TimedPhone, augment_corpus,
@@ -12,7 +17,8 @@ from phonaug import (
 )
 from phonaug.augment import default_proximity
 from phonaug.ctc import write_tracks
-from phonaug.errors import UtteranceMismatch
+from phonaug.errors import PhonaugError, UtteranceMismatch
+from phonaug.inventory import ASPIRATED, phonation_of
 
 INV = Inventory.default()
 TABLE = MappingTable.default(INV)
@@ -37,6 +43,24 @@ def test_no_cross_poa_match():
     rm = track(["k"], spans=[(0, 2)])
     hm = track(["p"], tag="HM", spans=[(0, 2)])
     assert match_phones(rm, hm, TABLE) == []
+
+
+def test_mapping_table_rejects_rm_base_without_voicing_pair():
+    # ʔ is an inventory plosive with no voicing pair; as an HM base it is fine
+    with pytest.raises(PhonaugError, match="RM base 'ʔ' has no voicing pair"):
+        MappingTable.from_obj({"entries": [{"rm": ["t", "ʔ"], "hm": ["t"]}]}, INV)
+    table = MappingTable.from_obj({"entries": [{"rm": ["t"], "hm": ["t", "ʔ"]}]}, INV)
+    assert table.admits("t", "ʔ")
+
+
+def test_default_proximity_is_overlap_or_close_starts():
+    t = INV.phone("t")
+    spans = [(s, e) for s in range(8) for e in range(s, 8)]
+    for (rs, re_), (hs, he) in itertools.product(spans, repeat=2):
+        overlap = rs <= he and hs <= re_
+        close = abs(rs - hs) <= max(re_ - rs + 1, he - hs + 1)
+        assert default_proximity(TimedPhone(t, rs, re_), TimedPhone(t, hs, he)) == \
+            (overlap or close)
 
 
 def test_utterance_mismatch():
@@ -227,3 +251,46 @@ def test_prefilter_count_cross_check(tmp_path):
             expect.append(uid)
     rm_file, hm_file = corpus_files(tmp_path, rm_tracks, hm_tracks)
     assert prefilter_by_aspiration(rm_file, hm_file, TABLE, INV) == expect
+
+
+# plosives with random diacritics: voiceless rings, dental, length and at most
+# one of ʰ/ʱ, so the RM phones start from every phonation the HM can carry
+PLOSIVE = st.tuples(
+    st.sampled_from(sorted(b for b, (_, manner, _) in INV.base_features.items()
+                           if manner == "plosive")),
+    st.lists(st.sampled_from(["\u0325", "\u030a", "\u032a", "ː"]), max_size=2, unique=True),
+    st.sampled_from(["", "ʰ", "ʱ"]),
+).map(lambda t: t[0] + "".join(t[1]) + t[2])
+SYMBOL = st.one_of(PLOSIVE, st.sampled_from(["a", "s", "m"]))
+
+
+@st.composite
+def utterance_tracks(draw, utt_id):
+    def one(tag):
+        symbols = draw(st.lists(SYMBOL, max_size=6))
+        spans = [(3 * i + draw(st.integers(0, 2)), draw(st.integers(0, 3))) for i in
+                 range(len(symbols))]
+        return PhoneTrack(utt_id, tag, [TimedPhone(INV.phone(sym), s, s + n)
+                                        for sym, (s, n) in zip(symbols, spans)], 10.0)
+    return one("RM"), one("HM")
+
+
+@st.composite
+def corpora(draw):
+    return [draw(utterance_tracks(f"u{n}")) for n in range(draw(st.integers(0, 6)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpora())
+def test_prefilter_equals_the_selection_read_off_augment_track(pairs):
+    def aspirated_output(rm, hm):  # the oracle: build the TM track, read its phones
+        matches = match_phones(rm, hm, TABLE)
+        out = augment_track(rm, hm, matches, INV)
+        return any(phonation_of(out.phones[p.rm_index].phone) == ASPIRATED for p in matches)
+
+    expected = [rm.utt_id for rm, hm in pairs if aspirated_output(rm, hm)]
+    with tempfile.TemporaryDirectory() as d:
+        rm_file, hm_file = Path(d) / "rm.jsonl", Path(d) / "hm.jsonl"
+        write_tracks(rm_file, [rm for rm, _ in pairs])
+        write_tracks(hm_file, [hm for _, hm in pairs])
+        assert prefilter_by_aspiration(rm_file, hm_file, TABLE, INV) == expected

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from importlib import resources
 
 import pytest
 from click.testing import CliRunner
@@ -287,6 +288,30 @@ def test_prefilter_aspiration_cli(tmp_path, runner):
     assert len(ids) > 0
 
 
+@pytest.mark.parametrize("command", ["augment", "prefilter-aspiration"])
+@pytest.mark.parametrize("table, base", [("mapping", "ʔ"), ("inventory", "c")])
+def test_rm_base_without_voicing_pair_fails_at_load(tmp_path, runner, command, table, base):
+    rm, hm, _ = synth_files(tmp_path, runner)
+    if table == "mapping":  # a table that covers ʔ, which has no voicing pair
+        entries = [{"rm": ["t", "ʔ"], "hm": ["t", "ʔ"]}]
+        data = {"window_offsets": [0, 1], "entries": entries}
+    else:  # an inventory without the pair of the default RM bases c and ɟ
+        data = json.loads(resources.files("phonaug.data").joinpath("inventory.json")
+                          .read_text("utf-8"))
+        data["voicing_pairs"].remove(["c", "ɟ"])
+    table_file = tmp_path / f"{table}.json"
+    table_file.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    out, stats = tmp_path / "out", tmp_path / "stats.json"
+    args = [str(rm), str(hm), str(out), "--stats-file", str(stats)] if command == "augment" \
+        else [str(rm), str(hm), "--out", str(out)]
+    result = runner.invoke(main, [command, *args, f"--{table}", str(table_file)])
+    assert result.exit_code == 1
+    assert result.output == \
+        f"Error: mapping table RM base {base!r} has no voicing pair in the inventory\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def manifest_file(tmp_path, n=300):
     objs = []
     letters = "bdgptkmna"
@@ -411,6 +436,16 @@ def test_evaluate_outputs(tmp_path, runner):
     assert "significance" in payload  # two models present
     csv = (tmp_path / "report_boxplot.csv").read_text(encoding="utf-8")
     assert csv.startswith("group,class,min,q1,median,q3,max,outliers")
+
+
+def test_evaluate_dotted_out_prefix_keeps_every_output(tmp_path, runner):
+    instances = eval_instances(tmp_path)
+    for prefix in ("eval.a", "eval.b"):
+        result = runner.invoke(main, ["evaluate", str(instances), "--out-prefix",
+                                      str(tmp_path / "runs" / prefix)])
+        assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [
+        f"eval.{m}{suffix}" for m in "ab" for suffix in (".json", ".txt", "_boxplot.csv")]
 
 
 def test_evaluate_single_model_omits_significance(tmp_path, runner):

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import itertools
 import random
+import unicodedata
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phonaug import FramePath, Inventory, decode_track, greedy_collapse, serialize
+from phonaug import (
+    FramePath, Inventory, decode_track, greedy_collapse, serialize, tokenize_ipa,
+)
 from phonaug.errors import OrphanDiacritic, PhonaugError
 
 INV = Inventory.default()
@@ -97,6 +100,71 @@ def test_decode_matches_collapse_text():
             # e.g. two aspiration runs landing on one phone; invalid input, not a bug
             continue
         assert serialize([p.phone for p in track.phones]) == collapsed
+
+
+def frame_oracle(labels, blank):
+    """Decoding one frame at a time: a frame whose label differs from the last
+    frame's opens one entry per NFD code point of its label, and every frame of
+    a non-blank label adds itself to the entries of its run. The phones take
+    the non-whitespace entries in order, as many as their NFD text is long.
+    Gives (symbol, first frame, last frame) per phone."""
+    entries, current = [], []
+    for f, label in enumerate(labels):
+        if f == 0 or label != labels[f - 1]:
+            current = [] if label == blank else \
+                [(ch, []) for ch in unicodedata.normalize("NFD", label)]
+            entries += current
+        for _, frames in current:
+            frames.append(f)
+    phones = tokenize_ipa("".join(ch for ch, _ in entries), INV)
+    frames = [frames for ch, frames in entries if not ch.isspace()]
+    out = []
+    for phone in phones:
+        n = len(unicodedata.normalize("NFD", phone.text))
+        own = [f for fs in frames[:n] for f in fs]
+        del frames[:n]
+        out.append((phone.text, min(own), max(own)))
+    assert frames == []
+    return out
+
+
+# phones of bases, diacritics and tie bars, spelled out and cut into vocabulary
+# tokens of one or two code points, each held for one to three frames; whitespace
+# between phones, and precomposed ç (two NFD code points) as one token
+DECODE_PHONE = st.tuples(
+    st.sampled_from(["t", "d", "k", "a", "s", "ç"]),
+    st.sampled_from(["", "ʰ", "ʱ", "\u032a", "ː", "\u032aʰ"]),
+    st.sampled_from(["", "\u0361s", "\u035cʃ"]),
+).map("".join)
+SPACE = st.sampled_from(["", "", " ", "\u00a0", "  ", "\t"])
+
+
+@st.composite
+def label_paths(draw):
+    text = "".join(draw(SPACE) + p for p in draw(st.lists(DECODE_PHONE, max_size=6)))
+    text += draw(SPACE)
+    labels, i = [], 0
+    while i < len(text):
+        token = text[i:i + draw(st.integers(1, 2))]
+        if labels and labels[-1] == token:  # keep both: a blank splits the run
+            labels.append("_")
+        labels += [token] * draw(st.integers(1, 3)) + ["_"] * draw(st.integers(0, 1))
+        i += len(token)
+    return tuple(labels)
+
+
+@settings(max_examples=400, deadline=None)
+@given(label_paths())
+def test_decode_spans_equal_the_frame_oracle(labels):
+    track = decode_track(FramePath("u", 10.0, labels), "_", INV)
+    assert [(p.phone.text, p.start_frame, p.end_frame) for p in track.phones] == \
+        frame_oracle(labels, "_")
+
+
+def test_decode_whitespace_runs_belong_to_no_phone():
+    track = decode_track(FramePath("u1", 10.0, ("t", "t", " ", " ", " ", "a")), "_", INV)
+    assert [(p.phone.text, p.start_frame, p.end_frame) for p in track.phones] == [
+        ("t", 0, 1), ("a", 5, 5)]
 
 
 def test_decode_deterministic():

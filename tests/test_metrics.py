@@ -50,8 +50,6 @@ def test_classify(phoneme, onset, expected):
 
 def test_classify_tokenization_error_is_null_by_default():
     assert classify_prediction(inst("k", "#"), INV, CFG) is Realization.NULL
-    with pytest.raises(Exception):
-        classify_prediction(inst("k", "#"), INV, CFG, hard_errors=True)
 
 
 def test_classify_total_single_class():
