@@ -3,8 +3,10 @@ their phonation.
 
 The mapping table (which base symbols may pair up, plus the index-offset
 window) ships as JSON data so it can be replaced without code changes. Each of
-its RM bases has a voicing pair in the inventory, checked at load, so every
-match transfers. The matcher is greedy, left-to-right and one-to-one, preferring
+its RM bases has a voicing pair in the inventory, so every match transfers:
+this is checked at load, and again against the inventory that
+`augment_corpus` or `prefilter_by_aspiration` is given, before any input is
+read. The matcher is greedy, left-to-right and one-to-one, preferring
 offset 0 and then the smaller start-frame difference, among candidates that
 pass the timestamp-proximity predicate `default_proximity`.
 """
@@ -51,11 +53,10 @@ class MappingTable:
             for sym in list(entry["rm"]) + list(entry["hm"]):
                 if sym not in inv.base_features:
                     raise PhonaugError(f"mapping table symbol {sym!r} not in inventory")
-                if sym in entry["rm"] and sym not in inv.voicing_pairs:  # takes any HM phonation
-                    raise PhonaugError(f"mapping table RM base {sym!r} has no voicing pair "
-                                       "in the inventory")
             entries.append((frozenset(entry["rm"]), frozenset(entry["hm"])))
-        return cls(tuple(entries), frozenset(obj.get("window_offsets", [0, 1])))
+        table = cls(tuple(entries), frozenset(obj.get("window_offsets", [0, 1])))
+        table.check_voicing_pairs(inv)
+        return table
 
     @classmethod
     def load(cls, path: str | Path, inventory: Inventory | None = None) -> "MappingTable":
@@ -66,6 +67,14 @@ class MappingTable:
     def default(cls, inventory: Inventory | None = None) -> "MappingTable":
         data = resources.files("phonaug.data").joinpath("mapping.json").read_text("utf-8")
         return cls.from_obj(json.loads(data), inventory)
+
+    def check_voicing_pairs(self, inventory: Inventory) -> None:
+        """Raise unless each RM base has a voicing pair in `inventory`: a
+        matched RM phone takes whatever phonation its HM phone has."""
+        for base in sorted(self._rm_bases):
+            if base not in inventory.voicing_pairs:
+                raise PhonaugError(f"mapping table RM base {base!r} has no voicing pair "
+                                   "in the inventory")
 
     def rm_covered(self, base: str) -> bool:
         return base in self._rm_bases
@@ -192,6 +201,7 @@ def augment_corpus(rm_file: str | Path, hm_file: str | Path, table: MappingTable
     """Augment every joinable utterance pair and write the TM training tracks,
     ordered by utt_id."""
     inv = inventory or Inventory.default()
+    table.check_voicing_pairs(inv)
     stats = AugmentationStats()
     stats.utterances = write_tracks(out_file, (
         augment_track(rm, hm, match_phones(rm, hm, table), inv, breathy=breathy, stats=stats)
@@ -205,6 +215,7 @@ def prefilter_by_aspiration(rm_file: str | Path, hm_file: str | Path, table: Map
     transfer gives the RM phone exactly the HM phonation, so the matched HM
     phones decide and no TM track is built."""
     inv = inventory or Inventory.default()
+    table.check_voicing_pairs(inv)
     selected = []
     for rm, hm in _paired_tracks(rm_file, hm_file, inv, skip_missing=True,
                                  stats=AugmentationStats()):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import json
 from collections import defaultdict
+from contextlib import closing
 from pathlib import Path
 
 import click
@@ -241,20 +242,20 @@ def cmd_synth(spec_file, rm_out, hm_out, truth_out, inventory_path):
     click.echo(f"generated {len(rm_tracks)} utterances", err=True)
 
 
-def _read_instances(path) -> list[metrics.EvalInstance]:
-    """Eval instances, at most one per (model, utt_id): the significance test
-    pairs the models' instances by utt_id."""
-    instances = list(io.parse_records(path, metrics.EvalInstance.from_obj,
-                                      metrics.INSTANCE_FIELDS))
-    # one set of existing utt_id strings per model: a key tuple per instance
-    # costs several times more, mostly in cyclic GC
+def _checked_instances(instances, group: str | None):
+    """The instances of PoA `group` (all when None). Every instance, kept or
+    not, is first checked to be its model's only one with its utt_id: the
+    significance test pairs the models' instances by utt_id."""
+    # one set of utt_id strings per model: a key tuple per instance costs
+    # several times more, mostly in cyclic GC
     utt_ids: defaultdict[str, set[str]] = defaultdict(set)
     for inst in instances:
         seen = utt_ids[inst.model_tag]
         if inst.utt_id in seen:
             raise PhonaugError(f"{inst.utt_id}: more than one {inst.model_tag} instance")
         seen.add(inst.utt_id)
-    return instances
+        if group is None or metrics.POA_GROUP_OF[inst.target_phoneme] == group:
+            yield inst
 
 
 @main.command(name="evaluate")
@@ -272,12 +273,13 @@ def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
     inv = _load_inventory(inventory_path)
     cfg = metrics.ClassifierConfig.load(continuants_path) if continuants_path \
         else metrics.ClassifierConfig.default()
-    instances = _read_instances(instances_file)
-    if group_filter:
-        instances = [i for i in instances
-                     if metrics.POA_GROUP_OF[i.target_phoneme] == group_filter]
-    classified = metrics.classify_all(instances, inv, cfg)
-    reports = metrics.report(classified)
+    # one pass: read, check, classify and tally each instance as it arrives
+    evaluation = metrics.Evaluation()
+    with closing(io.parse_records(instances_file, metrics.EvalInstance.from_obj,
+                                  metrics.INSTANCE_FIELDS)) as instances:
+        evaluation.update(metrics.realizations(
+            _checked_instances(instances, group_filter), inv, cfg))
+    reports = evaluation.report()
 
     payload: dict = {
         "models": {m: {g: r.to_obj() for g, r in rows.items()}
@@ -285,20 +287,20 @@ def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
     }
     models = sorted(reports)
     if len(models) == 2:
-        payload["significance"] = metrics.paired_voicing_significance(classified, models)
+        payload["significance"] = evaluation.significance(models)
 
     text = metrics.format_report(reports)
     if "significance" in payload:
         sig = payload["significance"]
         text += (f"McNemar exact (voicing, {sig['models'][0]} vs {sig['models'][1]}): "
                  f"p = {sig['p_value']:.6g} on {sig['n_pairs']} pairs\n")
+    csv = metrics.boxplot_csv(evaluation.boxplot_rows())
 
     Path(out_prefix).parent.mkdir(parents=True, exist_ok=True)
     Path(f"{out_prefix}.txt").write_text(text, encoding="utf-8")
     Path(f"{out_prefix}.json").write_text(
         json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
         encoding="utf-8")
-    csv = metrics.boxplot_csv(metrics.boxplot_rows(classified))
     Path(f"{out_prefix}_boxplot.csv").write_text(csv, encoding="utf-8")
     click.echo(text)
 

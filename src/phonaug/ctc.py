@@ -92,32 +92,33 @@ def decode_track(path: FramePath, blank: str, inventory: Inventory | None = None
     """
     inv = inventory or Inventory.default()
     # expand each run to NFD code points so precomposed vocab tokens keep a
-    # one-to-one run/code-point correspondence
-    runs = [
-        (ch, s, e)
-        for t, s, e in greedy_collapse(path, blank)
-        for ch in unicodedata.normalize("NFD", t)
-    ]
-    text = "".join(t for t, _, _ in runs)
+    # one-to-one run/code-point correspondence; whitespace separates phones and
+    # belongs to none, so only the other code points keep their frames
+    pieces: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    for label, start, end in greedy_collapse(path, blank):
+        chars = unicodedata.normalize("NFD", label)
+        pieces.append(chars)
+        for ch in chars:
+            if not ch.isspace():
+                starts.append(start)
+                ends.append(end)
     try:
-        phones = tokenize_ipa(text, inv)
+        phones = tokenize_ipa("".join(pieces), inv)
     except PhonaugError as e:
         raise in_context(e, path.utt_id) from None
 
-    # map each phone back onto the character runs it consumed; whitespace
-    # separates phones and belongs to none
-    runs = [run for run in runs if not run[0].isspace()]
+    # runs are in frame order: a phone spans from its first code point's start
+    # to its last code point's end
     timed: list[TimedPhone] = []
-    run_idx = 0
+    first = 0
     for phone in phones:
-        n_chars = len(phone.base) + len(phone.diacritics)
-        span_runs = runs[run_idx:run_idx + n_chars]
-        if len(span_runs) != n_chars:
+        last = first + len(phone.base) + len(phone.diacritics) - 1
+        if last >= len(ends):
             raise PhonaugError(f"{path.utt_id}: run/phone bookkeeping mismatch")
-        run_idx += n_chars
-        start = min(s for _, s, _ in span_runs)
-        end = max(e for _, _, e in span_runs)
-        timed.append(TimedPhone(phone, start, end))
+        timed.append(TimedPhone(phone, starts[first], ends[last]))
+        first = last + 1
     return PhoneTrack(path.utt_id, model_tag, timed, path.frame_ms)
 
 

@@ -1,12 +1,16 @@
 """Streaming JSON Lines helpers.
 
-All corpus files are JSONL, read one record at a time. `augment` and
-`prefilter-aspiration` hold one RM and one HM track at a time, so they process
-corpora larger than memory in constant space (apart from the utt_ids they
-report); `decode` holds its input in memory so that it can sort it. Writers emit
-deterministic bytes (sorted keys, no trailing spaces) so re-runs are
-byte-identical, and a file appears at its path only once its last record is
-written.
+All corpus files are JSONL, read one record at a time; each non-blank line,
+stripped of whitespace, is one JSON object, parsed as json.loads parses it.
+`augment` and `prefilter-aspiration` hold one RM and one HM track at a time, so
+they process corpora larger than memory in constant space (apart from the
+utt_ids they report). `evaluate` classifies and tallies each instance as it is
+read, and keeps no instance: what grows with its input is one vot_ms per
+instance, one utt_id per instance for the duplicate check, and one head per
+distinct onset. `decode` holds its input in memory so that it can sort it.
+Writers emit deterministic bytes (sorted keys, no trailing spaces) so re-runs
+are byte-identical, and a file appears at its path only once its last record
+is written.
 """
 
 from __future__ import annotations
@@ -27,15 +31,26 @@ class MalformedLine(PhonaugError):
         super().__init__(f"{path}:{lineno}: {reason}")
 
 
+# json.loads(line) without its per-call dispatch: read_jsonl strips each line,
+# so no JSON whitespace is left around the value for loads to skip
+_decode = json.JSONDecoder().raw_decode
+
+
 def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """Yield one object per non-blank line; malformed lines carry their line number."""
+    """Yield one object per non-blank line; malformed lines carry their line
+    number and json.loads' reason."""
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                if line[0] == "\ufeff":  # loads' own check, which raw_decode lacks
+                    raise json.JSONDecodeError(
+                        "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+                obj, end = _decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as e:
                 raise MalformedLine(str(path), lineno, f"invalid JSON ({e.msg})") from e
             if not isinstance(obj, dict):

@@ -15,11 +15,11 @@ from __future__ import annotations
 import enum
 import json
 import math
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyDenominator, PhonaugError, ZeroBaseline
 from .inventory import ASPIRATION, Inventory, Phone, phonation_of, tokenize_ipa
@@ -144,26 +144,32 @@ def classify_prediction(inst: EvalInstance, inventory: Inventory | None = None,
     return _realize(_onset_head(inst.predicted_onset, inv), inst.target_phoneme, cfg)
 
 
-def classify_all(instances: Iterable[EvalInstance], inventory: Inventory | None = None,
-                 config: ClassifierConfig | None = None) -> list[Classified]:
-    """classify_prediction over many instances, tokenizing each distinct onset once."""
+def realizations(instances: Iterable[EvalInstance], inventory: Inventory | None = None,
+                 config: ClassifierConfig | None = None,
+                 ) -> Iterator[tuple[EvalInstance, Realization]]:
+    """Each instance with its realization class, as classify_prediction gives
+    it, tokenizing each distinct onset once."""
     inv = inventory or Inventory.default()
     cfg = config or ClassifierConfig.default()
     heads: dict[str, _Head] = {}
-    out = []
     for i in instances:
         onset = i.predicted_onset
         if onset not in heads:
             heads[onset] = _onset_head(onset, inv)
-        out.append(Classified(i, _realize(heads[onset], i.target_phoneme, cfg)))
-    return out
+        yield i, _realize(heads[onset], i.target_phoneme, cfg)
+
+
+def classify_all(instances: Iterable[EvalInstance], inventory: Inventory | None = None,
+                 config: ClassifierConfig | None = None) -> list[Classified]:
+    """classify_prediction over many instances, tokenizing each distinct onset once."""
+    return [Classified(i, r) for i, r in realizations(instances, inventory, config)]
 
 
 # -- metrics ------------------------------------------------------------------
 #
 # Every metric is a share of a tally: instance counts keyed by
 # (model_tag, target_phoneme, realization, vot_ms < 0), which is all any metric
-# reads, so a report is one pass over the instances.
+# reads. `Evaluation` builds it, one classified instance at a time.
 
 _Tally = dict[tuple[str, str, Realization, bool], int]
 
@@ -175,8 +181,7 @@ _TEN_HITS = {"strict": frozenset({Realization.TENUIS, Realization.AMBIGUOUS_ASPI
 
 
 def _tally(items: Iterable[Classified]) -> _Tally:
-    return Counter((c.instance.model_tag, c.instance.target_phoneme, c.realization,
-                    c.instance.vot_ms < 0) for c in items)
+    return _evaluation(items).tally
 
 
 def _voicing_correct(realization: Realization, voicing_lead: bool) -> bool:
@@ -330,37 +335,104 @@ def compute_report(items: Sequence[Classified]) -> MetricsReport:
     return _report_row(_tally(items))
 
 
+class Evaluation:
+    """Everything `evaluate` reports, accumulated one classified instance at a
+    time. Of the instances it keeps only the counts behind the tally, the
+    vot_ms values per (model, PoA group, realization) for the boxplots, and
+    per model the voicing-correct flag of each non-Null /b d g/ instance by
+    utt_id for the paired test."""
+
+    def __init__(self, classified: Iterable[tuple[EvalInstance, Realization]] = ()):
+        # (model, phoneme, realization) -> [count with vot_ms >= 0, count with
+        # vot_ms < 0, the vot_ms list of its boxplot bucket]: one lookup per
+        # instance, and a Realization hash (a Python-level call) costs as much
+        # as the rest of the lookup
+        self._cells: dict[tuple[str, str, Realization], list] = {}
+        # (model, PoA group, realization value) -> vot_ms in arrival order:
+        # where -0.0 and 0.0 both occur, the order decides a zero's sign
+        self._vots: dict[tuple[str, str, str], list[float]] = {}
+        self._voicing: defaultdict[str, dict[str, bool]] = defaultdict(dict)
+        self.update(classified)
+
+    def update(self, classified: Iterable[tuple[EvalInstance, Realization]]) -> None:
+        cells, vots, voicing = self._cells, self._vots, self._voicing
+        for inst, realization in classified:
+            model, phoneme, vot = inst.model_tag, inst.target_phoneme, inst.vot_ms
+            lead = vot < 0
+            cell = cells.get((model, phoneme, realization))
+            if cell is None:
+                bucket = vots.setdefault((model, POA_GROUP_OF[phoneme], realization.value), [])
+                cell = cells[model, phoneme, realization] = [0, 0, bucket]
+            cell[lead] += 1
+            cell[2].append(vot)
+            if realization is not Realization.NULL and phoneme in VOICED_PHONEMES:
+                voicing[model][inst.utt_id] = _voicing_correct(realization, lead)
+
+    @property
+    def tally(self) -> _Tally:
+        return {(model, phoneme, realization, lead): cell[lead]
+                for (model, phoneme, realization), cell in self._cells.items()
+                for lead in (False, True) if cell[lead]}
+
+    def report(self, groups: Sequence[str] = POA_GROUPS) -> dict[str, dict[str, MetricsReport]]:
+        """Per-model overall and per-PoA-group reports, deterministically keyed."""
+        t = self.tally
+        out: dict[str, dict[str, MetricsReport]] = {}
+        for model in sorted({key[0] for key in t}):
+            mine = {key: k for key, k in t.items() if key[0] == model}
+            rows = {"all": _report_row(mine)}
+            for group in groups:
+                subset = {key: k for key, k in mine.items() if POA_GROUP_OF[key[1]] == group}
+                if subset:
+                    rows[group] = _report_row(subset)
+            out[model] = rows
+        return out
+
+    def significance(self, models: Sequence[str]) -> dict:
+        """Exact McNemar test of voicing correctness between the two models
+        named, paired by utt_id over the non-Null /b d g/ instances both
+        models have."""
+        first, second = (self._voicing.get(m, {}) for m in models[:2])
+        shared = first.keys() & second.keys()  # the test counts pairs: order is free
+        return {"models": list(models), "n_pairs": len(shared),
+                "p_value": mcnemar_exact([first[u] for u in shared],
+                                         [second[u] for u in shared])}
+
+    def boxplot_rows(self) -> list[dict]:
+        """Tukey boxplot stats of vot_ms per (model, PoA group, realization class).
+
+        min/max are whisker ends (most extreme values within 1.5*IQR of the
+        quartiles); values beyond the fences are listed as outliers.
+        """
+        rows = []
+        for (model, group, cls), values in sorted(self._vots.items()):
+            q1, med, q3 = quartiles(values)
+            lo_fence = q1 - 1.5 * (q3 - q1)
+            hi_fence = q3 + 1.5 * (q3 - q1)
+            inside = [v for v in values if lo_fence <= v <= hi_fence]
+            outliers = sorted(v for v in values if v < lo_fence or v > hi_fence)
+            rows.append({
+                "model": model, "group": group, "class": cls,
+                "min": min(inside), "q1": float(q1), "median": float(med),
+                "q3": float(q3), "max": max(inside), "outliers": outliers,
+            })
+        return rows
+
+
+def _evaluation(items: Iterable[Classified]) -> Evaluation:
+    return Evaluation((c.instance, c.realization) for c in items)
+
+
 def report(items: Sequence[Classified], groups: Sequence[str] = POA_GROUPS,
            ) -> dict[str, dict[str, MetricsReport]]:
     """Per-model overall and per-PoA-group reports, deterministically keyed."""
-    t = _tally(items)
-    out: dict[str, dict[str, MetricsReport]] = {}
-    for model in sorted({key[0] for key in t}):
-        mine = {key: k for key, k in t.items() if key[0] == model}
-        rows = {"all": _report_row(mine)}
-        for group in groups:
-            subset = {key: k for key, k in mine.items() if POA_GROUP_OF[key[1]] == group}
-            if subset:
-                rows[group] = _report_row(subset)
-        out[model] = rows
-    return out
+    return _evaluation(items).report(groups)
 
 
 def paired_voicing_significance(items: Iterable[Classified], models: Sequence[str]) -> dict:
     """Exact McNemar test of voicing correctness between the two models named,
     paired by utt_id over the non-Null /b d g/ instances both models have."""
-    flags: dict[str, dict[str, bool]] = {m: {} for m in models}
-    for c in items:
-        inst = c.instance
-        if inst.target_phoneme not in VOICED_PHONEMES:
-            continue
-        if c.realization is Realization.NULL:
-            continue
-        flags[inst.model_tag][inst.utt_id] = _voicing_correct(c.realization, inst.vot_ms < 0)
-    shared = sorted(set(flags[models[0]]) & set(flags[models[1]]))
-    a = [flags[models[0]][u] for u in shared]
-    b = [flags[models[1]][u] for u in shared]
-    return {"models": list(models), "n_pairs": len(shared), "p_value": mcnemar_exact(a, b)}
+    return _evaluation(items).significance(models)
 
 
 def format_report(reports: dict[str, dict[str, MetricsReport]]) -> str:
@@ -417,29 +489,8 @@ def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
 
 
 def boxplot_rows(items: Sequence[Classified]) -> list[dict]:
-    """Tukey boxplot stats of vot_ms per (model, PoA group, realization class).
-
-    min/max are whisker ends (most extreme values within 1.5*IQR of the
-    quartiles); values beyond the fences are listed as outliers.
-    """
-    buckets: dict[tuple[str, str, str], list[float]] = {}
-    for c in items:
-        key = (c.instance.model_tag, POA_GROUP_OF[c.instance.target_phoneme],
-               c.realization.value)
-        buckets.setdefault(key, []).append(c.instance.vot_ms)
-    rows = []
-    for (model, group, cls), values in sorted(buckets.items()):
-        q1, med, q3 = quartiles(values)
-        lo_fence = q1 - 1.5 * (q3 - q1)
-        hi_fence = q3 + 1.5 * (q3 - q1)
-        inside = [v for v in values if lo_fence <= v <= hi_fence]
-        outliers = sorted(v for v in values if v < lo_fence or v > hi_fence)
-        rows.append({
-            "model": model, "group": group, "class": cls,
-            "min": min(inside), "q1": float(q1), "median": float(med),
-            "q3": float(q3), "max": max(inside), "outliers": outliers,
-        })
-    return rows
+    """Tukey boxplot stats of vot_ms per (model, PoA group, realization class)."""
+    return _evaluation(items).boxplot_rows()
 
 
 def boxplot_csv(rows: list[dict]) -> str:

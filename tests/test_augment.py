@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -51,6 +53,25 @@ def test_mapping_table_rejects_rm_base_without_voicing_pair():
         MappingTable.from_obj({"entries": [{"rm": ["t", "ʔ"], "hm": ["t"]}]}, INV)
     table = MappingTable.from_obj({"entries": [{"rm": ["t"], "hm": ["t", "ʔ"]}]}, INV)
     assert table.admits("t", "ʔ")
+
+
+@pytest.mark.parametrize("entry_point", ["augment_corpus", "prefilter_by_aspiration"])
+def test_entry_points_check_table_against_their_inventory(tmp_path, entry_point):
+    # the table was checked against INV at load; the inventory passed here
+    # lacks the pair of its RM base c
+    data = json.loads(resources.files("phonaug.data").joinpath("inventory.json")
+                      .read_text("utf-8"))
+    data["voicing_pairs"].remove(["c", "ɟ"])
+    inv = Inventory(data)
+    rm_file, hm_file = corpus_files(tmp_path, [track(["c"])], [track(["cʰ"], tag="HM")])
+    out = tmp_path / "tm.jsonl"
+    with pytest.raises(PhonaugError) as failure:
+        if entry_point == "augment_corpus":
+            augment_corpus(rm_file, hm_file, TABLE, out, inv)
+        else:
+            prefilter_by_aspiration(rm_file, hm_file, TABLE, inv)
+    assert str(failure.value) == "mapping table RM base 'c' has no voicing pair in the inventory"
+    assert not out.exists()
 
 
 def test_default_proximity_is_overlap_or_close_starts():

@@ -1,6 +1,7 @@
 """The one-pass evaluate path against list-based and numpy references: tallied
 metrics, per-onset classification memo, plain-Python quartiles, the paired
-significance predicate, and the finite-VOT input contract."""
+significance predicate, the streamed command's outputs, the JSONL line parser,
+and the finite-VOT input contract."""
 
 from __future__ import annotations
 
@@ -10,11 +11,12 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phonaug
@@ -25,9 +27,10 @@ from phonaug import (
 )
 from phonaug.cli import main
 from phonaug.errors import EmptyDenominator, PhonaugError
+from phonaug.io import MalformedLine, read_jsonl
 from phonaug.metrics import (
     POA_GROUP_OF, POA_GROUPS, VOICED_PHONEMES, VOICELESS_PHONEMES, MetricsReport,
-    compute_report, paired_voicing_significance, quartiles,
+    boxplot_csv, compute_report, format_report, paired_voicing_significance, quartiles,
 )
 
 INV = Inventory.default()
@@ -247,6 +250,153 @@ def test_quartiles_match_numpy_bit_for_bit(values):
 def test_quartiles_single_value_keeps_its_sign():
     assert [bits(x) for x in quartiles([-0.0])] == [bits(-0.0)] * 3
     assert quartiles([42.0]) == (42.0, 42.0, 42.0)
+
+
+# -- the streamed command against list-based oracles ---------------------------
+
+
+def oracle_significance(items, models):
+    """paired_voicing_significance as a pass over a list of Classified."""
+    flags = {m: {} for m in models}
+    for c in items:
+        inst = c.instance
+        if inst.target_phoneme not in VOICED_PHONEMES:
+            continue
+        if c.realization is Realization.NULL:
+            continue
+        flags[inst.model_tag][inst.utt_id] = \
+            (c.realization is Realization.VOICED) == (inst.vot_ms < 0)
+    shared = sorted(set(flags[models[0]]) & set(flags[models[1]]))
+    a = [flags[models[0]][u] for u in shared]
+    b = [flags[models[1]][u] for u in shared]
+    return {"models": list(models), "n_pairs": len(shared), "p_value": mcnemar_exact(a, b)}
+
+
+def oracle_boxplot_rows(items):
+    """boxplot_rows as a pass over a list of Classified."""
+    buckets = {}
+    for c in items:
+        key = (c.instance.model_tag, POA_GROUP_OF[c.instance.target_phoneme],
+               c.realization.value)
+        buckets.setdefault(key, []).append(c.instance.vot_ms)
+    rows = []
+    for (model, group, cls), values in sorted(buckets.items()):
+        q1, med, q3 = quartiles(values)
+        lo_fence = q1 - 1.5 * (q3 - q1)
+        hi_fence = q3 + 1.5 * (q3 - q1)
+        inside = [v for v in values if lo_fence <= v <= hi_fence]
+        outliers = sorted(v for v in values if v < lo_fence or v > hi_fence)
+        rows.append({
+            "model": model, "group": group, "class": cls,
+            "min": min(inside), "q1": float(q1), "median": float(med),
+            "q3": float(q3), "max": max(inside), "outliers": outliers,
+        })
+    return rows
+
+
+def oracle_outputs(objs, group):
+    """The .txt, .json and _boxplot.csv of `evaluate`, built from lists."""
+    instances = [EvalInstance.from_obj(o) for o in objs]
+    if group:
+        instances = [i for i in instances if POA_GROUP_OF[i.target_phoneme] == group]
+    items = [Classified(i, classify_prediction(i, INV, CFG)) for i in instances]
+    reports = oracle_report(items)
+    payload = {"models": {m: {g: r.to_obj() for g, r in rows.items()}
+                          for m, rows in reports.items()}}
+    text = format_report(reports)
+    models = sorted(reports)
+    if len(models) == 2:
+        sig = payload["significance"] = oracle_significance(items, models)
+        text += (f"McNemar exact (voicing, {models[0]} vs {models[1]}): "
+                 f"p = {sig['p_value']:.6g} on {sig['n_pairs']} pairs\n")
+    return (text, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
+            boxplot_csv(oracle_boxplot_rows(items)))
+
+
+# onsets that come out Null for every target (no tokenization, empty, a vowel,
+# a nasal) and onsets that realize some of the targets
+NULL_ONSETS = ["", "#", "1", "a", "m", "ʰ", "ə"]
+ONSETS = NULL_ONSETS + ["ka", "kʰa", "kx", "ɡa", "ɡʱ", "pa", "b", "tʰ", "d̥", "t͡s", "cç"]
+
+
+@st.composite
+def instance_files(draw):
+    """Instance objects of one, two or three models, each (model, utt_id) once,
+    in the order drawn; some sets are mostly or only Null."""
+    models = draw(st.sampled_from([("TM",), ("BM", "TM"), ("BM", "OTHER", "TM")]))
+    onsets = draw(st.sampled_from([NULL_ONSETS, ONSETS]))
+    keys = draw(st.lists(st.tuples(st.sampled_from(models), st.integers(0, 12)),
+                         unique=True, max_size=40))
+    return [{"utt_id": f"u{n:02d}", "model": model, "phoneme": draw(st.sampled_from(PHONEMES)),
+             "vot_ms": draw(st.sampled_from([-25.0, -1.5, -0.0, 0.0, 3.0, 3.0, 60.0])),
+             "onset": draw(st.sampled_from(onsets))} for model, n in keys]
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance_files(), st.sampled_from([None, *POA_GROUPS]))
+def test_evaluate_outputs_equal_list_oracle(objs, group):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "instances.jsonl"
+        path.write_text("".join(json.dumps(o, ensure_ascii=False) + "\n" for o in objs),
+                        encoding="utf-8")
+        args = ["evaluate", str(path), "--out-prefix", f"{d}/rep"]
+        result = CliRunner().invoke(main, args + (["--group", group] if group else []))
+        assert result.exit_code == 0, result.output
+        got = tuple(Path(f"{d}/rep{suffix}").read_text(encoding="utf-8")
+                    for suffix in (".txt", ".json", "_boxplot.csv"))
+    assert got == oracle_outputs(objs, group)
+
+
+# -- the JSONL line parser equals json.loads on the stripped line -------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+# Unicode whitespace that str.strip() removes, but a JSON parser does not skip
+SPACES = ["", " ", "\t", "\u00a0", "\u2003", "\u3000", "\x1c", "\x85", "\u2028"]
+# any code point a text file line can hold: no surrogate, no \n or \r
+line_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+                    max_size=12)
+
+
+@st.composite
+def jsonl_lines(draw):
+    body = draw(st.one_of(json_values.map(lambda v: json.dumps(v, ensure_ascii=False)),
+                          json_values.map(json.dumps), line_text))
+    prefix = draw(st.sampled_from(["", "\ufeff"])) + draw(st.sampled_from(SPACES))
+    suffix = draw(st.sampled_from(SPACES)) + draw(
+        st.sampled_from(["", "", "x", "}", ",1", " {}", "\ufeff", "\u00a0."]))
+    return prefix + body + suffix
+
+
+@settings(max_examples=500, deadline=None)
+@given(jsonl_lines())
+@example('\ufeff{"a": 1}')  # loads: Unexpected UTF-8 BOM
+@example('{"a": 1} {"b": 2}')  # loads: Extra data
+@example('{"a": 1}\u00a0x')
+@example("[1, 2]")
+@example(" \u3000 ")
+def test_read_jsonl_equals_json_loads_of_stripped_line(line):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "in.jsonl"
+        path.write_bytes(line.encode("utf-8") + b"\n")
+        try:
+            got = repr(list(read_jsonl(path)))
+        except MalformedLine as e:
+            got = str(e)
+    stripped = line.strip()
+    if not stripped:
+        assert got == "[]"
+        return
+    try:
+        obj = json.loads(stripped)
+    except json.JSONDecodeError as e:
+        assert got == f"{path}:1: invalid JSON ({e.msg})"
+        return
+    assert got == (repr([obj]) if isinstance(obj, dict)
+                   else f"{path}:1: expected a JSON object")
 
 
 # -- finite VOT contract ---------------------------------------------------------

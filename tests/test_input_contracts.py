@@ -249,3 +249,28 @@ def test_evaluate_rejects_duplicate_model_utt_id(tmp_path, runner):
     assert "u1: more than one BM instance" in result.output
     assert list(tmp_path.iterdir()) == [path]
 
+
+
+def test_evaluate_rejects_duplicate_outside_the_group(tmp_path, runner):
+    # both copies are bilabial; the velar filter drops them, the check does not
+    lines = [{"utt_id": u, "phoneme": p, "vot_ms": -10.0, "onset": "b", "model": "BM"}
+             for u, p in (("u1", "b"), ("u2", "g"), ("u1", "p"))]
+    path = tmp_path / "instances.jsonl"
+    path.write_text("".join(dump_line(o) + "\n" for o in lines), encoding="utf-8")
+    result = runner.invoke(main, ["evaluate", str(path), "--out-prefix",
+                                  str(tmp_path / "rep"), "--group", "velar"])
+    assert result.exit_code == 1
+    assert "u1: more than one BM instance" in result.output
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_evaluate_reports_the_first_fault_in_file_order(tmp_path, runner):
+    line = dump_line({"utt_id": "u1", "phoneme": "b", "vot_ms": -10.0, "onset": "b",
+                      "model": "BM"})
+    path = tmp_path / "instances.jsonl"
+    path.write_text(f"{line}\n{line}\n{{not json\n", encoding="utf-8")
+    result = runner.invoke(main, ["evaluate", str(path), "--out-prefix",
+                                  str(tmp_path / "rep")])
+    assert result.exit_code == 1
+    assert result.output == "Error: u1: more than one BM instance\n"
+    assert list(tmp_path.iterdir()) == [path]
