@@ -7,7 +7,6 @@ skip policies emit machine-readable skip reports.
 
 from __future__ import annotations
 
-import functools
 import json
 from collections import defaultdict
 from contextlib import closing
@@ -25,17 +24,17 @@ def _load_inventory(path: str | None) -> Inventory:
     return Inventory.load(path) if path else Inventory.default()
 
 
-def handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Commands(click.Group):
+    """A PhonaugError from any subcommand exits 1 with one `Error: ...` line."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except PhonaugError as e:
             raise click.ClickException(str(e)) from e
-    return wrapper
 
 
-@click.group()
+@click.group(cls=_Commands)
 def main():
     """Selective phonation augmentation pipeline."""
 
@@ -49,7 +48,6 @@ def main():
 @click.option("--model-tag", default="OTHER", show_default=True,
               type=click.Choice(ctc.MODEL_TAGS))
 @click.option("--inventory", "inventory_path", type=click.Path(exists=True))
-@handle_errors
 def decode(framepath_file, out_file, blank, frame_ms, model_tag, inventory_path):
     """Collapse per-frame CTC label paths into timestamped phone tracks."""
     inv = _load_inventory(inventory_path)
@@ -79,10 +77,10 @@ def decode(framepath_file, out_file, blank, frame_ms, model_tag, inventory_path)
               help="Skip RM utterances without an HM counterpart.")
 @click.option("--stats-file", type=click.Path(), default=None,
               help="Write AugmentationStats JSON here (default: stdout).")
-@handle_errors
 def cmd_augment(rm_file, hm_file, out_file, mapping_path, inventory_path,
                 no_breathy, skip_missing, stats_file):
     """Match RM plosives to HM plosives and overwrite their phonation."""
+    io.check_outputs(out_file, stats_file)
     inv = _load_inventory(inventory_path)
     table = aug.MappingTable.load(mapping_path, inv) if mapping_path \
         else aug.MappingTable.default(inv)
@@ -90,7 +88,7 @@ def cmd_augment(rm_file, hm_file, out_file, mapping_path, inventory_path,
                                breathy=not no_breathy, skip_missing=skip_missing)
     payload = json.dumps(stats.to_obj(), ensure_ascii=False, sort_keys=True, indent=2)
     if stats_file:
-        Path(stats_file).write_text(payload + "\n", encoding="utf-8")
+        io.write_text(stats_file, payload + "\n")
     else:
         click.echo(payload)
 
@@ -102,7 +100,6 @@ def cmd_augment(rm_file, hm_file, out_file, mapping_path, inventory_path,
 @click.option("--inventory", "inventory_path", type=click.Path(exists=True))
 @click.option("--out", "out_file", type=click.Path(), default=None,
               help="Write selected utt_ids here (default: stdout).")
-@handle_errors
 def prefilter_aspiration(rm_file, hm_file, mapping_path, inventory_path, out_file):
     """List utt_ids whose matches produce at least one aspirated phone."""
     inv = _load_inventory(inventory_path)
@@ -111,7 +108,7 @@ def prefilter_aspiration(rm_file, hm_file, mapping_path, inventory_path, out_fil
     selected = aug.prefilter_by_aspiration(rm_file, hm_file, table, inv)
     text = "\n".join(selected) + ("\n" if selected else "")
     if out_file:
-        Path(out_file).write_text(text, encoding="utf-8")
+        io.write_text(out_file, text)
     else:
         click.echo(text, nl=False)
 
@@ -122,7 +119,15 @@ def prepare():
 
 
 def _read_manifest(path) -> list[manifest.SegmentRecord]:
-    return list(io.parse_records(path, manifest.SegmentRecord.from_obj, {"utt_id": str}))
+    """The records of a manifest in file order, each utt_id once: a split or a
+    sample must not hold one utterance twice."""
+    records = list(io.parse_records(path, manifest.SegmentRecord.from_obj, {"utt_id": str}))
+    seen: set[str] = set()
+    for record in records:
+        if record.utt_id in seen:
+            raise PhonaugError(f"{path}: utterance {record.utt_id!r} occurs twice")
+        seen.add(record.utt_id)
+    return records
 
 
 def _write_manifest(path, records) -> None:
@@ -133,7 +138,6 @@ def _write_manifest(path, records) -> None:
 @click.argument("in_file", type=click.Path(exists=True))
 @click.argument("out_file", type=click.Path())
 @click.option("--max-downvotes", type=int, default=0, show_default=True)
-@handle_errors
 def prepare_filter(in_file, out_file, max_downvotes):
     """Drop downvoted segments."""
     records = manifest.filter_downvoted(_read_manifest(in_file), max_downvotes)
@@ -146,7 +150,6 @@ def prepare_filter(in_file, out_file, max_downvotes):
 @click.argument("out_file", type=click.Path())
 @click.option("--n", type=int, required=True)
 @click.option("--seed", type=int, required=True)
-@handle_errors
 def prepare_sample(in_file, out_file, n, seed):
     """Seeded uniform sample without replacement."""
     _write_manifest(out_file, manifest.sample_segments(_read_manifest(in_file), n, seed))
@@ -158,9 +161,9 @@ def prepare_sample(in_file, out_file, n, seed):
 @click.option("--seed", type=int, required=True)
 @click.option("--train-out", type=click.Path(), required=True)
 @click.option("--valid-out", type=click.Path(), required=True)
-@handle_errors
 def prepare_split(in_file, fraction, seed, train_out, valid_out):
     """Seeded train/validation split."""
+    io.check_outputs(train_out, valid_out)
     train, valid = manifest.split_validation(_read_manifest(in_file), fraction, seed)
     _write_manifest(train_out, train)
     _write_manifest(valid_out, valid)
@@ -174,9 +177,9 @@ def prepare_split(in_file, fraction, seed, train_out, valid_out):
               help='JSON {"remap": {...}, "exclude": [...]}.')
 @click.option("--report-file", type=click.Path(), default=None)
 @click.option("--inventory", "inventory_path", type=click.Path(exists=True))
-@handle_errors
 def prepare_remap(in_file, out_file, config_path, report_file, inventory_path):
     """Rewrite invalid transcriptions and drop the unfixable ones."""
+    io.check_outputs(out_file, report_file)
     with open(config_path, encoding="utf-8") as f:
         cfg = json.load(f)
     inv = _load_inventory(inventory_path)
@@ -193,7 +196,6 @@ def prepare_remap(in_file, out_file, config_path, report_file, inventory_path):
 @click.argument("out_file", type=click.Path())
 @click.option("--per-phoneme-n", type=int, default=40, show_default=True)
 @click.option("--seed", type=int, required=True)
-@handle_errors
 def prepare_onset_testset(in_file, out_file, per_phoneme_n, seed):
     """Absolute-onset test set: sentence-initial <b d g p t k>, sampled per phoneme."""
     records = manifest.build_onset_testset(_read_manifest(in_file), per_phoneme_n, seed)
@@ -207,7 +209,6 @@ def prepare_onset_testset(in_file, out_file, per_phoneme_n, seed):
 @click.argument("out_file", type=click.Path())
 @click.option("--remove", multiple=True, help="Token to remove (repeatable).")
 @click.option("--add", multiple=True, help="Token to add (repeatable).")
-@handle_errors
 def prepare_clean_vocab(vocab_file, corpus_file, out_file, remove, add):
     """Remove unused tokens, add new ones, reassign dense ids."""
     with open(vocab_file, encoding="utf-8") as f:
@@ -217,9 +218,7 @@ def prepare_clean_vocab(vocab_file, corpus_file, out_file, remove, add):
     cleaned, id_map = manifest.clean_vocab(vocab, _read_manifest(corpus_file))
     out = cleaned.to_obj()
     out["id_map"] = {str(k): v for k, v in sorted(id_map.items())}
-    Path(out_file).write_text(
-        json.dumps(out, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8")
+    io.write_text(out_file, json.dumps(out, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
     click.echo(f"vocabulary: {len(tokens)} -> {len(cleaned.tokens)} tokens", err=True)
 
 
@@ -229,9 +228,9 @@ def prepare_clean_vocab(vocab_file, corpus_file, out_file, remove, add):
 @click.option("--hm-out", type=click.Path(), required=True)
 @click.option("--truth-out", type=click.Path(), default=None)
 @click.option("--inventory", "inventory_path", type=click.Path(exists=True))
-@handle_errors
 def cmd_synth(spec_file, rm_out, hm_out, truth_out, inventory_path):
     """Generate synthetic paired RM/HM tracks with known ground truth."""
+    io.check_outputs(rm_out, hm_out, truth_out)
     inv = _load_inventory(inventory_path)
     spec = synth.ScenarioSpec.load(spec_file)
     rm_tracks, hm_tracks, truth = synth.generate(spec, inv)
@@ -266,10 +265,12 @@ def _checked_instances(instances, group: str | None):
 @click.option("--inventory", "inventory_path", type=click.Path(exists=True))
 @click.option("--group", "group_filter", type=click.Choice(metrics.POA_GROUPS),
               default=None, help="Report on one PoA group only.")
-@handle_errors
 def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
                  group_filter):
     """Classify predictions and emit metric tables, JSON and boxplot CSV."""
+    txt, json_file, csv_file = (f"{out_prefix}{suffix}"
+                                for suffix in (".txt", ".json", "_boxplot.csv"))
+    io.check_outputs(txt, json_file, csv_file)
     inv = _load_inventory(inventory_path)
     cfg = metrics.ClassifierConfig.load(continuants_path) if continuants_path \
         else metrics.ClassifierConfig.default()
@@ -297,11 +298,10 @@ def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
     csv = metrics.boxplot_csv(evaluation.boxplot_rows())
 
     Path(out_prefix).parent.mkdir(parents=True, exist_ok=True)
-    Path(f"{out_prefix}.txt").write_text(text, encoding="utf-8")
-    Path(f"{out_prefix}.json").write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8")
-    Path(f"{out_prefix}_boxplot.csv").write_text(csv, encoding="utf-8")
+    io.write_text(txt, text)
+    io.write_text(json_file, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
+                  + "\n")
+    io.write_text(csv_file, csv)
     click.echo(text)
 
 

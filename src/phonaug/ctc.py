@@ -6,6 +6,7 @@ milliseconds happens only at reporting time, so all comparisons are exact.
 
 from __future__ import annotations
 
+import math
 import unicodedata
 from contextlib import closing
 from dataclasses import dataclass
@@ -23,6 +24,13 @@ FRAME_PATH_FIELDS = {"utt_id": str, "labels": list, "frame_ms": (int, float)}
 TRACK_FIELDS = {"utt_id": str, "frame_ms": (int, float), "phones": list}
 
 
+def check_frame_ms(utt_id: str, frame_ms: float) -> None:
+    """A frame length must be positive and finite: NaN and infinity are not
+    JSON, and no frame index scales to milliseconds by them."""
+    if not 0 < frame_ms < math.inf:
+        raise PhonaugError(f"{utt_id}: frame_ms must be positive and finite, got {frame_ms!r}")
+
+
 @dataclass(frozen=True)
 class FramePath:
     """Per-frame best-path labels for one utterance."""
@@ -32,8 +40,7 @@ class FramePath:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        if self.frame_ms <= 0:
-            raise PhonaugError(f"{self.utt_id}: frame_ms must be positive")
+        check_frame_ms(self.utt_id, self.frame_ms)
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,7 @@ class PhoneTrack:
             raise PhonaugError("utt_id must be non-empty")
         if self.model_tag not in MODEL_TAGS:
             raise PhonaugError(f"unknown model tag {self.model_tag!r}")
+        check_frame_ms(self.utt_id, self.frame_ms)
         starts = [p.start_frame for p in self.phones]
         if starts != sorted(starts):
             raise PhonaugError(f"{self.utt_id}: phone start frames must be non-decreasing")

@@ -9,17 +9,17 @@ read, and keeps no instance: what grows with its input is one vot_ms per
 instance, one utt_id per instance for the duplicate check, and one head per
 distinct onset. `decode` holds its input in memory so that it can sort it.
 Writers emit deterministic bytes (sorted keys, no trailing spaces) so re-runs
-are byte-identical, and a file appears at its path only once its last record
-is written.
+are byte-identical. Every output file, JSONL or not, appears at its path only
+once it is written in full.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from contextlib import closing
+from contextlib import closing, contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
 from .errors import PhonaugError, in_context
 
@@ -71,7 +71,7 @@ def parse_records(path: str | Path, from_obj: Callable[[dict], T],
         for n, obj in enumerate(objs, start=1):
             try:
                 record = from_obj(obj)
-            except (KeyError, TypeError, ValueError) as e:
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 utt_id = obj.get("utt_id")
                 where = f"utterance {utt_id!r}" if isinstance(utt_id, str) else f"record {n}"
                 problem = _field_problem(obj, fields, e)
@@ -96,25 +96,44 @@ def dump_line(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
-def write_jsonl(path: str | Path, objs: Iterable[dict]) -> int:
-    """Write one line per object and return the count. The lines go to a
-    temporary file beside `path` that replaces it after the last one; if
-    anything fails, the temporary file is removed and `path` is left as it was."""
-    path = Path(path)
-    if path.exists() and not path.is_file():
-        # a rename would replace the device or pipe itself
-        raise PhonaugError(f"{path}: output must be a regular file")
-    path = path.resolve()  # replace a symlink's target, not the link
+def check_outputs(*paths: str | Path | None) -> None:
+    """Fail unless each output path (None for an output not asked for) names a
+    regular file or nothing yet: a rename would replace a directory, device or
+    pipe itself. A command calls it before it writes its first file."""
+    for path in paths:
+        if path is not None and os.path.exists(path) and not os.path.isfile(path):
+            raise PhonaugError(f"{path}: output must be a regular file")
+
+
+@contextmanager
+def _replacing(path: str | Path) -> Iterator[TextIO]:
+    """A text file to write in place of `path`: a temporary file beside it
+    that replaces it when the block ends; if the block fails, the temporary
+    file is removed and `path` is left as it was."""
+    check_outputs(path)
+    path = Path(path).resolve()  # replace a symlink's target, not the link
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    n = 0
     try:
         with open(tmp, "x", encoding="utf-8") as f:
-            for obj in objs:
-                f.write(dump_line(obj))
-                f.write("\n")
-                n += 1
+            yield f
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write `text` to `path`, all or nothing."""
+    with _replacing(path) as f:
+        f.write(text)
+
+
+def write_jsonl(path: str | Path, objs: Iterable[dict]) -> int:
+    """Write one line per object, all or nothing, and return the count."""
+    n = 0
+    with _replacing(path) as f:
+        for obj in objs:
+            f.write(dump_line(obj))
+            f.write("\n")
+            n += 1
     return n

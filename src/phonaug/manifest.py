@@ -33,6 +33,10 @@ class SegmentRecord:
     analyzable: bool | None = None
     phoneme: str | None = None
 
+    def __post_init__(self):
+        if not isinstance(self.utt_id, str):  # manifests are checked and sorted by utt_id
+            raise TypeError(f"utt_id must be a string, not {self.utt_id!r}")
+
     @classmethod
     def from_obj(cls, obj: dict) -> "SegmentRecord":
         return cls(

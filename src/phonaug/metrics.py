@@ -15,11 +15,11 @@ from __future__ import annotations
 import enum
 import json
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptyDenominator, PhonaugError, ZeroBaseline
 from .inventory import ASPIRATION, Inventory, Phone, phonation_of, tokenize_ipa
@@ -69,8 +69,7 @@ class EvalInstance:
                    obj["onset"], obj.get("model", "OTHER"))
 
 
-@dataclass(frozen=True)
-class Classified:
+class Classified(NamedTuple):
     instance: EvalInstance
     realization: Realization
 
@@ -167,21 +166,9 @@ def classify_all(instances: Iterable[EvalInstance], inventory: Inventory | None 
 
 # -- metrics ------------------------------------------------------------------
 #
-# Every metric is a share of a tally: instance counts keyed by
-# (model_tag, target_phoneme, realization, vot_ms < 0), which is all any metric
-# reads. `Evaluation` builds it, one classified instance at a time.
-
-_Tally = dict[tuple[str, str, Realization, bool], int]
-
-_ASP_HITS = {"strict": frozenset({Realization.ASPIRATED}),
-             "lenient": frozenset({Realization.ASPIRATED,
-                                   Realization.AMBIGUOUS_ASPIRATED})}
-_TEN_HITS = {"strict": frozenset({Realization.TENUIS, Realization.AMBIGUOUS_ASPIRATED}),
-             "lenient": frozenset({Realization.TENUIS})}
-
-
-def _tally(items: Iterable[Classified]) -> _Tally:
-    return _evaluation(items).tally
+# Every metric is read off `Evaluation`'s cells, the instance counts per
+# (model, target phoneme, realization) with vot_ms >= 0 and with vot_ms < 0:
+# `_row` reads one table row off any set of cells, in one pass.
 
 
 def _voicing_correct(realization: Realization, voicing_lead: bool) -> bool:
@@ -190,63 +177,34 @@ def _voicing_correct(realization: Realization, voicing_lead: bool) -> bool:
     return (realization is Realization.VOICED) == voicing_lead
 
 
-def _share(t: _Tally, phonemes: Sequence[str], hit, what: str) -> float:
-    """Percent of the non-Null tallied instances of `phonemes` for which
-    hit(realization, voicing_lead) holds."""
-    pool = hits = 0
-    for (_, phoneme, realization, lead), k in t.items():
-        if realization is not Realization.NULL and phoneme in phonemes:
-            pool += k
-            if hit(realization, lead):
-                hits += k
-    if not pool:
+def _defined(share: float | None, what: str) -> float:
+    if share is None:
         raise EmptyDenominator(f"no non-Null {what}instances")
-    return 100.0 * hits / pool
+    return share
 
 
-def _voicing_acc(t: _Tally) -> float:
-    return _share(t, VOICED_PHONEMES, _voicing_correct, "/b d g/ ")
-
-
-def _asp_pct(t: _Tally, mode: str) -> float:
-    _check_mode(mode)
-    hits = _ASP_HITS[mode]
-    return _share(t, VOICELESS_PHONEMES, lambda r, _: r in hits, "/p t k/ ")
-
-
-def _ten_pct(t: _Tally, mode: str) -> float:
-    _check_mode(mode)
-    hits = _TEN_HITS[mode]
-    return _share(t, ALL_PHONEMES, lambda r, _: r in hits, "")
-
-
-def _n_null(t: _Tally) -> int:
-    return sum(k for (_, _, realization, _), k in t.items() if realization is Realization.NULL)
-
-
-def _null_pct(t: _Tally) -> float:
-    n = sum(t.values())
-    return 100.0 * _n_null(t) / n if n else 0.0
-
-
-def voicing_acc(items: Sequence[Classified]) -> float:
+def voicing_acc(items: Iterable[Classified]) -> float:
     """Percent of non-Null /b d g/ instances where predicted voicing agrees
     with the VOT sign (vot_ms < 0 means voiced; 0 counts as voiceless)."""
-    return _voicing_acc(_tally(items))
+    return _defined(Evaluation(items).row().voicing_acc, "/b d g/ ")
 
 
-def asp_pct(items: Sequence[Classified], mode: str = "strict") -> float:
+def asp_pct(items: Iterable[Classified], mode: str = "strict") -> float:
     """Aspiration percentage over non-Null /p t k/ instances."""
-    return _asp_pct(_tally(items), mode)
+    _check_mode(mode)
+    row = Evaluation(items).row()
+    return _defined(row.asp_strict if mode == "strict" else row.asp_lenient, "/p t k/ ")
 
 
-def ten_pct(items: Sequence[Classified], mode: str = "strict") -> float:
+def ten_pct(items: Iterable[Classified], mode: str = "strict") -> float:
     """Tenuis (conflation-class) percentage over all six phonemes, non-Null."""
-    return _ten_pct(_tally(items), mode)
+    _check_mode(mode)
+    row = Evaluation(items).row()
+    return _defined(row.ten_strict if mode == "strict" else row.ten_lenient, "")
 
 
-def null_pct(items: Sequence[Classified]) -> float:
-    return _null_pct(_tally(items))
+def null_pct(items: Iterable[Classified]) -> float:
+    return Evaluation(items).row().null_pct
 
 
 def _check_mode(mode: str) -> None:
@@ -312,32 +270,45 @@ class MetricsReport:
         }
 
 
-def _report_row(t: _Tally) -> MetricsReport:
-    def safe(fn, *args):
-        try:
-            return fn(t, *args)
-        except EmptyDenominator:
-            return None
+def _pct(hits: int, pool: int) -> float | None:
+    return 100.0 * hits / pool if pool else None
 
+
+def _row(cells: Iterable[tuple[str, Realization, list]]) -> MetricsReport:
+    """One row of the results table, read off (phoneme, realization, [count
+    with vot_ms >= 0, count with vot_ms < 0, ...]) cells. Null counts towards
+    null_pct only. Strict mode counts an ambiguous realization as tenuis,
+    lenient mode as aspirated."""
+    bdg: Counter[Realization] = Counter()
+    ptk: Counter[Realization] = Counter()
+    bdg_correct = 0
+    for phoneme, realization, cell in cells:
+        voiced = phoneme in VOICED_PHONEMES
+        (bdg if voiced else ptk)[realization] += cell[0] + cell[1]
+        if voiced and realization is not Realization.NULL:
+            bdg_correct += cell[realization is Realization.VOICED]  # see _voicing_correct
+    n_null = bdg.pop(Realization.NULL, 0) + ptk.pop(Realization.NULL, 0)
+    pool = bdg + ptk
+    n = pool.total() + n_null
+    asp, amb, ten = Realization.ASPIRATED, Realization.AMBIGUOUS_ASPIRATED, Realization.TENUIS
     return MetricsReport(
-        voicing_acc=safe(_voicing_acc),
-        asp_strict=safe(_asp_pct, "strict"),
-        asp_lenient=safe(_asp_pct, "lenient"),
-        ten_strict=safe(_ten_pct, "strict"),
-        ten_lenient=safe(_ten_pct, "lenient"),
-        null_pct=_null_pct(t),
-        n_instances=sum(t.values()),
-        n_null=_n_null(t),
+        voicing_acc=_pct(bdg_correct, bdg.total()),
+        asp_strict=_pct(ptk[asp], ptk.total()),
+        asp_lenient=_pct(ptk[asp] + ptk[amb], ptk.total()),
+        ten_strict=_pct(pool[ten] + pool[amb], pool.total()),
+        ten_lenient=_pct(pool[ten], pool.total()),
+        null_pct=100.0 * n_null / n if n else 0.0,
+        n_instances=n, n_null=n_null,
     )
 
 
-def compute_report(items: Sequence[Classified]) -> MetricsReport:
-    return _report_row(_tally(items))
+def compute_report(items: Iterable[Classified]) -> MetricsReport:
+    return Evaluation(items).row()
 
 
 class Evaluation:
     """Everything `evaluate` reports, accumulated one classified instance at a
-    time. Of the instances it keeps only the counts behind the tally, the
+    time. Of the instances it keeps only the counts behind the metrics, the
     vot_ms values per (model, PoA group, realization) for the boxplots, and
     per model the voicing-correct flag of each non-Null /b d g/ instance by
     utt_id for the paired test."""
@@ -368,23 +339,22 @@ class Evaluation:
             if realization is not Realization.NULL and phoneme in VOICED_PHONEMES:
                 voicing[model][inst.utt_id] = _voicing_correct(realization, lead)
 
-    @property
-    def tally(self) -> _Tally:
-        return {(model, phoneme, realization, lead): cell[lead]
-                for (model, phoneme, realization), cell in self._cells.items()
-                for lead in (False, True) if cell[lead]}
+    def row(self) -> MetricsReport:
+        """One row over every instance, of all models together."""
+        return _row((phoneme, realization, cell)
+                    for (_, phoneme, realization), cell in self._cells.items())
 
-    def report(self, groups: Sequence[str] = POA_GROUPS) -> dict[str, dict[str, MetricsReport]]:
+    def report(self) -> dict[str, dict[str, MetricsReport]]:
         """Per-model overall and per-PoA-group reports, deterministically keyed."""
-        t = self.tally
+        # model -> PoA group -> its (phoneme, realization, cell) cells
+        by_model: defaultdict[str, defaultdict[str, list]] = defaultdict(lambda: defaultdict(list))
+        for (model, phoneme, realization), cell in self._cells.items():
+            by_model[model][POA_GROUP_OF[phoneme]].append((phoneme, realization, cell))
         out: dict[str, dict[str, MetricsReport]] = {}
-        for model in sorted({key[0] for key in t}):
-            mine = {key: k for key, k in t.items() if key[0] == model}
-            rows = {"all": _report_row(mine)}
-            for group in groups:
-                subset = {key: k for key, k in mine.items() if POA_GROUP_OF[key[1]] == group}
-                if subset:
-                    rows[group] = _report_row(subset)
+        for model in sorted(by_model):
+            groups = by_model[model]
+            rows = {"all": _row(c for cells in groups.values() for c in cells)}
+            rows.update((g, _row(groups[g])) for g in POA_GROUPS if g in groups)
             out[model] = rows
         return out
 
@@ -419,20 +389,15 @@ class Evaluation:
         return rows
 
 
-def _evaluation(items: Iterable[Classified]) -> Evaluation:
-    return Evaluation((c.instance, c.realization) for c in items)
-
-
-def report(items: Sequence[Classified], groups: Sequence[str] = POA_GROUPS,
-           ) -> dict[str, dict[str, MetricsReport]]:
+def report(items: Iterable[Classified]) -> dict[str, dict[str, MetricsReport]]:
     """Per-model overall and per-PoA-group reports, deterministically keyed."""
-    return _evaluation(items).report(groups)
+    return Evaluation(items).report()
 
 
 def paired_voicing_significance(items: Iterable[Classified], models: Sequence[str]) -> dict:
     """Exact McNemar test of voicing correctness between the two models named,
     paired by utt_id over the non-Null /b d g/ instances both models have."""
-    return _evaluation(items).significance(models)
+    return Evaluation(items).significance(models)
 
 
 def format_report(reports: dict[str, dict[str, MetricsReport]]) -> str:
@@ -488,9 +453,9 @@ def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
     return tuple(out)
 
 
-def boxplot_rows(items: Sequence[Classified]) -> list[dict]:
+def boxplot_rows(items: Iterable[Classified]) -> list[dict]:
     """Tukey boxplot stats of vot_ms per (model, PoA group, realization class)."""
-    return _evaluation(items).boxplot_rows()
+    return Evaluation(items).boxplot_rows()
 
 
 def boxplot_csv(rows: list[dict]) -> str:
