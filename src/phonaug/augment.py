@@ -13,14 +13,13 @@ pass the timestamp-proximity predicate `default_proximity`.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Iterator
 
+from . import io
 from .ctc import PhoneTrack, TimedPhone, read_tracks, write_tracks
 from .errors import MissingCounterpart, PhonaugError, UtteranceMismatch
 from .inventory import (ASPIRATED, BREATHY_VOICED, VOICED, Inventory, phonation_of,
@@ -49,24 +48,29 @@ class MappingTable:
     def from_obj(cls, obj: dict, inventory: Inventory | None = None) -> "MappingTable":
         inv = inventory or Inventory.default()
         entries = []
-        for entry in obj["entries"]:
-            for sym in list(entry["rm"]) + list(entry["hm"]):
+        for n, entry in enumerate(obj["entries"]):
+            if not isinstance(entry, dict):
+                raise TypeError(f"entries[{n}] must be an object, got {entry!r}")
+            rm, hm = (io.strings(entry, side, f"entries[{n}].{side}") for side in ("rm", "hm"))
+            for sym in rm + hm:
                 if sym not in inv.base_features:
                     raise PhonaugError(f"mapping table symbol {sym!r} not in inventory")
-            entries.append((frozenset(entry["rm"]), frozenset(entry["hm"])))
-        table = cls(tuple(entries), frozenset(obj.get("window_offsets", [0, 1])))
+            entries.append((frozenset(rm), frozenset(hm)))
+        offsets = obj.get("window_offsets", [0, 1])
+        if not isinstance(offsets, list) or \
+                any(isinstance(d, bool) or not isinstance(d, int) for d in offsets):
+            raise TypeError(f"window_offsets must be a list of integers, got {offsets!r}")
+        table = cls(tuple(entries), frozenset(offsets))
         table.check_voicing_pairs(inv)
         return table
 
     @classmethod
     def load(cls, path: str | Path, inventory: Inventory | None = None) -> "MappingTable":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_obj(json.load(f), inventory)
+        return io.read_json(path, lambda obj: cls.from_obj(obj, inventory), {"entries": list})
 
     @classmethod
     def default(cls, inventory: Inventory | None = None) -> "MappingTable":
-        data = resources.files("phonaug.data").joinpath("mapping.json").read_text("utf-8")
-        return cls.from_obj(json.loads(data), inventory)
+        return cls.load(io.DATA / "mapping.json", inventory)
 
     def check_voicing_pairs(self, inventory: Inventory) -> None:
         """Raise unless each RM base has a voicing pair in `inventory`: a

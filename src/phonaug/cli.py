@@ -20,8 +20,9 @@ from .errors import PhonaugError
 from .inventory import Inventory
 
 
-def _load_inventory(path: str | None) -> Inventory:
-    return Inventory.load(path) if path else Inventory.default()
+def _load(cls, path: str | None, *args):
+    """The table of class `cls` in the file at `path`, or its packaged default."""
+    return cls.load(path, *args) if path else cls.default(*args)
 
 
 class _Commands(click.Group):
@@ -50,7 +51,7 @@ def main():
 @click.option("--inventory", "inventory_path", type=click.Path(exists=True))
 def decode(framepath_file, out_file, blank, frame_ms, model_tag, inventory_path):
     """Collapse per-frame CTC label paths into timestamped phone tracks."""
-    inv = _load_inventory(inventory_path)
+    inv = _load(Inventory, inventory_path)
 
     def from_obj(obj):
         if frame_ms is not None:
@@ -81,9 +82,8 @@ def cmd_augment(rm_file, hm_file, out_file, mapping_path, inventory_path,
                 no_breathy, skip_missing, stats_file):
     """Match RM plosives to HM plosives and overwrite their phonation."""
     io.check_outputs(out_file, stats_file)
-    inv = _load_inventory(inventory_path)
-    table = aug.MappingTable.load(mapping_path, inv) if mapping_path \
-        else aug.MappingTable.default(inv)
+    inv = _load(Inventory, inventory_path)
+    table = _load(aug.MappingTable, mapping_path, inv)
     stats = aug.augment_corpus(rm_file, hm_file, table, out_file, inv,
                                breathy=not no_breathy, skip_missing=skip_missing)
     payload = json.dumps(stats.to_obj(), ensure_ascii=False, sort_keys=True, indent=2)
@@ -102,9 +102,8 @@ def cmd_augment(rm_file, hm_file, out_file, mapping_path, inventory_path,
               help="Write selected utt_ids here (default: stdout).")
 def prefilter_aspiration(rm_file, hm_file, mapping_path, inventory_path, out_file):
     """List utt_ids whose matches produce at least one aspirated phone."""
-    inv = _load_inventory(inventory_path)
-    table = aug.MappingTable.load(mapping_path, inv) if mapping_path \
-        else aug.MappingTable.default(inv)
+    inv = _load(Inventory, inventory_path)
+    table = _load(aug.MappingTable, mapping_path, inv)
     selected = aug.prefilter_by_aspiration(rm_file, hm_file, table, inv)
     text = "\n".join(selected) + ("\n" if selected else "")
     if out_file:
@@ -180,11 +179,9 @@ def prepare_split(in_file, fraction, seed, train_out, valid_out):
 def prepare_remap(in_file, out_file, config_path, report_file, inventory_path):
     """Rewrite invalid transcriptions and drop the unfixable ones."""
     io.check_outputs(out_file, report_file)
-    with open(config_path, encoding="utf-8") as f:
-        cfg = json.load(f)
-    inv = _load_inventory(inventory_path)
-    kept, rep = manifest.remap_invalid(_read_manifest(in_file), cfg.get("remap", {}),
-                                       cfg.get("exclude", []), inv)
+    remap, exclude = io.read_json(config_path, manifest.remap_config, {})
+    inv = _load(Inventory, inventory_path)
+    kept, rep = manifest.remap_invalid(_read_manifest(in_file), remap, exclude, inv)
     _write_manifest(out_file, kept)
     if report_file:
         io.write_jsonl(report_file, rep)
@@ -211,15 +208,14 @@ def prepare_onset_testset(in_file, out_file, per_phoneme_n, seed):
 @click.option("--add", multiple=True, help="Token to add (repeatable).")
 def prepare_clean_vocab(vocab_file, corpus_file, out_file, remove, add):
     """Remove unused tokens, add new ones, reassign dense ids."""
-    with open(vocab_file, encoding="utf-8") as f:
-        raw = json.load(f)
-    tokens = [t for t, _ in sorted(raw["tokens"].items(), key=lambda kv: kv[1])]
-    vocab = manifest.VocabSpec(tokens, raw.get("blank", "_"), set(remove), set(add))
+    vocab = io.read_json(vocab_file, lambda raw: manifest.VocabSpec(
+        sorted(raw["tokens"], key=raw["tokens"].get),  # tokens in id order
+        raw.get("blank", "_"), set(remove), set(add)), {"tokens": dict})
     cleaned, id_map = manifest.clean_vocab(vocab, _read_manifest(corpus_file))
     out = cleaned.to_obj()
     out["id_map"] = {str(k): v for k, v in sorted(id_map.items())}
     io.write_text(out_file, json.dumps(out, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
-    click.echo(f"vocabulary: {len(tokens)} -> {len(cleaned.tokens)} tokens", err=True)
+    click.echo(f"vocabulary: {len(vocab.tokens)} -> {len(cleaned.tokens)} tokens", err=True)
 
 
 @main.command(name="synth")
@@ -231,7 +227,7 @@ def prepare_clean_vocab(vocab_file, corpus_file, out_file, remove, add):
 def cmd_synth(spec_file, rm_out, hm_out, truth_out, inventory_path):
     """Generate synthetic paired RM/HM tracks with known ground truth."""
     io.check_outputs(rm_out, hm_out, truth_out)
-    inv = _load_inventory(inventory_path)
+    inv = _load(Inventory, inventory_path)
     spec = synth.ScenarioSpec.load(spec_file)
     rm_tracks, hm_tracks, truth = synth.generate(spec, inv)
     ctc.write_tracks(rm_out, rm_tracks)
@@ -271,9 +267,8 @@ def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
     txt, json_file, csv_file = (f"{out_prefix}{suffix}"
                                 for suffix in (".txt", ".json", "_boxplot.csv"))
     io.check_outputs(txt, json_file, csv_file)
-    inv = _load_inventory(inventory_path)
-    cfg = metrics.ClassifierConfig.load(continuants_path) if continuants_path \
-        else metrics.ClassifierConfig.default()
+    inv = _load(Inventory, inventory_path)
+    cfg = _load(metrics.ClassifierConfig, continuants_path)
     # one pass: read, check, classify and tally each instance as it arrives
     evaluation = metrics.Evaluation()
     with closing(io.parse_records(instances_file, metrics.EvalInstance.from_obj,

@@ -10,14 +10,13 @@ rewrite) whose contents never change a result.
 
 from __future__ import annotations
 
-import json
 import re
 import unicodedata
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from importlib import resources
+from functools import cache, cached_property
 from pathlib import Path
 
+from . import io
 from .errors import (
     NotSinglePhone, NoVoicingCounterpart, OrphanDiacritic, PhonaugError, UnknownSymbol,
 )
@@ -110,7 +109,10 @@ class Inventory:
                                    "diacritic, tie bar or whitespace")
             if entry["place"] not in PLACES or entry["manner"] not in MANNERS:
                 raise PhonaugError(f"bad place/manner for {sym!r}")
-            self.base_features[sym] = (entry["place"], entry["manner"], bool(entry["voiced"]))
+            if not isinstance(entry["voiced"], bool):  # "false" would read as voiced
+                raise TypeError(f"voiced of {sym!r} must be true or false, got "
+                                f"{entry['voiced']!r}")
+            self.base_features[sym] = (entry["place"], entry["manner"], entry["voiced"])
         # the longest base at a point must be its only reading (as with ç and c)
         starts = {sym[0] for sym in self.base_features}
         for sym in self.base_features:
@@ -163,12 +165,13 @@ class Inventory:
 
     @classmethod
     def load(cls, path: str | Path) -> "Inventory":
-        with open(path, encoding="utf-8") as f:
-            return cls(json.load(f))
+        return io.read_json(path, cls, {"phones": list, "voicing_pairs": list, "diacritics": dict})
 
     @classmethod
+    @cache
     def default(cls) -> "Inventory":
-        return _default_inventory()
+        """The packaged inventory, one shared instance."""
+        return cls.load(io.DATA / "inventory.json")
 
     # -- feature derivation -------------------------------------------------
 
@@ -211,12 +214,6 @@ class Inventory:
                 raise NotSinglePhone(symbol)
             phone = self._by_symbol[symbol] = phones[0]
         return phone
-
-
-@lru_cache(maxsize=1)
-def _default_inventory() -> Inventory:
-    data = resources.files("phonaug.data").joinpath("inventory.json").read_text("utf-8")
-    return Inventory(json.loads(data))
 
 
 def normalize_g(s: str) -> str:

@@ -13,6 +13,7 @@ import random
 import unicodedata
 from dataclasses import dataclass, field
 
+from . import io
 from .errors import (
     InsufficientInstances, InsufficientSegments, PhonaugError, RemoveInUse,
 )
@@ -95,6 +96,15 @@ def split_validation(records: list[SegmentRecord], fraction: float, seed: int,
     random.Random(seed).shuffle(shuffled)
     k = round(fraction * len(records))
     return _by_id(shuffled[k:]), _by_id(shuffled[:k])
+
+
+def remap_config(obj: dict) -> tuple[dict[str, str], list[str]]:
+    """The remap table and the exclude patterns of a `prepare remap` config,
+    {"remap": {pattern: replacement}, "exclude": [pattern]}; both are optional."""
+    remap = obj.get("remap", {})
+    if not isinstance(remap, dict) or not all(isinstance(v, str) for v in remap.values()):
+        raise TypeError(f"remap must map strings to strings, got {remap!r}")
+    return remap, io.strings(obj, "exclude") if "exclude" in obj else []
 
 
 def remap_invalid(records: list[SegmentRecord], remap_table: dict[str, str],

@@ -13,14 +13,13 @@ to one decimal only when rendered.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from . import io
 from .errors import EmptyDenominator, PhonaugError, ZeroBaseline
 from .inventory import ASPIRATION, Inventory, Phone, phonation_of, tokenize_ipa
 
@@ -84,18 +83,19 @@ class ClassifierConfig:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ClassifierConfig":
-        return cls({k: frozenset(v) for k, v in obj["poa_groups"].items()},
-                   {k: frozenset(v) for k, v in obj["continuants"].items()})
+        def table(name: str) -> dict[str, frozenset[str]]:
+            rows = obj[name]
+            return {p: frozenset(io.strings(rows, p, f"{name}.{p}")) for p in ALL_PHONEMES}
+
+        return cls(table("poa_groups"), table("continuants"))
 
     @classmethod
     def load(cls, path: str | Path) -> "ClassifierConfig":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_obj(json.load(f))
+        return io.read_json(path, cls.from_obj, {"poa_groups": dict, "continuants": dict})
 
     @classmethod
     def default(cls) -> "ClassifierConfig":
-        data = resources.files("phonaug.data").joinpath("continuants.json").read_text("utf-8")
-        return cls.from_obj(json.loads(data))
+        return cls.load(io.DATA / "continuants.json")
 
 
 # The part of a tokenized onset that decides its realization: the first phone

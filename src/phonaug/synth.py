@@ -10,11 +10,11 @@ utterances could be generated in parallel without changing the output.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
+from . import io
 from .ctc import PhoneTrack, TimedPhone
 from .errors import PhonaugError
 from .inventory import (
@@ -39,6 +39,11 @@ class ScenarioSpec:
     drop_rate: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):  # a spec file's JSON types are checked here
+            value, integer = getattr(self, f.name), f.type == "int"
+            if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+                raise TypeError(f"{f.name} must be {'an integer' if integer else 'a number'}, "
+                                f"got {value!r}")
         rates = (self.plosive_rate, self.hm_aspiration_rate, self.hm_voicing_rate,
                  self.hm_breathy_rate, self.drop_rate)
         if any(not 0 <= r <= 1 for r in rates):
@@ -47,15 +52,12 @@ class ScenarioSpec:
             raise PhonaugError("HM phonation rates must sum to at most 1")
         if self.jitter < 0:
             raise PhonaugError("jitter must be non-negative")
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "ScenarioSpec":
-        return cls(**obj)
+        if self.n_utterances < 0:
+            raise PhonaugError("n_utterances must be non-negative")
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioSpec":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_obj(json.load(f))
+        return io.read_json(path, lambda obj: cls(**obj), {"seed": int, "n_utterances": int})
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Contracts every command keeps: a fault exits 1 with one `Error:` line and
 writes nothing, an output path must take a regular file, a manifest holds each
-utt_id once, and frame_ms is positive and finite wherever it is read."""
+utt_id once, frame_ms is positive and finite wherever it is read, and a
+malformed config file or a line that is not UTF-8 is named in the error."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import tempfile
@@ -17,7 +19,8 @@ from hypothesis import strategies as st
 from phonaug import Inventory, ScenarioSpec, generate
 from phonaug.cli import main
 from phonaug.ctc import track_to_obj, write_tracks
-from phonaug.io import dump_line
+from phonaug.errors import PhonaugError
+from phonaug.io import DATA, dump_line
 
 INV = Inventory.default()
 
@@ -42,6 +45,8 @@ def write_inputs(d: Path) -> None:
     write_lines(d / "instances.jsonl", [
         {"utt_id": "u1", "phoneme": "k", "vot_ms": 40, "onset": onset, "model": model}
         for model, onset in (("BM", "ka"), ("TM", "kʰa"))])
+    for table in ("inventory.json", "mapping.json", "continuants.json"):
+        (d / table).write_bytes((DATA / table).read_bytes())
 
 
 # each command's arguments, {i} the input and {o} the output directory, and
@@ -72,6 +77,14 @@ COMMANDS = {
               ["rm.jsonl", "hm.jsonl", "truth.jsonl"]),
     "evaluate": (["evaluate", "{i}/instances.jsonl", "--out-prefix", "{o}/report"],
                  ["report.txt", "report.json", "report_boxplot.csv"]),
+    # the packaged tables, passed as files
+    "decode-inventory": (["decode", "{i}/paths.jsonl", "{o}/tracks.jsonl",
+                          "--inventory", "{i}/inventory.json"], ["tracks.jsonl"]),
+    "augment-mapping": (["augment", "{i}/rm.jsonl", "{i}/hm.jsonl", "{o}/tm.jsonl",
+                         "--mapping", "{i}/mapping.json"], ["tm.jsonl"]),
+    "evaluate-continuants": (["evaluate", "{i}/instances.jsonl", "--out-prefix", "{o}/report",
+                              "--continuants", "{i}/continuants.json"],
+                             ["report.txt", "report.json", "report_boxplot.csv"]),
 }
 
 
@@ -207,3 +220,173 @@ def test_a_number_too_large_for_a_float_is_a_field_error(dirs, command, field):
     assert result.output == (f"Error: {source}: utterance {objs[0]['utt_id']!r}: "
                              "ill-typed field: int too large to convert to float\n")
     assert list(o.iterdir()) == []
+
+
+# per config file: (fault, the field the error names) for a missing field, a
+# wrong-typed field and a string where a list belongs; a synth spec and a
+# vocabulary hold no list, so they get a string where a number or an object
+# belongs, and a remap config has no required field
+CONFIG_FAULTS = {
+    "inventory.json": {
+        "missing-field": (lambda o: o.pop("phones"), "phones"),
+        "wrong-type": (lambda o: o["phones"][0].update(voiced="false"), "voiced"),
+        "string-for-list": (lambda o: o.update(voicing_pairs="pb"), "voicing_pairs"),
+    },
+    "mapping.json": {
+        "missing-field": (lambda o: o.pop("entries"), "entries"),
+        "wrong-type": (lambda o: o.update(window_offsets=[0, 1.5]), "window_offsets"),
+        "string-for-list": (lambda o: o["entries"][0].update(rm="pb"), "entries[0].rm"),
+    },
+    "continuants.json": {
+        "missing-field": (lambda o: o["poa_groups"].pop("k"), "poa_groups.k"),
+        "wrong-type": (lambda o: o.update(continuants=[["x"]]), "continuants"),
+        "string-for-list": (lambda o: o["poa_groups"].update(k="velar"), "poa_groups.k"),
+    },
+    "spec.json": {
+        "missing-field": (lambda o: o.pop("seed"), "seed"),
+        "wrong-type": (lambda o: o.update(jitter=1.5), "jitter"),
+        "string-for-list": (lambda o: o.update(n_utterances="5"), "n_utterances"),
+    },
+    "remap.json": {
+        "wrong-type": (lambda o: o.update(remap={"x": 1}), "remap"),
+        "string-for-list": (lambda o: o.update(exclude="ab"), "exclude"),
+    },
+    "vocab.json": {
+        "missing-field": (lambda o: o.pop("tokens"), "tokens"),
+        "wrong-type": (lambda o: o.update(tokens=["_", "t", "a"]), "tokens"),
+        "string-for-list": (lambda o: o.update(tokens="_ta"), "tokens"),
+    },
+}
+CONFIG_READERS = {config: command for command, (args, _) in COMMANDS.items()
+                  for config in CONFIG_FAULTS if "{i}/" + config in args}
+
+
+def test_every_config_file_has_a_command_that_reads_it():
+    assert sorted(CONFIG_READERS) == sorted(CONFIG_FAULTS)
+
+
+@pytest.mark.parametrize("config, fault", [
+    pytest.param(config, fault, id=f"{config}-{fault}")
+    for config, faults in CONFIG_FAULTS.items()
+    for fault in ["invalid-json", "not-an-object", *faults]])
+def test_a_malformed_config_file_fails_naming_the_file(dirs, config, fault):
+    i, o = dirs
+    path = i / config
+    if fault == "invalid-json":
+        path.write_text('{"seed": 1,\n', encoding="utf-8")
+        expected = f"Error: {path}:2: invalid JSON ("
+    elif fault == "not-an-object":
+        path.write_text('["seed", 1]', encoding="utf-8")
+        expected = f"Error: {path}: expected a JSON object\n"
+    else:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        change, field = CONFIG_FAULTS[config][fault]
+        change(obj)
+        path.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+        expected = f"Error: {path}: "
+    result = run(CONFIG_READERS[config], i, o)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(expected) and result.output.count("\n") == 1
+    assert "Traceback" not in result.output
+    if fault not in ("invalid-json", "not-an-object"):
+        assert field in result.output
+    assert list(o.iterdir()) == []
+
+
+def test_a_place_given_as_a_string_is_not_read_letter_by_letter(dirs):
+    # "velar" once read as the places {v, e, l, a, r}: every /k/ scored Null
+    i, o = dirs
+    table = i / "continuants.json"
+    obj = json.loads(table.read_text(encoding="utf-8"))
+    obj["poa_groups"]["k"] = "velar"
+    table.write_text(json.dumps(obj), encoding="utf-8")
+    result = run("evaluate-continuants", i, o)
+    assert result.exit_code == 1
+    assert result.output == (f"Error: {table}: ill-typed field: poa_groups.k must be a list "
+                             "of strings, got 'velar'\n")
+    assert list(o.iterdir()) == []
+
+
+def test_an_exclude_pattern_given_as_a_string_is_not_read_letter_by_letter(dirs):
+    # "ab" once read as the patterns a and b: every record holding either was dropped
+    i, o = dirs
+    config = i / "remap.json"
+    config.write_text('{"remap": {}, "exclude": "ab"}', encoding="utf-8")
+    result = run("prepare-remap", i, o)
+    assert result.exit_code == 1
+    assert result.output == \
+        f"Error: {config}: ill-typed field: exclude must be a list of strings, got 'ab'\n"
+    assert list(o.iterdir()) == []
+
+
+SPEC_INTS = {"seed", "n_utterances", "jitter"}
+HM_RATES = {"hm_aspiration_rate": 0.3, "hm_voicing_rate": 0.2, "hm_breathy_rate": 0.1}
+json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False), st.floats(0, 1),
+    st.text(max_size=3), st.lists(st.integers(0, 1), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=1))
+
+
+def in_range(field, value) -> bool:
+    if field in SPEC_INTS:
+        return field == "seed" or value >= 0
+    if field in HM_RATES:
+        return 0 <= value <= 1 and sum({**HM_RATES, field: value}.values()) <= 1
+    return 0 <= value <= 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from([f.name for f in dataclasses.fields(ScenarioSpec)] + ["rate"]),
+       value=json_values)
+def test_scenario_spec_fields_take_only_their_json_types(field, value):
+    obj = {"seed": 1, "n_utterances": 2, field: value}
+    kind = int if field in SPEC_INTS else (int, float)
+    well_typed = field != "rate" and isinstance(value, kind) and not isinstance(value, bool)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "spec.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        try:
+            spec = ScenarioSpec.load(path)
+        except PhonaugError as e:
+            message = str(e)
+        else:
+            message = None
+            assert dataclasses.asdict(spec) == obj | {
+                k: v for k, v in dataclasses.asdict(ScenarioSpec(1, 2)).items() if k not in obj}
+    if not well_typed:  # the type fault names the file and the field
+        assert message is not None and message.startswith(f"{path}: ") and field in message
+    else:
+        assert (message is None) == in_range(field, value), message
+
+
+@pytest.mark.parametrize("lineno", [1, 3, 2000])
+def test_a_jsonl_line_that_is_not_utf8_names_its_line(dirs, lineno):
+    # the decoder reads ahead by blocks, so the fault can surface before the
+    # lines in front of it are read
+    i, o = dirs
+    source = i / "instances.jsonl"
+    lines = [dump_line({"utt_id": f"u{n:05d}", "phoneme": "k", "vot_ms": 40, "onset": "ka",
+                        "model": "BM"}).encode() + b"\n" for n in range(1, 2001)]
+    lines[lineno - 1] = lines[lineno - 1].replace(b'"ka"', b'"k\xffa"')
+    source.write_bytes(b"".join(lines))
+    result = run("evaluate", i, o)
+    assert result.exit_code == 1
+    assert result.output == f"Error: {source}:{lineno}: not UTF-8\n"
+    assert list(o.iterdir()) == []
+
+
+def test_a_config_file_that_is_not_utf8_names_its_line(dirs):
+    i, o = dirs
+    table = i / "mapping.json"
+    table.write_bytes(b'{\n  "window_offsets": [0, 1],\n  "entries": [{"rm": ["\xff"], '
+                      b'"hm": ["p"]}]\n}\n')
+    result = run("augment-mapping", i, o)
+    assert result.exit_code == 1
+    assert result.output == f"Error: {table}:3: not UTF-8\n"
+    assert list(o.iterdir()) == []
+
+
+def test_the_default_inventory_is_one_shared_instance():
+    assert Inventory.default() is Inventory.default()
