@@ -48,25 +48,20 @@ class MappingTable:
     def from_obj(cls, obj: dict, inventory: Inventory | None = None) -> "MappingTable":
         inv = inventory or Inventory.default()
         entries = []
-        for n, entry in enumerate(obj["entries"]):
-            if not isinstance(entry, dict):
-                raise TypeError(f"entries[{n}] must be an object, got {entry!r}")
-            rm, hm = (io.strings(entry, side, f"entries[{n}].{side}") for side in ("rm", "hm"))
-            for sym in rm + hm:
+        for entry in obj["entries"]:
+            for sym in entry["rm"] + entry["hm"]:
                 if sym not in inv.base_features:
                     raise PhonaugError(f"mapping table symbol {sym!r} not in inventory")
-            entries.append((frozenset(rm), frozenset(hm)))
-        offsets = obj.get("window_offsets", [0, 1])
-        if not isinstance(offsets, list) or \
-                any(isinstance(d, bool) or not isinstance(d, int) for d in offsets):
-            raise TypeError(f"window_offsets must be a list of integers, got {offsets!r}")
-        table = cls(tuple(entries), frozenset(offsets))
+            entries.append((frozenset(entry["rm"]), frozenset(entry["hm"])))
+        table = cls(tuple(entries), frozenset(obj.get("window_offsets", [0, 1])))
         table.check_voicing_pairs(inv)
         return table
 
     @classmethod
     def load(cls, path: str | Path, inventory: Inventory | None = None) -> "MappingTable":
-        return io.read_json(path, lambda obj: cls.from_obj(obj, inventory), {"entries": list})
+        return io.read_json(path, lambda obj: cls.from_obj(obj, inventory), {
+            "entries": io.ListOf({"rm": io.ListOf(io.STRING), "hm": io.ListOf(io.STRING)}),
+            "window_offsets": io.Optional(io.ListOf(io.INTEGER))})
 
     @classmethod
     def default(cls, inventory: Inventory | None = None) -> "MappingTable":

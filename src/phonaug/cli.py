@@ -1,8 +1,11 @@
 """Composable pipeline subcommands over JSON Lines files.
 
 Every subcommand is deterministic: identical inputs (and seeds) produce
-byte-identical outputs. Hard errors exit nonzero with a diagnostic on stderr;
-skip policies emit machine-readable skip reports.
+byte-identical outputs. Hard errors exit nonzero with a diagnostic on stderr.
+What is skipped is listed where a command skips it: `augment` names each RM
+utterance without an HM counterpart under `missing_counterparts` in its stats,
+and `prepare remap` writes each rewrite and drop to its `--report-file`;
+`prefilter-aspiration` skips such utterances and lists none of them.
 """
 
 from __future__ import annotations
@@ -59,10 +62,12 @@ def decode(framepath_file, out_file, blank, frame_ms, model_tag, inventory_path)
         path = ctc.frame_path_from_obj(obj)
         return ctc.decode_track(path, obj.get("blank", blank), inv, model_tag)
 
+    # under --frame-ms a line's own frame_ms is neither read nor checked
+    fields = {name: kind for name, kind in ctc.FRAME_PATH_FIELDS.items()
+              if name != "frame_ms" or frame_ms is None}
     # frame paths come from outside phonaug, so they are sorted here, then
     # checked like every track file: each utt_id once
-    tracks = sorted(io.parse_records(framepath_file, from_obj, ctc.FRAME_PATH_FIELDS),
-                    key=lambda t: t.utt_id)
+    tracks = sorted(io.parse_records(framepath_file, from_obj, fields), key=lambda t: t.utt_id)
     n = ctc.write_tracks(out_file, ctc.in_utt_id_order(tracks, framepath_file))
     click.echo(f"decoded {n} utterances -> {out_file}", err=True)
 
@@ -120,7 +125,8 @@ def prepare():
 def _read_manifest(path) -> list[manifest.SegmentRecord]:
     """The records of a manifest in file order, each utt_id once: a split or a
     sample must not hold one utterance twice."""
-    records = list(io.parse_records(path, manifest.SegmentRecord.from_obj, {"utt_id": str}))
+    records = list(io.parse_records(path, manifest.SegmentRecord.from_obj,
+                                    manifest.SEGMENT_FIELDS))
     seen: set[str] = set()
     for record in records:
         if record.utt_id in seen:
@@ -179,7 +185,8 @@ def prepare_split(in_file, fraction, seed, train_out, valid_out):
 def prepare_remap(in_file, out_file, config_path, report_file, inventory_path):
     """Rewrite invalid transcriptions and drop the unfixable ones."""
     io.check_outputs(out_file, report_file)
-    remap, exclude = io.read_json(config_path, manifest.remap_config, {})
+    remap, exclude = io.read_json(config_path, manifest.remap_config, {
+        "remap": io.Optional(io.MapOf(io.STRING)), "exclude": io.Optional(io.ListOf(io.STRING))})
     inv = _load(Inventory, inventory_path)
     kept, rep = manifest.remap_invalid(_read_manifest(in_file), remap, exclude, inv)
     _write_manifest(out_file, kept)
@@ -208,12 +215,19 @@ def prepare_onset_testset(in_file, out_file, per_phoneme_n, seed):
 @click.option("--add", multiple=True, help="Token to add (repeatable).")
 def prepare_clean_vocab(vocab_file, corpus_file, out_file, remove, add):
     """Remove unused tokens, add new ones, reassign dense ids."""
-    vocab = io.read_json(vocab_file, lambda raw: manifest.VocabSpec(
-        sorted(raw["tokens"], key=raw["tokens"].get),  # tokens in id order
-        raw.get("blank", "_"), set(remove), set(add)), {"tokens": dict})
+    def from_obj(raw):
+        ids = raw["tokens"]
+        if len(set(ids.values())) < len(ids):
+            raise io.FieldError("field 'tokens' gives two tokens one id")
+        return manifest.VocabSpec(sorted(ids, key=ids.get),  # tokens in id order
+                                  raw.get("blank", "_"), set(remove), set(add)), ids
+
+    vocab, ids = io.read_json(vocab_file, from_obj, {"tokens": io.MapOf(io.INTEGER),
+                                                     "blank": io.Optional(io.STRING)})
     cleaned, id_map = manifest.clean_vocab(vocab, _read_manifest(corpus_file))
     out = cleaned.to_obj()
-    out["id_map"] = {str(k): v for k, v in sorted(id_map.items())}
+    # clean_vocab numbers the tokens by position; the map is keyed by the file's ids
+    out["id_map"] = {str(ids[vocab.tokens[k]]): v for k, v in sorted(id_map.items())}
     io.write_text(out_file, json.dumps(out, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
     click.echo(f"vocabulary: {len(vocab.tokens)} -> {len(cleaned.tokens)} tokens", err=True)
 

@@ -19,9 +19,11 @@ from .errors import PhonaugError, in_context
 from .inventory import Inventory, Phone, tokenize_ipa
 
 MODEL_TAGS = ("RM", "HM", "BM", "TM", "OTHER")
-# the required fields of a frame-path line and of a track line
-FRAME_PATH_FIELDS = {"utt_id": str, "labels": list, "frame_ms": (int, float)}
-TRACK_FIELDS = {"utt_id": str, "frame_ms": (int, float), "phones": list}
+# the fields of a frame-path line and a track line; labels are checked per run, in decode_track
+FRAME_PATH_FIELDS = {"utt_id": io.STRING, "labels": io.LIST, "frame_ms": io.NUMBER,
+                     "blank": io.Optional(io.STRING)}
+TRACK_FIELDS = {"utt_id": io.STRING, "model": io.Optional(io.STRING), "frame_ms": io.NUMBER,
+                "phones": io.ListOf({"symbol": io.STRING, "start": io.INTEGER, "end": io.INTEGER})}
 
 
 def check_frame_ms(utt_id: str, frame_ms: float) -> None:
@@ -62,12 +64,10 @@ class PhoneTrack:
     frame_ms: float
 
     def __post_init__(self):
-        if not isinstance(self.utt_id, str):  # track files are ordered by utt_id
-            raise TypeError(f"utt_id must be a string, not {self.utt_id!r}")
         if not self.utt_id:
             raise PhonaugError("utt_id must be non-empty")
         if self.model_tag not in MODEL_TAGS:
-            raise PhonaugError(f"unknown model tag {self.model_tag!r}")
+            raise PhonaugError(f"{self.utt_id}: unknown model tag {self.model_tag!r}")
         check_frame_ms(self.utt_id, self.frame_ms)
         starts = [p.start_frame for p in self.phones]
         if starts != sorted(starts):
@@ -106,6 +106,8 @@ def decode_track(path: FramePath, blank: str, inventory: Inventory | None = None
     starts: list[int] = []
     ends: list[int] = []
     for label, start, end in greedy_collapse(path, blank):
+        if type(label) is not str:
+            raise io.FieldError(f"field 'labels[{start}]' has the wrong type: {label!r}")
         chars = unicodedata.normalize("NFD", label)
         pieces.append(chars)
         for ch in chars:
@@ -152,7 +154,7 @@ def track_to_obj(track: PhoneTrack) -> dict:
 def track_from_obj(obj: dict, inventory: Inventory | None = None) -> PhoneTrack:
     inv = inventory or Inventory.default()
     try:
-        phones = [TimedPhone(inv.phone(entry["symbol"]), int(entry["start"]), int(entry["end"]))
+        phones = [TimedPhone(inv.phone(entry["symbol"]), entry["start"], entry["end"])
                   for entry in obj["phones"]]
     except PhonaugError as e:
         raise in_context(e, obj["utt_id"]) from None

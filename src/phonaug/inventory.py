@@ -109,9 +109,6 @@ class Inventory:
                                    "diacritic, tie bar or whitespace")
             if entry["place"] not in PLACES or entry["manner"] not in MANNERS:
                 raise PhonaugError(f"bad place/manner for {sym!r}")
-            if not isinstance(entry["voiced"], bool):  # "false" would read as voiced
-                raise TypeError(f"voiced of {sym!r} must be true or false, got "
-                                f"{entry['voiced']!r}")
             self.base_features[sym] = (entry["place"], entry["manner"], entry["voiced"])
         # the longest base at a point must be its only reading (as with ç and c)
         starts = {sym[0] for sym in self.base_features}
@@ -165,7 +162,11 @@ class Inventory:
 
     @classmethod
     def load(cls, path: str | Path) -> "Inventory":
-        return io.read_json(path, cls, {"phones": list, "voicing_pairs": list, "diacritics": dict})
+        return io.read_json(path, cls, {
+            "phones": io.ListOf({"symbol": io.STRING, "place": io.STRING, "manner": io.STRING,
+                                 "voiced": io.BOOLEAN}),
+            "voicing_pairs": io.ListOf(io.ListOf(io.STRING)),
+            "diacritics": io.MapOf(io.STRING)})
 
     @classmethod
     @cache

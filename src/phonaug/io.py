@@ -14,13 +14,15 @@ are byte-identical. Every output file, JSONL or not, appears at its path only
 once it is written in full.
 
 Each config file, the packaged tables under `DATA` too, is one JSON object,
-read whole by `read_json` and checked as it loads: a fault names the file.
+read whole by `read_json`. Both readers `check` each object against its schema
+of JSON types before its `from_obj` reads it: a fault names the file and the field.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import namedtuple
 from contextlib import closing, contextmanager
 from importlib import resources
 from pathlib import Path
@@ -80,34 +82,111 @@ def _undecodable_line(path: str | Path) -> int | None:
 
 
 T = TypeVar("T")
-# what a from_obj raises on a record or config object it cannot read
-FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+# The JSON types of record and config fields. A kind is the tuple of the exact types a
+# value may have, tested with `type(value) in kind` (json gives only these), so a bool is
+# neither an integer nor a number; a schema, {field: kind}, is the kind of an object.
+STRING, INTEGER, NUMBER, BOOLEAN, LIST = (str,), (int,), (int, float), (bool,), (list,)
+ListOf = namedtuple("ListOf", "item")  # a list whose every item has the kind `item`
+MapOf = namedtuple("MapOf", "value")  # an object whose every value has the kind `value`
+_Optional = namedtuple("Optional", "kind")
+_ABSENT = object()  # what check reads for an absent field: no JSON value is of type object
+
+
+def Optional(kind: Any) -> Any:
+    """The kind of a field that may be absent, else of `kind` (a tuple just admits `object`)."""
+    return kind + (object,) if type(kind) is tuple else _Optional(kind)
+
+
+class FieldError(PhonaugError):
+    """A field of a record or config object is missing or cannot be read."""
+
+
+def check(obj: dict, schema: dict) -> None:
+    """Raise FieldError naming the field by its path (`phones[0].start`) unless `obj` fits."""
+    # the common case, inline: plain kinds that fit (a list, map or object kind holds no type)
+    for name, kind in schema.items():
+        if type(obj.get(name, _ABSENT)) not in kind:
+            break
+    else:
+        return
+    fault = _fault(obj, schema)
+    if fault is not None:
+        path, value = fault[0][1:], fault[1]  # the path without its leading "."
+        raise FieldError(f"missing field {path!r}" if value is _ABSENT
+                         else f"field {path!r} has the wrong type: {value!r}")
+
+
+def _fault(value: Any, kind: Any) -> tuple[str, Any] | None:
+    """None if `value` has `kind`, else the path to its first part that has not, and that part."""
+    if type(kind) is tuple:
+        return None if type(value) in kind else ("", value)
+    if type(value) is not (list if type(kind) is ListOf else dict):
+        return "", value
+    if type(kind) is dict:
+        for name, k in kind.items():
+            v = value.get(name, _ABSENT)
+            if type(k) is tuple and type(v) in k:
+                continue
+            if type(k) is _Optional:
+                if v is _ABSENT:
+                    continue
+                k = k.kind
+            fault = ("", v) if v is _ABSENT else _fault(v, k)
+            if fault is not None:
+                return f".{name}{fault[0]}", fault[1]
+        return None
+    item = kind[0]
+    if type(item) is dict and type(kind) is ListOf:  # objects whose kinds fit, as in check
+        fields = item.items()
+        for v in value:
+            if type(v) is not dict:
+                break
+            for name, k in fields:
+                if type(v.get(name, _ABSENT)) not in k:
+                    break
+            else:
+                continue
+            break
+        else:
+            return None
+    for key, v in enumerate(value) if type(kind) is ListOf else value.items():
+        fault = _fault(v, item)
+        if fault is not None:
+            return (f"[{key}]" if type(kind) is ListOf else f".{key}") + fault[0], fault[1]
+    return None
+
+
+def _read(obj: dict, schema: dict, from_obj: Callable[[dict], T]) -> T:
+    """from_obj of `obj` once `check` admits it; from_obj's read errors raise FieldError."""
+    check(obj, schema)
+    try:
+        return from_obj(obj)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise FieldError(f"ill-typed field: {e}") from None
 
 
 def parse_records(path: str | Path, from_obj: Callable[[dict], T],
-                  fields: dict[str, type | tuple[type, ...]]) -> Iterator[T]:
-    """Yield from_obj of each object in the file at `path`. `fields` gives the
-    JSON type of each required field. A record that from_obj cannot read fails
-    with the file, the record's utt_id (or its position) and the field at fault;
-    a PhonaugError from from_obj gains the file as its context."""
+                  schema: dict) -> Iterator[T]:
+    """Yield from_obj of each object in the file at `path` that `schema`
+    admits. A fault fails with the file, the record's utt_id (or its position)
+    and the field; a PhonaugError from from_obj gains the file as its context."""
     with closing(read_jsonl(path)) as objs:
         for n, obj in enumerate(objs, start=1):
             try:
-                record = from_obj(obj)
-            except FIELD_ERRORS as e:
+                record = _read(obj, schema, from_obj)
+            except FieldError as e:
                 utt_id = obj.get("utt_id")
-                where = f"utterance {utt_id!r}" if isinstance(utt_id, str) else f"record {n}"
-                problem = _field_problem(obj, fields, e)
-                raise PhonaugError(f"{path}: {where}: {problem}") from None
+                where = f"utterance {utt_id!r}" if type(utt_id) is str else f"record {n}"
+                raise in_context(e, f"{path}: {where}") from None
             except PhonaugError as e:
                 raise in_context(e, path) from None
             yield record
 
 
-def read_json(path: str | Path, from_obj: Callable[[dict], T],
-              fields: dict[str, type | tuple[type, ...]]) -> T:
-    """from_obj of the JSON object in the file at `path` (or a table under DATA).
-    Faults are named as in parse_records, but a PhonaugError passes as it is."""
+def read_json(path: str | Path, from_obj: Callable[[dict], T], schema: dict) -> T:
+    """from_obj of the JSON object in the file at `path` (or a table under DATA), checked
+    as in parse_records; a fault names the file, any other PhonaugError passes as it is."""
     data = (Path(path) if isinstance(path, str) else path).read_bytes()
     try:
         obj = json.loads(data.decode("utf-8"))
@@ -118,34 +197,9 @@ def read_json(path: str | Path, from_obj: Callable[[dict], T],
     if not isinstance(obj, dict):
         raise PhonaugError(f"{path}: expected a JSON object")
     try:
-        if any(not isinstance(obj.get(name), kind) for name, kind in fields.items()):
-            raise TypeError  # _field_problem names the field
-        return from_obj(obj)
-    except FIELD_ERRORS as e:
-        raise PhonaugError(f"{path}: {_field_problem(obj, fields, e)}") from None
-
-
-def strings(obj: dict, key: str, name: str | None = None) -> list[str]:
-    """obj[key], which must be a JSON list of strings; `name` (by default
-    `key`) names the field in the KeyError or TypeError raised otherwise."""
-    name = name or key
-    if key not in obj:
-        raise KeyError(name)
-    value = obj[key]
-    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
-        raise TypeError(f"{name} must be a list of strings, got {value!r}")
-    return value
-
-
-def _field_problem(obj: dict, fields: dict, error: Exception) -> str:
-    for name, kind in fields.items():
-        if name not in obj:
-            return f"missing field {name!r}"
-        if not isinstance(obj[name], kind):
-            return f"field {name!r} has the wrong type: {obj[name]!r}"
-    if isinstance(error, KeyError):
-        return f"missing field {error}"
-    return f"ill-typed field: {error}"
+        return _read(obj, schema, from_obj)
+    except FieldError as e:
+        raise in_context(e, path) from None
 
 
 def dump_line(obj: Any) -> str:

@@ -22,6 +22,13 @@ from .inventory import Inventory, tokenize_ipa
 ONSET_PHONEMES = ("b", "d", "g", "p", "t", "k")
 
 
+# the fields of a manifest record, each read into the SegmentRecord field of its name
+_TEXT, _COUNT = io.Optional(io.STRING), io.Optional(io.INTEGER)
+SEGMENT_FIELDS = {"utt_id": io.STRING, "language": _TEXT, "sentence": _TEXT,
+                  "transcription": _TEXT, "upvotes": _COUNT, "downvotes": _COUNT,
+                  "split_tag": _TEXT, "analyzable": io.Optional(io.BOOLEAN), "phoneme": _TEXT}
+
+
 @dataclass
 class SegmentRecord:
     utt_id: str
@@ -34,40 +41,13 @@ class SegmentRecord:
     analyzable: bool | None = None
     phoneme: str | None = None
 
-    def __post_init__(self):
-        if not isinstance(self.utt_id, str):  # manifests are checked and sorted by utt_id
-            raise TypeError(f"utt_id must be a string, not {self.utt_id!r}")
-
     @classmethod
     def from_obj(cls, obj: dict) -> "SegmentRecord":
-        return cls(
-            utt_id=obj["utt_id"],
-            language=obj.get("language", ""),
-            sentence=obj.get("sentence", ""),
-            transcription=obj.get("transcription", ""),
-            upvotes=int(obj.get("upvotes", 0)),
-            downvotes=int(obj.get("downvotes", 0)),
-            split_tag=obj.get("split_tag"),
-            analyzable=obj.get("analyzable"),
-            phoneme=obj.get("phoneme"),
-        )
+        return cls(**{name: obj[name] for name in SEGMENT_FIELDS if name in obj})
 
     def to_obj(self) -> dict:
-        obj = {
-            "utt_id": self.utt_id,
-            "language": self.language,
-            "sentence": self.sentence,
-            "transcription": self.transcription,
-            "upvotes": self.upvotes,
-            "downvotes": self.downvotes,
-        }
-        if self.split_tag is not None:
-            obj["split_tag"] = self.split_tag
-        if self.analyzable is not None:
-            obj["analyzable"] = self.analyzable
-        if self.phoneme is not None:
-            obj["phoneme"] = self.phoneme
-        return obj
+        """Every field but the ones that hold None."""
+        return {name: value for name, value in vars(self).items() if value is not None}
 
 
 def _by_id(records: list[SegmentRecord]) -> list[SegmentRecord]:
@@ -100,11 +80,14 @@ def split_validation(records: list[SegmentRecord], fraction: float, seed: int,
 
 def remap_config(obj: dict) -> tuple[dict[str, str], list[str]]:
     """The remap table and the exclude patterns of a `prepare remap` config,
-    {"remap": {pattern: replacement}, "exclude": [pattern]}; both are optional."""
-    remap = obj.get("remap", {})
-    if not isinstance(remap, dict) or not all(isinstance(v, str) for v in remap.values()):
-        raise TypeError(f"remap must map strings to strings, got {remap!r}")
-    return remap, io.strings(obj, "exclude") if "exclude" in obj else []
+    {"remap": {pattern: replacement}, "exclude": [pattern]}; both are optional.
+    An empty pattern occurs everywhere, so it is refused."""
+    remap, exclude = obj.get("remap", {}), obj.get("exclude", [])
+    for name, patterns in (("remap", remap), ("exclude", exclude)):
+        if "" in patterns:
+            raise io.FieldError(f"field {name!r} holds the empty pattern, which occurs "
+                                "in every transcription")
+    return remap, exclude
 
 
 def remap_invalid(records: list[SegmentRecord], remap_table: dict[str, str],
@@ -162,8 +145,8 @@ def clean_vocab(vocab: VocabSpec, records: list[SegmentRecord],
     """Apply the requested removals and additions, keeping ids dense.
 
     Returns the cleaned vocabulary and an old-id -> new-id map for surviving
-    tokens. Removing a token that still occurs in the corpus is an error, not
-    a warning.
+    tokens, a token's id being its position in `vocab.tokens`. Removing a
+    token that still occurs in the corpus is an error, not a warning.
     """
     used: set[str] = set()
     for rec in records:

@@ -31,8 +31,9 @@ POA_GROUP_OF = {"p": "bilabial", "b": "bilabial",
                 "t": "alveolar", "d": "alveolar",
                 "k": "velar", "g": "velar"}
 POA_GROUPS = ("bilabial", "alveolar", "velar")
-# the required fields of an instance line
-INSTANCE_FIELDS = {"utt_id": str, "phoneme": str, "vot_ms": (int, float), "onset": str}
+# the fields of an instance line
+INSTANCE_FIELDS = {"utt_id": io.STRING, "phoneme": io.STRING, "vot_ms": io.NUMBER,
+                   "onset": io.STRING, "model": io.Optional(io.STRING)}
 
 
 class Realization(enum.Enum):
@@ -52,10 +53,8 @@ class EvalInstance:
     model_tag: str = "OTHER"
 
     def __post_init__(self):
-        if not isinstance(self.utt_id, str):  # the significance test sorts utt_ids
-            raise TypeError(f"utt_id must be a string, not {self.utt_id!r}")
         if self.target_phoneme not in ALL_PHONEMES:
-            raise PhonaugError(f"target phoneme must be one of {ALL_PHONEMES}, "
+            raise PhonaugError(f"{self.utt_id}: target phoneme must be one of {ALL_PHONEMES}, "
                                f"got {self.target_phoneme!r}")
         if not math.isfinite(self.vot_ms):
             # NaN compares false with everything: it would score as voiceless
@@ -82,16 +81,11 @@ class ClassifierConfig:
     continuants: dict[str, frozenset[str]]
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "ClassifierConfig":
-        def table(name: str) -> dict[str, frozenset[str]]:
-            rows = obj[name]
-            return {p: frozenset(io.strings(rows, p, f"{name}.{p}")) for p in ALL_PHONEMES}
-
-        return cls(table("poa_groups"), table("continuants"))
-
-    @classmethod
     def load(cls, path: str | Path) -> "ClassifierConfig":
-        return io.read_json(path, cls.from_obj, {"poa_groups": dict, "continuants": dict})
+        names = ("poa_groups", "continuants")
+        rows = dict.fromkeys(ALL_PHONEMES, io.ListOf(io.STRING))
+        return io.read_json(path, lambda obj: cls(*({p: frozenset(obj[n][p]) for p in ALL_PHONEMES}
+                                                    for n in names)), dict.fromkeys(names, rows))
 
     @classmethod
     def default(cls) -> "ClassifierConfig":
@@ -302,10 +296,6 @@ def _row(cells: Iterable[tuple[str, Realization, list]]) -> MetricsReport:
     )
 
 
-def compute_report(items: Iterable[Classified]) -> MetricsReport:
-    return Evaluation(items).row()
-
-
 class Evaluation:
     """Everything `evaluate` reports, accumulated one classified instance at a
     time. Of the instances it keeps only the counts behind the metrics, the
@@ -392,12 +382,6 @@ class Evaluation:
 def report(items: Iterable[Classified]) -> dict[str, dict[str, MetricsReport]]:
     """Per-model overall and per-PoA-group reports, deterministically keyed."""
     return Evaluation(items).report()
-
-
-def paired_voicing_significance(items: Iterable[Classified], models: Sequence[str]) -> dict:
-    """Exact McNemar test of voicing correctness between the two models named,
-    paired by utt_id over the non-Null /b d g/ instances both models have."""
-    return Evaluation(items).significance(models)
 
 
 def format_report(reports: dict[str, dict[str, MetricsReport]]) -> str:

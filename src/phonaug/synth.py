@@ -39,11 +39,6 @@ class ScenarioSpec:
     drop_rate: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):  # a spec file's JSON types are checked here
-            value, integer = getattr(self, f.name), f.type == "int"
-            if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-                raise TypeError(f"{f.name} must be {'an integer' if integer else 'a number'}, "
-                                f"got {value!r}")
         rates = (self.plosive_rate, self.hm_aspiration_rate, self.hm_voicing_rate,
                  self.hm_breathy_rate, self.drop_rate)
         if any(not 0 <= r <= 1 for r in rates):
@@ -57,7 +52,10 @@ class ScenarioSpec:
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioSpec":
-        return io.read_json(path, lambda obj: cls(**obj), {"seed": int, "n_utterances": int})
+        kinds = {f.name: io.INTEGER if f.type == "int" else io.NUMBER for f in fields(cls)}
+        return io.read_json(path, lambda obj: cls(**obj), {
+            name: kind if name in ("seed", "n_utterances") else io.Optional(kind)
+            for name, kind in kinds.items()})
 
 
 @dataclass(frozen=True)

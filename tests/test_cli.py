@@ -103,12 +103,12 @@ INSTANCE = {"utt_id": "u1", "phoneme": "t", "vot_ms": 30.0, "onset": "t", "model
     pytest.param("augment", TRACK, "utt_id", 7, "record 2: field 'utt_id' has the wrong "
                  "type: 7", id="augment-numeric-utt_id"),
     pytest.param("augment", TRACK, "phones", [{"symbol": "t", "start": "x", "end": 1}],
-                 "utterance 'u1': ill-typed field: invalid literal for int()",
+                 "utterance 'u1': field 'phones[0].start' has the wrong type: 'x'",
                  id="augment-ill-typed-phone"),
     pytest.param("prepare", {"utt_id": "u1", "downvotes": 0}, "utt_id", None,
                  "record 2: missing field 'utt_id'", id="prepare-missing"),
     pytest.param("prepare", {"utt_id": "u1", "downvotes": 0}, "downvotes", "none",
-                 "utterance 'u1': ill-typed field: invalid literal for int()",
+                 "utterance 'u1': field 'downvotes' has the wrong type: 'none'",
                  id="prepare-ill-typed"),
     pytest.param("evaluate", INSTANCE, "vot_ms", None,
                  "utterance 'u1': missing field 'vot_ms'", id="evaluate-missing"),

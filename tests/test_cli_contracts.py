@@ -303,8 +303,7 @@ def test_a_place_given_as_a_string_is_not_read_letter_by_letter(dirs):
     table.write_text(json.dumps(obj), encoding="utf-8")
     result = run("evaluate-continuants", i, o)
     assert result.exit_code == 1
-    assert result.output == (f"Error: {table}: ill-typed field: poa_groups.k must be a list "
-                             "of strings, got 'velar'\n")
+    assert result.output == f"Error: {table}: field 'poa_groups.k' has the wrong type: 'velar'\n"
     assert list(o.iterdir()) == []
 
 
@@ -316,7 +315,7 @@ def test_an_exclude_pattern_given_as_a_string_is_not_read_letter_by_letter(dirs)
     result = run("prepare-remap", i, o)
     assert result.exit_code == 1
     assert result.output == \
-        f"Error: {config}: ill-typed field: exclude must be a list of strings, got 'ab'\n"
+        f"Error: {config}: field 'exclude' has the wrong type: 'ab'\n"
     assert list(o.iterdir()) == []
 
 

@@ -29,8 +29,8 @@ from phonaug.cli import main
 from phonaug.errors import EmptyDenominator, PhonaugError
 from phonaug.io import MalformedLine, read_jsonl
 from phonaug.metrics import (
-    POA_GROUP_OF, POA_GROUPS, VOICED_PHONEMES, VOICELESS_PHONEMES, MetricsReport,
-    boxplot_csv, compute_report, format_report, paired_voicing_significance, quartiles,
+    POA_GROUP_OF, POA_GROUPS, VOICED_PHONEMES, VOICELESS_PHONEMES, Evaluation, MetricsReport,
+    boxplot_csv, format_report, quartiles,
 )
 
 INV = Inventory.default()
@@ -141,7 +141,7 @@ def test_tallied_metrics_equal_list_oracle(items):
         assert outcome(asp_pct, items, mode) == outcome(oracle_asp_pct, items, mode)
         assert outcome(ten_pct, items, mode) == outcome(oracle_ten_pct, items, mode)
     assert null_pct(items) == oracle_null_pct(items)
-    assert compute_report(items) == oracle_row(items)
+    assert Evaluation(items).row() == oracle_row(items)
 
 
 @settings(max_examples=300, deadline=None)
@@ -176,7 +176,7 @@ def test_paired_significance_equals_oracle(rows):
               and r[0] not in (None, NULL) and r[1] not in (None, NULL)]
     a = [(bm is Realization.VOICED) == (vot < 0) for bm, _, _, vot in paired]
     b = [(tm is Realization.VOICED) == (vot < 0) for _, tm, _, vot in paired]
-    assert paired_voicing_significance(items, ["BM", "TM"]) == {
+    assert Evaluation(items).significance(["BM", "TM"]) == {
         "models": ["BM", "TM"], "n_pairs": len(paired), "p_value": mcnemar_exact(a, b)}
 
 
@@ -256,7 +256,7 @@ def test_quartiles_single_value_keeps_its_sign():
 
 
 def oracle_significance(items, models):
-    """paired_voicing_significance as a pass over a list of Classified."""
+    """Evaluation.significance as a pass over a list of Classified."""
     flags = {m: {} for m in models}
     for c in items:
         inst = c.instance
