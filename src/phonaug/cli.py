@@ -10,17 +10,41 @@ and `prepare remap` writes each rewrite and drop to its `--report-file`;
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 from collections import defaultdict
 from contextlib import closing
 from pathlib import Path
 
 import click
 
-from . import augment as aug
-from . import ctc, io, manifest, metrics, synth
+from . import io
 from .errors import PhonaugError
-from .inventory import Inventory
+
+
+def _lazy(name: str):
+    """The submodule `name`, in sys.modules under its own name, which runs on its
+    first attribute access (importlib.util.LazyLoader): a command runs only the
+    modules it uses."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)  # already imported, perhaps run: keep it
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+aug, ctc, inventory, manifest, metrics, synth = map(
+    _lazy, ("augment", "ctc", "inventory", "manifest", "metrics", "synth"))
+
+# shared by every argument and option: each click.Path() searches the file system
+# for its gettext translations
+_EXISTING = click.Path(exists=True)
+_PATH = click.Path()
 
 
 def _load(cls, path: str | None, *args):
@@ -44,17 +68,17 @@ def main():
 
 
 @main.command()
-@click.argument("framepath_file", type=click.Path(exists=True))
-@click.argument("out_file", type=click.Path())
+@click.argument("framepath_file", type=_EXISTING)
+@click.argument("out_file", type=_PATH)
 @click.option("--blank", default="_", show_default=True, help="CTC blank token.")
 @click.option("--frame-ms", type=float, default=None,
               help="Override the per-line frame_ms field.")
 @click.option("--model-tag", default="OTHER", show_default=True,
-              type=click.Choice(ctc.MODEL_TAGS))
-@click.option("--inventory", "inventory_path", type=click.Path(exists=True))
+              type=click.Choice(io.MODEL_TAGS))
+@click.option("--inventory", "inventory_path", type=_EXISTING)
 def decode(framepath_file, out_file, blank, frame_ms, model_tag, inventory_path):
     """Collapse per-frame CTC label paths into timestamped phone tracks."""
-    inv = _load(Inventory, inventory_path)
+    inv = _load(inventory.Inventory, inventory_path)
 
     def from_obj(obj):
         if frame_ms is not None:
@@ -73,21 +97,21 @@ def decode(framepath_file, out_file, blank, frame_ms, model_tag, inventory_path)
 
 
 @main.command(name="augment")
-@click.argument("rm_file", type=click.Path(exists=True))
-@click.argument("hm_file", type=click.Path(exists=True))
-@click.argument("out_file", type=click.Path())
-@click.option("--mapping", "mapping_path", type=click.Path(exists=True))
-@click.option("--inventory", "inventory_path", type=click.Path(exists=True))
+@click.argument("rm_file", type=_EXISTING)
+@click.argument("hm_file", type=_EXISTING)
+@click.argument("out_file", type=_PATH)
+@click.option("--mapping", "mapping_path", type=_EXISTING)
+@click.option("--inventory", "inventory_path", type=_EXISTING)
 @click.option("--no-breathy", is_flag=True, help="Do not transfer breathy voice (ʱ).")
 @click.option("--skip-missing/--fail-missing", default=True, show_default=True,
               help="Skip RM utterances without an HM counterpart.")
-@click.option("--stats-file", type=click.Path(), default=None,
+@click.option("--stats-file", type=_PATH, default=None,
               help="Write AugmentationStats JSON here (default: stdout).")
 def cmd_augment(rm_file, hm_file, out_file, mapping_path, inventory_path,
                 no_breathy, skip_missing, stats_file):
     """Match RM plosives to HM plosives and overwrite their phonation."""
     io.check_outputs(out_file, stats_file)
-    inv = _load(Inventory, inventory_path)
+    inv = _load(inventory.Inventory, inventory_path)
     table = _load(aug.MappingTable, mapping_path, inv)
     stats = aug.augment_corpus(rm_file, hm_file, table, out_file, inv,
                                breathy=not no_breathy, skip_missing=skip_missing)
@@ -99,15 +123,15 @@ def cmd_augment(rm_file, hm_file, out_file, mapping_path, inventory_path,
 
 
 @main.command(name="prefilter-aspiration")
-@click.argument("rm_file", type=click.Path(exists=True))
-@click.argument("hm_file", type=click.Path(exists=True))
-@click.option("--mapping", "mapping_path", type=click.Path(exists=True))
-@click.option("--inventory", "inventory_path", type=click.Path(exists=True))
-@click.option("--out", "out_file", type=click.Path(), default=None,
+@click.argument("rm_file", type=_EXISTING)
+@click.argument("hm_file", type=_EXISTING)
+@click.option("--mapping", "mapping_path", type=_EXISTING)
+@click.option("--inventory", "inventory_path", type=_EXISTING)
+@click.option("--out", "out_file", type=_PATH, default=None,
               help="Write selected utt_ids here (default: stdout).")
 def prefilter_aspiration(rm_file, hm_file, mapping_path, inventory_path, out_file):
     """List utt_ids whose matches produce at least one aspirated phone."""
-    inv = _load(Inventory, inventory_path)
+    inv = _load(inventory.Inventory, inventory_path)
     table = _load(aug.MappingTable, mapping_path, inv)
     selected = aug.prefilter_by_aspiration(rm_file, hm_file, table, inv)
     text = "\n".join(selected) + ("\n" if selected else "")
@@ -140,8 +164,8 @@ def _write_manifest(path, records) -> None:
 
 
 @prepare.command(name="filter")
-@click.argument("in_file", type=click.Path(exists=True))
-@click.argument("out_file", type=click.Path())
+@click.argument("in_file", type=_EXISTING)
+@click.argument("out_file", type=_PATH)
 @click.option("--max-downvotes", type=int, default=0, show_default=True)
 def prepare_filter(in_file, out_file, max_downvotes):
     """Drop downvoted segments."""
@@ -151,8 +175,8 @@ def prepare_filter(in_file, out_file, max_downvotes):
 
 
 @prepare.command(name="sample")
-@click.argument("in_file", type=click.Path(exists=True))
-@click.argument("out_file", type=click.Path())
+@click.argument("in_file", type=_EXISTING)
+@click.argument("out_file", type=_PATH)
 @click.option("--n", type=int, required=True)
 @click.option("--seed", type=int, required=True)
 def prepare_sample(in_file, out_file, n, seed):
@@ -161,11 +185,11 @@ def prepare_sample(in_file, out_file, n, seed):
 
 
 @prepare.command(name="split")
-@click.argument("in_file", type=click.Path(exists=True))
+@click.argument("in_file", type=_EXISTING)
 @click.option("--fraction", type=float, required=True, help="Validation fraction.")
 @click.option("--seed", type=int, required=True)
-@click.option("--train-out", type=click.Path(), required=True)
-@click.option("--valid-out", type=click.Path(), required=True)
+@click.option("--train-out", type=_PATH, required=True)
+@click.option("--valid-out", type=_PATH, required=True)
 def prepare_split(in_file, fraction, seed, train_out, valid_out):
     """Seeded train/validation split."""
     io.check_outputs(train_out, valid_out)
@@ -176,18 +200,18 @@ def prepare_split(in_file, fraction, seed, train_out, valid_out):
 
 
 @prepare.command(name="remap")
-@click.argument("in_file", type=click.Path(exists=True))
-@click.argument("out_file", type=click.Path())
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True,
+@click.argument("in_file", type=_EXISTING)
+@click.argument("out_file", type=_PATH)
+@click.option("--config", "config_path", type=_EXISTING, required=True,
               help='JSON {"remap": {...}, "exclude": [...]}.')
-@click.option("--report-file", type=click.Path(), default=None)
-@click.option("--inventory", "inventory_path", type=click.Path(exists=True))
+@click.option("--report-file", type=_PATH, default=None)
+@click.option("--inventory", "inventory_path", type=_EXISTING)
 def prepare_remap(in_file, out_file, config_path, report_file, inventory_path):
     """Rewrite invalid transcriptions and drop the unfixable ones."""
     io.check_outputs(out_file, report_file)
     remap, exclude = io.read_json(config_path, manifest.remap_config, {
         "remap": io.Optional(io.MapOf(io.STRING)), "exclude": io.Optional(io.ListOf(io.STRING))})
-    inv = _load(Inventory, inventory_path)
+    inv = _load(inventory.Inventory, inventory_path)
     kept, rep = manifest.remap_invalid(_read_manifest(in_file), remap, exclude, inv)
     _write_manifest(out_file, kept)
     if report_file:
@@ -196,8 +220,8 @@ def prepare_remap(in_file, out_file, config_path, report_file, inventory_path):
 
 
 @prepare.command(name="onset-testset")
-@click.argument("in_file", type=click.Path(exists=True))
-@click.argument("out_file", type=click.Path())
+@click.argument("in_file", type=_EXISTING)
+@click.argument("out_file", type=_PATH)
 @click.option("--per-phoneme-n", type=int, default=40, show_default=True)
 @click.option("--seed", type=int, required=True)
 def prepare_onset_testset(in_file, out_file, per_phoneme_n, seed):
@@ -208,9 +232,9 @@ def prepare_onset_testset(in_file, out_file, per_phoneme_n, seed):
 
 
 @prepare.command(name="clean-vocab")
-@click.argument("vocab_file", type=click.Path(exists=True))
-@click.argument("corpus_file", type=click.Path(exists=True))
-@click.argument("out_file", type=click.Path())
+@click.argument("vocab_file", type=_EXISTING)
+@click.argument("corpus_file", type=_EXISTING)
+@click.argument("out_file", type=_PATH)
 @click.option("--remove", multiple=True, help="Token to remove (repeatable).")
 @click.option("--add", multiple=True, help="Token to add (repeatable).")
 def prepare_clean_vocab(vocab_file, corpus_file, out_file, remove, add):
@@ -233,15 +257,15 @@ def prepare_clean_vocab(vocab_file, corpus_file, out_file, remove, add):
 
 
 @main.command(name="synth")
-@click.argument("spec_file", type=click.Path(exists=True))
-@click.option("--rm-out", type=click.Path(), required=True)
-@click.option("--hm-out", type=click.Path(), required=True)
-@click.option("--truth-out", type=click.Path(), default=None)
-@click.option("--inventory", "inventory_path", type=click.Path(exists=True))
+@click.argument("spec_file", type=_EXISTING)
+@click.option("--rm-out", type=_PATH, required=True)
+@click.option("--hm-out", type=_PATH, required=True)
+@click.option("--truth-out", type=_PATH, default=None)
+@click.option("--inventory", "inventory_path", type=_EXISTING)
 def cmd_synth(spec_file, rm_out, hm_out, truth_out, inventory_path):
     """Generate synthetic paired RM/HM tracks with known ground truth."""
     io.check_outputs(rm_out, hm_out, truth_out)
-    inv = _load(Inventory, inventory_path)
+    inv = _load(inventory.Inventory, inventory_path)
     spec = synth.ScenarioSpec.load(spec_file)
     rm_tracks, hm_tracks, truth = synth.generate(spec, inv)
     ctc.write_tracks(rm_out, rm_tracks)
@@ -263,17 +287,17 @@ def _checked_instances(instances, group: str | None):
         if inst.utt_id in seen:
             raise PhonaugError(f"{inst.utt_id}: more than one {inst.model_tag} instance")
         seen.add(inst.utt_id)
-        if group is None or metrics.POA_GROUP_OF[inst.target_phoneme] == group:
+        if group is None or io.POA_GROUP_OF[inst.target_phoneme] == group:
             yield inst
 
 
 @main.command(name="evaluate")
-@click.argument("instances_file", type=click.Path(exists=True))
-@click.option("--out-prefix", type=click.Path(), required=True,
+@click.argument("instances_file", type=_EXISTING)
+@click.option("--out-prefix", type=_PATH, required=True,
               help="Writes <prefix>.txt, <prefix>.json and <prefix>_boxplot.csv.")
-@click.option("--continuants", "continuants_path", type=click.Path(exists=True))
-@click.option("--inventory", "inventory_path", type=click.Path(exists=True))
-@click.option("--group", "group_filter", type=click.Choice(metrics.POA_GROUPS),
+@click.option("--continuants", "continuants_path", type=_EXISTING)
+@click.option("--inventory", "inventory_path", type=_EXISTING)
+@click.option("--group", "group_filter", type=click.Choice(io.POA_GROUPS),
               default=None, help="Report on one PoA group only.")
 def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
                  group_filter):
@@ -281,7 +305,7 @@ def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
     txt, json_file, csv_file = (f"{out_prefix}{suffix}"
                                 for suffix in (".txt", ".json", "_boxplot.csv"))
     io.check_outputs(txt, json_file, csv_file)
-    inv = _load(Inventory, inventory_path)
+    inv = _load(inventory.Inventory, inventory_path)
     cfg = _load(metrics.ClassifierConfig, continuants_path)
     # one pass: read, check, classify and tally each instance as it arrives
     evaluation = metrics.Evaluation()

@@ -17,8 +17,8 @@ from typing import Iterable, Iterator
 from . import io
 from .errors import PhonaugError, in_context
 from .inventory import Inventory, Phone, tokenize_ipa
+from .io import MODEL_TAGS
 
-MODEL_TAGS = ("RM", "HM", "BM", "TM", "OTHER")
 # the fields of a frame-path line and a track line; labels are checked per run, in decode_track
 FRAME_PATH_FIELDS = {"utt_id": io.STRING, "labels": io.LIST, "frame_ms": io.NUMBER,
                      "blank": io.Optional(io.STRING)}
@@ -51,10 +51,6 @@ class TimedPhone:
     start_frame: int
     end_frame: int
 
-    def __post_init__(self):
-        if self.start_frame < 0 or self.end_frame < self.start_frame:
-            raise PhonaugError("invalid frame span")
-
 
 @dataclass
 class PhoneTrack:
@@ -69,9 +65,15 @@ class PhoneTrack:
         if self.model_tag not in MODEL_TAGS:
             raise PhonaugError(f"{self.utt_id}: unknown model tag {self.model_tag!r}")
         check_frame_ms(self.utt_id, self.frame_ms)
-        starts = [p.start_frame for p in self.phones]
-        if starts != sorted(starts):
-            raise PhonaugError(f"{self.utt_id}: phone start frames must be non-decreasing")
+        previous = 0
+        for i, tp in enumerate(self.phones):
+            start, end = tp.start_frame, tp.end_frame
+            if not 0 <= start <= end:
+                raise PhonaugError(
+                    f"{self.utt_id}: phones[{i}]: invalid frame span {start}..{end}")
+            if start < previous:
+                raise PhonaugError(f"{self.utt_id}: phone start frames must be non-decreasing")
+            previous = start
 
 
 def greedy_collapse(path: FramePath, blank: str) -> list[tuple[str, int, int]]:

@@ -118,7 +118,11 @@ class Inventory:
                                    "followed by another")
 
         self.voicing_pairs: dict[str, str] = {}
-        for voiceless, voiced in raw["voicing_pairs"]:
+        for i, pair in enumerate(raw["voicing_pairs"]):
+            if len(pair) != 2:
+                raise io.FieldError(f"field 'voicing_pairs[{i}]' must hold two symbols, "
+                                    f"not {pair!r}")
+            voiceless, voiced = pair
             fl = self.base_features.get(voiceless)
             fv = self.base_features.get(voiced)
             if fl is None or fv is None:

@@ -83,6 +83,16 @@ def _undecodable_line(path: str | Path) -> int | None:
 
 T = TypeVar("T")
 
+# The model tags a track or instance may carry, and the place-of-articulation group of
+# each target phoneme. They live here, in the one module every command runs, because
+# `decode --model-tag` and `evaluate --group` offer them as choices; `ctc` and `metrics`
+# re-export them.
+MODEL_TAGS = ("RM", "HM", "BM", "TM", "OTHER")
+POA_GROUP_OF = {"p": "bilabial", "b": "bilabial",
+                "t": "alveolar", "d": "alveolar",
+                "k": "velar", "g": "velar"}
+POA_GROUPS = ("bilabial", "alveolar", "velar")
+
 # The JSON types of record and config fields. A kind is the tuple of the exact types a
 # value may have, tested with `type(value) in kind` (json gives only these), so a bool is
 # neither an integer nor a number; a schema, {field: kind}, is the kind of an object.

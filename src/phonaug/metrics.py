@@ -22,15 +22,12 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from . import io
 from .errors import EmptyDenominator, PhonaugError, ZeroBaseline
 from .inventory import ASPIRATION, Inventory, Phone, phonation_of, tokenize_ipa
+from .io import POA_GROUP_OF, POA_GROUPS
 
 VOICED_PHONEMES = ("b", "d", "g")
 VOICELESS_PHONEMES = ("p", "t", "k")
 ALL_PHONEMES = VOICED_PHONEMES + VOICELESS_PHONEMES
 
-POA_GROUP_OF = {"p": "bilabial", "b": "bilabial",
-                "t": "alveolar", "d": "alveolar",
-                "k": "velar", "g": "velar"}
-POA_GROUPS = ("bilabial", "alveolar", "velar")
 # the fields of an instance line
 INSTANCE_FIELDS = {"utt_id": io.STRING, "phoneme": io.STRING, "vot_ms": io.NUMBER,
                    "onset": io.STRING, "model": io.Optional(io.STRING)}

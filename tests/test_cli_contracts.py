@@ -319,6 +319,49 @@ def test_an_exclude_pattern_given_as_a_string_is_not_read_letter_by_letter(dirs)
     assert list(o.iterdir()) == []
 
 
+@pytest.mark.parametrize("pair", [["p", "b", "t"], ["p"]])
+def test_a_voicing_pair_of_other_than_two_symbols_is_named(dirs, pair):
+    # once: "ill-typed field: too many values to unpack (expected 2)"
+    i, o = dirs
+    table = i / "inventory.json"
+    obj = json.loads(table.read_text(encoding="utf-8"))
+    obj["voicing_pairs"][0] = pair
+    table.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+    result = run("decode-inventory", i, o)
+    assert result.exit_code == 1
+    assert result.output == (f"Error: {table}: field 'voicing_pairs[0]' must hold two "
+                             f"symbols, not {pair!r}\n")
+    assert list(o.iterdir()) == []
+
+
+@pytest.mark.parametrize("phones, fault", [
+    ([{"symbol": "t", "start": 0, "end": 0}, {"symbol": "a", "start": 5, "end": 2}],
+     "phones[1]: invalid frame span 5..2"),
+    ([{"symbol": "t", "start": -1, "end": 0}], "phones[0]: invalid frame span -1..0"),
+    ([{"symbol": "t", "start": 2, "end": 3}, {"symbol": "a", "start": 1, "end": 4}],
+     "phone start frames must be non-decreasing"),
+])
+def test_a_phone_span_fault_names_the_utterance(dirs, phones, fault):
+    i, o = dirs
+    rm = i / "rm.jsonl"
+    write_lines(rm, [{"utt_id": "u1", "model": "RM", "frame_ms": 20.0, "phones": phones}])
+    result = run("augment", i, o)
+    assert result.exit_code == 1
+    assert result.output == f"Error: {rm}: u1: {fault}\n"
+    assert list(o.iterdir()) == []
+
+
+def test_an_unknown_scenario_field_is_named(dirs):
+    # once: "ill-typed field: ScenarioSpec.__init__() got an unexpected keyword argument"
+    i, o = dirs
+    spec = i / "spec.json"
+    spec.write_text('{"seed": 1, "n_utterances": 2, "rate": 0.5}', encoding="utf-8")
+    result = run("synth", i, o)
+    assert result.exit_code == 1
+    assert result.output == f"Error: {spec}: unknown field 'rate'\n"
+    assert list(o.iterdir()) == []
+
+
 SPEC_INTS = {"seed", "n_utterances", "jitter"}
 HM_RATES = {"hm_aspiration_rate": 0.3, "hm_voicing_rate": 0.2, "hm_breathy_rate": 0.1}
 json_values = st.one_of(
