@@ -246,8 +246,10 @@ def prepare_clean_vocab(vocab_file, corpus_file, out_file, remove, add):
         return manifest.VocabSpec(sorted(ids, key=ids.get),  # tokens in id order
                                   raw.get("blank", "_"), set(remove), set(add)), ids
 
+    # a vocabulary that clean-vocab wrote carries its id_map, which is not read
     vocab, ids = io.read_json(vocab_file, from_obj, {"tokens": io.MapOf(io.INTEGER),
-                                                     "blank": io.Optional(io.STRING)})
+                                                     "blank": io.Optional(io.STRING),
+                                                     "id_map": io.Optional(io.MapOf(io.INTEGER))})
     cleaned, id_map = manifest.clean_vocab(vocab, _read_manifest(corpus_file))
     out = cleaned.to_obj()
     # clean_vocab numbers the tokens by position; the map is keyed by the file's ids

@@ -9,19 +9,24 @@ utt_ids they report). `evaluate` classifies and tallies each instance as it is
 read, and keeps no instance: what grows with its input is one vot_ms per
 instance, one utt_id per instance for the duplicate check, and one head per
 distinct onset. `decode` holds its input in memory so that it can sort it.
+A string that escapes a lone surrogate ("\\ud800") fails at read with its file
+and line, since no UTF-8 output can hold it.
 Writers emit deterministic bytes (sorted keys, no trailing spaces) so re-runs
-are byte-identical. Every output file, JSONL or not, appears at its path only
-once it is written in full.
+are byte-identical; track lines are formatted by `ctc.track_line`, with the
+bytes that `dump_line` gives their objects. Every output file, JSONL or not,
+appears at its path only once it is written in full.
 
 Each config file, the packaged tables under `DATA` too, is one JSON object,
 read whole by `read_json`. Both readers `check` each object against its schema
 of JSON types before its `from_obj` reads it: a fault names the file and the field.
+A config object must also name no key its schema does not (a record may).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from collections import namedtuple
 from contextlib import closing, contextmanager
 from importlib import resources
@@ -65,6 +70,10 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
                     raise MalformedLine(str(path), lineno, f"invalid JSON ({e.msg})") from e
                 if not isinstance(obj, dict):
                     raise MalformedLine(str(path), lineno, "expected a JSON object")
+                # a search for one character: on non-ASCII text it runs several times
+                # faster than one for two, and few lines hold a backslash at all
+                if "\\" in line:
+                    _refuse_lone_surrogates(path, line, lineno)
                 yield obj
         except UnicodeDecodeError:
             # the decoder reads ahead by blocks: find the line by rescanning
@@ -79,6 +88,30 @@ def _undecodable_line(path: str | Path) -> int | None:
                 line.decode("utf-8")
             except UnicodeDecodeError:
                 return lineno
+
+
+# an escape of a surrogate code point (U+D800 to U+DFFF), and a JSON string: in text
+# that parses as JSON, each '"' outside a string begins one. re compiles them on first
+# use, since few inputs hold a backslash at all.
+_SURROGATE_ESCAPE = r"\\u[dD][89a-fA-F]"
+_STRING = r'"(?:[^"\\]|\\.)*"'
+
+
+def _refuse_lone_surrogates(path: str | Path, text: str, lineno: int = 1) -> None:
+    """Raise MalformedLine at the first string of the JSON `text` that escapes a lone
+    surrogate: json decodes "\\ud800" to a code point that no UTF-8 output can hold.
+    An escaped pair decodes to one character. `text` starts at line `lineno` of the
+    file at `path`."""
+    if re.search(_SURROGATE_ESCAPE, text) is None:  # as in most text with \u escapes
+        return
+    for m in re.finditer(_STRING, text):
+        if re.search(_SURROGATE_ESCAPE, m[0]):
+            value = json.loads(m[0])
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise MalformedLine(str(path), lineno + text.count("\n", 0, m.start()),
+                                    f"string {value!r} holds a lone surrogate") from None
 
 
 T = TypeVar("T")
@@ -167,9 +200,33 @@ def _fault(value: Any, kind: Any) -> tuple[str, Any] | None:
     return None
 
 
-def _read(obj: dict, schema: dict, from_obj: Callable[[dict], T]) -> T:
-    """from_obj of `obj` once `check` admits it; from_obj's read errors raise FieldError."""
+def _unknown(value: Any, kind: Any) -> str | None:
+    """The path to the first key in `value`, which has `kind`, that no schema in `kind`
+    names, or None. A MapOf's keys are data, so it admits any."""
+    if type(kind) is _Optional:
+        kind = kind.kind
+    if type(kind) is dict:
+        for name, v in value.items():
+            k = kind.get(name, _ABSENT)
+            if k is _ABSENT:
+                return f".{name}"
+            path = None if type(k) is tuple else _unknown(v, k)
+            if path is not None:
+                return f".{name}{path}"
+    elif type(kind) is not tuple and type(kind[0]) is not tuple:  # items that hold keys
+        for key, v in enumerate(value) if type(kind) is ListOf else value.items():
+            path = _unknown(v, kind[0])
+            if path is not None:
+                return (f"[{key}]" if type(kind) is ListOf else f".{key}") + path
+    return None
+
+
+def _read(obj: dict, schema: dict, from_obj: Callable[[dict], T], closed: bool = False) -> T:
+    """from_obj of `obj` once `check` admits it, and, if `closed`, once its schema names
+    every key; from_obj's read errors raise FieldError."""
     check(obj, schema)
+    if closed and (path := _unknown(obj, schema)) is not None:
+        raise FieldError(f"unknown field {path[1:]!r}")  # the path without its leading "."
     try:
         return from_obj(obj)
     except (TypeError, ValueError, OverflowError) as e:
@@ -196,18 +253,23 @@ def parse_records(path: str | Path, from_obj: Callable[[dict], T],
 
 def read_json(path: str | Path, from_obj: Callable[[dict], T], schema: dict) -> T:
     """from_obj of the JSON object in the file at `path` (or a table under DATA), checked
-    as in parse_records; a fault names the file, any other PhonaugError passes as it is."""
+    as in parse_records, and holding no key its schema does not name (a config file's
+    keys are all read, unlike a record's); a fault names the file, any other
+    PhonaugError passes as it is."""
     data = (Path(path) if isinstance(path, str) else path).read_bytes()
     try:
-        obj = json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        obj = json.loads(text)
     except UnicodeDecodeError as e:
         raise MalformedLine(str(path), data.count(b"\n", 0, e.start) + 1, "not UTF-8") from None
     except json.JSONDecodeError as e:
         raise MalformedLine(str(path), e.lineno, f"invalid JSON ({e.msg})") from None
     if not isinstance(obj, dict):
         raise PhonaugError(f"{path}: expected a JSON object")
+    if "\\" in text:
+        _refuse_lone_surrogates(path, text)
     try:
-        return _read(obj, schema, from_obj)
+        return _read(obj, schema, from_obj, closed=True)
     except FieldError as e:
         raise in_context(e, path) from None
 
@@ -248,12 +310,16 @@ def write_text(path: str | Path, text: str) -> None:
         f.write(text)
 
 
-def write_jsonl(path: str | Path, objs: Iterable[dict]) -> int:
-    """Write one line per object, all or nothing, and return the count."""
+def write_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """Write each line and a newline, all or nothing, and return the count."""
     n = 0
     with _replacing(path) as f:
-        for obj in objs:
-            f.write(dump_line(obj))
-            f.write("\n")
+        for line in lines:
+            f.write(line + "\n")
             n += 1
     return n
+
+
+def write_jsonl(path: str | Path, objs: Iterable[dict]) -> int:
+    """Write one line per object, all or nothing, and return the count."""
+    return write_lines(path, map(dump_line, objs))

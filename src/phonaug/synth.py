@@ -53,14 +53,7 @@ class ScenarioSpec:
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioSpec":
         kinds = {f.name: io.INTEGER if f.type == "int" else io.NUMBER for f in fields(cls)}
-
-        def from_obj(obj: dict) -> ScenarioSpec:
-            for name in obj:
-                if name not in kinds:
-                    raise io.FieldError(f"unknown field {name!r}")
-            return cls(**obj)
-
-        return io.read_json(path, from_obj, {
+        return io.read_json(path, lambda obj: cls(**obj), {
             name: kind if name in ("seed", "n_utterances") else io.Optional(kind)
             for name, kind in kinds.items()})
 

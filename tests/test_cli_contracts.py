@@ -362,6 +362,89 @@ def test_an_unknown_scenario_field_is_named(dirs):
     assert list(o.iterdir()) == []
 
 
+# per config file: (change, the path of the key it adds that the schema does not name)
+UNKNOWN_FIELDS = {
+    "mapping.json": [(lambda o: o.update(window_offset=[5]), "window_offset"),
+                     (lambda o: o["entries"][1].update(window=[5]), "entries[1].window")],
+    "inventory.json": [(lambda o: o["phones"][2].update(voicing=True), "phones[2].voicing")],
+    "continuants.json": [(lambda o: o["continuants"].update(x=["h"]), "continuants.x")],
+    "remap.json": [(lambda o: o.update(excludes=[]), "excludes")],
+    "vocab.json": [(lambda o: o.update(blanks="_"), "blanks")],
+}
+
+
+@pytest.mark.parametrize("config, change, field", [
+    pytest.param(config, change, field, id=field)
+    for config, cases in UNKNOWN_FIELDS.items() for change, field in cases])
+def test_an_unknown_config_field_is_named(dirs, config, change, field):
+    # once: a misspelt "window_offset" ran augment with the default window, exit 0
+    i, o = dirs
+    path = i / config
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    change(obj)
+    path.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+    result = run(CONFIG_READERS[config], i, o)
+    assert result.exit_code == 1
+    assert result.output == f"Error: {path}: unknown field {field!r}\n"
+    assert list(o.iterdir()) == []
+
+
+def test_the_keys_of_a_map_and_of_a_record_are_open(dirs):
+    # a MapOf's keys are data, and a JSONL record may carry fields it does not use
+    i, o = dirs
+    (i / "remap.json").write_text('{"remap": {"any key": "x"}}', encoding="utf-8")
+    write_lines(i / "manifest.jsonl", [{"utt_id": "u1", "transcription": "ta", "note": 1}])
+    assert run("prepare-remap", i, o).exit_code == 0
+    write_lines(i / "paths.jsonl", [{"utt_id": "u1", "frame_ms": 10, "labels": ["t"], "x": 1}])
+    assert run("decode", i, o).exit_code == 0
+
+
+def test_a_vocabulary_that_clean_vocab_wrote_reads_back(dirs):
+    # its id_map is named, so the output of one clean-vocab is the input of the next
+    i, o = dirs
+    assert run("prepare-clean-vocab", i, o).exit_code == 0
+    written = o / "vocab.json"
+    assert "id_map" in json.loads(written.read_text(encoding="utf-8"))
+    written.replace(i / "vocab.json")
+    result = run("prepare-clean-vocab", i, o)
+    assert result.exit_code == 0, result.output
+    assert json.loads(written.read_text(encoding="utf-8"))["tokens"] == {"_": 0, "t": 1, "a": 2}
+
+
+@pytest.mark.parametrize("command, source", [
+    ("decode", "paths.jsonl"), ("augment", "rm.jsonl"), ("prepare-filter", "manifest.jsonl"),
+    ("prepare-clean-vocab", "vocab.json")])
+def test_a_lone_surrogate_fails_at_read_naming_its_line(dirs, command, source):
+    # once: a UnicodeEncodeError traceback when the output was written
+    i, o = dirs
+    path = i / source
+    if source == "vocab.json":  # in a key, on the second line, and a low surrogate
+        value = "a\udfff"
+        path.write_text('{"tokens": {"_": 0, "t": 1,\n "a\\uDFFF": 2}, "blank": "_"}',
+                        encoding="utf-8")
+    else:  # in a value, on the second line: json.dumps escapes it
+        first = json.loads(path.read_text(encoding="utf-8").split("\n")[0])
+        value = first["utt_id"] + "\ud800"
+        path.write_text(dump_line(first) + "\n" + json.dumps({**first, "utt_id": value}) + "\n",
+                        encoding="utf-8")
+    result = run(command, i, o)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"Error: {path}:2: string {value!r} holds a lone surrogate\n"
+    assert list(o.iterdir()) == []
+
+
+def test_an_escaped_surrogate_pair_is_one_character(dirs):
+    i, o = dirs
+    (i / "paths.jsonl").write_text(  # and an escaped backslash before "ud800" is no escape
+        '{"utt_id": "u1\\ud83d\\ude00", "frame_ms": 10, "labels": ["t"]}\n'
+        '{"utt_id": "u2\\\\ud800", "frame_ms": 10, "labels": ["t"]}\n', encoding="utf-8")
+    result = run("decode", i, o)
+    assert result.exit_code == 0, result.output
+    lines = (o / "tracks.jsonl").read_text(encoding="utf-8").split("\n")
+    assert [json.loads(line)["utt_id"] for line in lines[:-1]] == ["u1\U0001F600", "u2\\ud800"]
+
+
 SPEC_INTS = {"seed", "n_utterances", "jitter"}
 HM_RATES = {"hm_aspiration_rate": 0.3, "hm_voicing_rate": 0.2, "hm_breathy_rate": 0.1}
 json_values = st.one_of(
