@@ -157,6 +157,14 @@ class Inventory:
         phone = f"{base}{dn}(?:{s}{dn}(?:{t}{base}{dn})?|{t}{base}{dn}(?:{s}{dn})?)?"
         return re.compile(phone), re.compile(rf"(?:\s*(?:{phone}))*\s*")
 
+    @cached_property
+    def head_pattern(self) -> re.Pattern:
+        """The text pattern of `_grammar` that also captures the first two
+        phones, as tokenize_ipa segments them: one fullmatch checks a text and
+        finds its head."""
+        phone = self._grammar[0].pattern
+        return re.compile(rf"\s*(?:({phone})(?:\s*({phone})(?:\s*(?:{phone}))*)?)?\s*")
+
     def _spelled(self, text: str) -> Phone:
         """The shared Phone of one phone match, memoised by its NFD text."""
         diacritics = tuple(ch for ch in text if ch in self.diacritics)

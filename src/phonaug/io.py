@@ -5,10 +5,13 @@ stripped of whitespace, is one JSON object, parsed as json.loads parses it.
 A line that is not UTF-8 fails with its file and line number.
 `augment` and `prefilter-aspiration` hold one RM and one HM track at a time, so
 they process corpora larger than memory in constant space (apart from the
-utt_ids they report). `evaluate` classifies and tallies each instance as it is
-read, and keeps no instance: what grows with its input is one vot_ms per
-instance, one utt_id per instance for the duplicate check, and one head per
-distinct onset. `decode` holds its input in memory so that it can sort it.
+utt_ids they report). `evaluate` builds one checked tuple record per line
+(`metrics.EvalInstance`), classifies and tallies it as it is read, and keeps no
+instance. It reads the head of each distinct onset once, its first phone and the
+base of its second, by one regex match that builds no other phone. What grows
+with its input is one vot_ms per instance, one utt_id per instance for the
+duplicate check, and one head per distinct onset. `decode` holds its input in
+memory so that it can sort it.
 A string that escapes a lone surrogate ("\\ud800") fails at read with its file
 and line, since no UTF-8 output can hold it.
 Writers emit deterministic bytes (sorted keys, no trailing spaces) so re-runs

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import unicodedata
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,8 +22,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import io
 from .errors import EmptyDenominator, PhonaugError, ZeroBaseline
-from .inventory import ASPIRATION, Inventory, Phone, phonation_of, tokenize_ipa
-from .io import POA_GROUP_OF, POA_GROUPS
+from .inventory import ASPIRATION, Inventory, Phone, phonation_of
+from .io import MODEL_TAGS, POA_GROUP_OF, POA_GROUPS
 
 VOICED_PHONEMES = ("b", "d", "g")
 VOICELESS_PHONEMES = ("p", "t", "k")
@@ -40,23 +41,45 @@ class Realization(enum.Enum):
     AMBIGUOUS_ASPIRATED = "ambiguous_aspirated"
     NULL = "null"
 
+    # members are singletons, equal only to themselves: hash them by identity,
+    # in C, where Enum hashes the name through a Python-level call
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
-class EvalInstance:
+
+class _InstanceFields(NamedTuple):
     utt_id: str
     target_phoneme: str
     vot_ms: float
     predicted_onset: str
     model_tag: str = "OTHER"
 
-    def __post_init__(self):
-        if self.target_phoneme not in ALL_PHONEMES:
-            raise PhonaugError(f"{self.utt_id}: target phoneme must be one of {ALL_PHONEMES}, "
-                               f"got {self.target_phoneme!r}")
-        if not math.isfinite(self.vot_ms):
+
+class EvalInstance(_InstanceFields):
+    """One instance line, checked when it is built: a target phoneme of
+    ALL_PHONEMES, a finite vot_ms and a model tag of MODEL_TAGS. An immutable
+    tuple record: `evaluate` builds one per line, at the cost of one tuple,
+    classifies and tallies it, and keeps none (what it keeps is `Evaluation`'s)."""
+
+    __slots__ = ()
+
+    def __new__(cls, utt_id: str, target_phoneme: str, vot_ms: float, predicted_onset: str,
+                model_tag: str = "OTHER") -> "EvalInstance":
+        if target_phoneme not in ALL_PHONEMES:
+            raise PhonaugError(f"{utt_id}: target phoneme must be one of {ALL_PHONEMES}, "
+                               f"got {target_phoneme!r}")
+        if not math.isfinite(vot_ms):
             # NaN compares false with everything: it would score as voiceless
             # and leave the boxplot quartiles undefined
-            raise PhonaugError(f"{self.utt_id}: vot_ms must be finite, got {self.vot_ms!r}")
+            raise PhonaugError(f"{utt_id}: vot_ms must be finite, got {vot_ms!r}")
+        if model_tag not in MODEL_TAGS:
+            # a mistyped tag would be reported as a model of its own
+            raise PhonaugError(f"{utt_id}: unknown model tag {model_tag!r}")
+        return tuple.__new__(cls, (utt_id, target_phoneme, vot_ms, predicted_onset, model_tag))
+
+    @classmethod
+    def _make(cls, iterable) -> "EvalInstance":
+        # namedtuple's own _make, which _replace calls too, would skip the checks
+        return cls(*iterable)
 
     @classmethod
     def from_obj(cls, obj: dict) -> "EvalInstance":
@@ -96,14 +119,14 @@ _Head = tuple[Phone, str | None] | None
 
 
 def _onset_head(onset: str, inv: Inventory) -> _Head:
-    """Tokenize an onset down to its head; a tokenizer error gives None."""
-    try:
-        phones = tokenize_ipa(onset, inv)
-    except PhonaugError:
+    """The head of tokenize_ipa(onset), or None where it raises or finds no
+    phone, read by one fullmatch: no Phone is built for the phones after the
+    second."""
+    m = inv.head_pattern.fullmatch(unicodedata.normalize("NFD", onset))
+    if m is None or m[1] is None:
         return None
-    if not phones:
-        return None
-    return phones[0], phones[1].base if len(phones) > 1 else None
+    first, second = m.groups()
+    return inv.phone(first), None if second is None else inv.phone(second).base
 
 
 def _realize(head: _Head, target_phoneme: str, cfg: ClassifierConfig) -> Realization:
@@ -138,7 +161,7 @@ def realizations(instances: Iterable[EvalInstance], inventory: Inventory | None 
                  config: ClassifierConfig | None = None,
                  ) -> Iterator[tuple[EvalInstance, Realization]]:
     """Each instance with its realization class, as classify_prediction gives
-    it, tokenizing each distinct onset once."""
+    it, reading the head of each distinct onset once."""
     inv = inventory or Inventory.default()
     cfg = config or ClassifierConfig.default()
     heads: dict[str, _Head] = {}
@@ -151,7 +174,7 @@ def realizations(instances: Iterable[EvalInstance], inventory: Inventory | None 
 
 def classify_all(instances: Iterable[EvalInstance], inventory: Inventory | None = None,
                  config: ClassifierConfig | None = None) -> list[Classified]:
-    """classify_prediction over many instances, tokenizing each distinct onset once."""
+    """classify_prediction over many instances, reading each distinct onset once."""
     return [Classified(i, r) for i, r in realizations(instances, inventory, config)]
 
 
@@ -303,8 +326,7 @@ class Evaluation:
     def __init__(self, classified: Iterable[tuple[EvalInstance, Realization]] = ()):
         # (model, phoneme, realization) -> [count with vot_ms >= 0, count with
         # vot_ms < 0, the vot_ms list of its boxplot bucket]: one lookup per
-        # instance, and a Realization hash (a Python-level call) costs as much
-        # as the rest of the lookup
+        # instance
         self._cells: dict[tuple[str, str, Realization], list] = {}
         # (model, PoA group, realization value) -> vot_ms in arrival order:
         # where -0.0 and 0.0 both occur, the order decides a zero's sign
@@ -314,6 +336,7 @@ class Evaluation:
 
     def update(self, classified: Iterable[tuple[EvalInstance, Realization]]) -> None:
         cells, vots, voicing = self._cells, self._vots, self._voicing
+        null = Realization.NULL  # a member read costs an EnumType attribute lookup
         for inst, realization in classified:
             model, phoneme, vot = inst.model_tag, inst.target_phoneme, inst.vot_ms
             lead = vot < 0
@@ -323,7 +346,7 @@ class Evaluation:
                 cell = cells[model, phoneme, realization] = [0, 0, bucket]
             cell[lead] += 1
             cell[2].append(vot)
-            if realization is not Realization.NULL and phoneme in VOICED_PHONEMES:
+            if realization is not null and phoneme in VOICED_PHONEMES:
                 voicing[model][inst.utt_id] = _voicing_correct(realization, lead)
 
     def row(self) -> MetricsReport:

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phonaug
+import phonaug.metrics as metrics_module
 from phonaug import (
     ClassifierConfig, Classified, EvalInstance, Inventory, Realization, asp_pct,
     classify_all, classify_prediction, mcnemar_exact, null_pct, report, ten_pct, tokenize_ipa,
@@ -30,7 +31,7 @@ from phonaug.errors import EmptyDenominator, PhonaugError
 from phonaug.io import MalformedLine, read_jsonl
 from phonaug.metrics import (
     POA_GROUP_OF, POA_GROUPS, VOICED_PHONEMES, VOICELESS_PHONEMES, Evaluation, MetricsReport,
-    boxplot_csv, format_report, quartiles,
+    _realize, boxplot_csv, format_report, quartiles,
 )
 
 INV = Inventory.default()
@@ -182,9 +183,33 @@ def test_paired_significance_equals_oracle(rows):
 
 # -- one classification per distinct onset -------------------------------------
 
+# onset pieces: bases, diacritics, ʰ/ʱ, both tie bars, ASCII and other
+# whitespace, code points the inventory does not know, and precomposed letters
+# that NFD splits
 ONSET_PIECES = sorted(INV.base_features)[:60] + sorted(INV.diacritics) + [
-    "ʰ", "ʱ", "͡", " ", "x", "h", "a", "#", "!", "1"]
-onsets = st.lists(st.sampled_from(ONSET_PIECES), max_size=4).map("".join)
+    "ʰ", "ʱ", "͡", "͜", " ", "\t", "\u3000", "x", "h", "a", "#", "!", "1", "g", "é", "ç"]
+onsets = st.lists(st.sampled_from(ONSET_PIECES), max_size=5).map("".join)
+
+
+def oracle_head(onset):
+    """The head of an onset read off the general tokenizer: its first phone
+    and the base of its second, or None where it raises or finds no phone."""
+    try:
+        phones = tokenize_ipa(onset, INV)
+    except PhonaugError:
+        return None
+    if not phones:
+        return None
+    return phones[0], phones[1].base if len(phones) > 1 else None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(onsets)
+@example("k͡x ʰ")
+@example(" \t")
+@example("t͡sʰ͡x")
+def test_onset_head_equals_tokenizer_head(onset):
+    assert metrics_module._onset_head(onset, INV) == oracle_head(onset)
 
 
 @settings(max_examples=300, deadline=None)
@@ -195,20 +220,39 @@ def test_classify_all_equals_per_instance_classification(pairs):
     assert classify_all(xs, INV, CFG) == expected
 
 
-def test_classify_all_tokenizes_each_distinct_onset_once(monkeypatch):
-    import phonaug.metrics as metrics_module
-
+def counting_heads(monkeypatch) -> list[str]:
+    """The onsets that metrics reads heads of from now on, one entry per read."""
     calls = []
+    original = metrics_module._onset_head
 
-    def counting(s, inv=None):
-        calls.append(s)
-        return tokenize_ipa(s, inv)
+    def counting(onset, inv):
+        calls.append(onset)
+        return original(onset, inv)
 
-    monkeypatch.setattr(metrics_module, "tokenize_ipa", counting)
-    xs = [EvalInstance(f"u{n}", p, 5.0, o)
-          for n, (p, o) in enumerate([("k", "kʰa"), ("g", "kʰa"), ("k", "#"), ("t", "#"),
-                                      ("b", "ba"), ("k", "kʰa")])]
+    monkeypatch.setattr(metrics_module, "_onset_head", counting)
+    return calls
+
+
+REPEATED = [("k", "kʰa"), ("g", "kʰa"), ("k", "#"), ("t", "#"), ("b", "ba"), ("k", "kʰa")]
+
+
+def test_classify_all_tokenizes_each_distinct_onset_once(monkeypatch):
+    calls = counting_heads(monkeypatch)
+    xs = [EvalInstance(f"u{n}", p, 5.0, o) for n, (p, o) in enumerate(REPEATED)]
     classify_all(xs, INV, CFG)
+    assert sorted(calls) == sorted({"kʰa", "#", "ba"})
+
+
+def test_evaluate_reads_each_distinct_onset_once(monkeypatch, tmp_path):
+    calls = counting_heads(monkeypatch)
+    path = tmp_path / "instances.jsonl"
+    path.write_text("".join(json.dumps({"utt_id": f"u{n}", "phoneme": p, "vot_ms": 5.0,
+                                        "onset": o, "model": model}) + "\n"
+                            for n, (p, o) in enumerate(REPEATED) for model in ("BM", "TM")),
+                    encoding="utf-8")
+    result = CliRunner().invoke(main, ["evaluate", str(path), "--out-prefix",
+                                       str(tmp_path / "rep")])
+    assert result.exit_code == 0, result.output
     assert sorted(calls) == sorted({"kʰa", "#", "ba"})
 
 
@@ -299,7 +343,8 @@ def oracle_outputs(objs, group):
     instances = [EvalInstance.from_obj(o) for o in objs]
     if group:
         instances = [i for i in instances if POA_GROUP_OF[i.target_phoneme] == group]
-    items = [Classified(i, classify_prediction(i, INV, CFG)) for i in instances]
+    items = [Classified(i, _realize(oracle_head(i.predicted_onset), i.target_phoneme, CFG))
+             for i in instances]
     reports = oracle_report(items)
     payload = {"models": {m: {g: r.to_obj() for g, r in rows.items()}
                           for m, rows in reports.items()}}
@@ -324,12 +369,14 @@ def instance_files(draw):
     """Instance objects of one, two or three models, each (model, utt_id) once,
     in the order drawn; some sets are mostly or only Null."""
     models = draw(st.sampled_from([("TM",), ("BM", "TM"), ("BM", "OTHER", "TM")]))
-    onsets = draw(st.sampled_from([NULL_ONSETS, ONSETS]))
+    pool = draw(st.sampled_from([NULL_ONSETS, ONSETS, None]))
+    if pool is None:  # a few onsets of the tokenizer property's strategy
+        pool = draw(st.lists(onsets, min_size=1, max_size=6))
     keys = draw(st.lists(st.tuples(st.sampled_from(models), st.integers(0, 12)),
                          unique=True, max_size=40))
     return [{"utt_id": f"u{n:02d}", "model": model, "phoneme": draw(st.sampled_from(PHONEMES)),
              "vot_ms": draw(st.sampled_from([-25.0, -1.5, -0.0, 0.0, 3.0, 3.0, 60.0])),
-             "onset": draw(st.sampled_from(onsets))} for model, n in keys]
+             "onset": draw(st.sampled_from(pool))} for model, n in keys]
 
 
 @settings(max_examples=150, deadline=None)
@@ -410,6 +457,29 @@ def test_eval_instance_accepts_exactly_finite_vot(utt_id, phoneme, vot):
     with pytest.raises(PhonaugError) as err:
         EvalInstance(utt_id, phoneme, vot, "k")
     assert str(err.value).startswith(f"{utt_id}: ")
+
+
+@pytest.mark.parametrize("model", ["tm", "", "BM ", "RM\u0301"])
+def test_eval_instance_rejects_unknown_model_tag(model):
+    with pytest.raises(PhonaugError) as err:
+        EvalInstance("u1", "k", 5.0, "kʰ", model)
+    assert str(err.value) == f"u1: unknown model tag {model!r}"
+
+
+def test_eval_instance_is_an_immutable_hashable_record():
+    x = EvalInstance("u1", "k", 5.0, "kʰ")
+    assert x.model_tag == "OTHER"
+    assert x == EvalInstance("u1", "k", 5.0, "kʰ", "OTHER")
+    assert hash(x) == hash(EvalInstance("u1", "k", 5.0, "kʰ", "OTHER"))
+    assert EvalInstance.from_obj({"utt_id": "u1", "phoneme": "k", "vot_ms": 5,
+                                  "onset": "kʰ"}) == x
+    with pytest.raises(AttributeError):
+        x.vot_ms = 6.0
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    with pytest.raises(PhonaugError, match="u1: unknown model tag 'tm'"):
+        x._replace(model_tag="tm")
+    assert x._replace(vot_ms=-3.0) == EvalInstance("u1", "k", -3.0, "kʰ")
 
 
 @pytest.mark.parametrize("vot", ["NaN", "Infinity", "-Infinity"])

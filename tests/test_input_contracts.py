@@ -264,6 +264,21 @@ def test_evaluate_rejects_duplicate_outside_the_group(tmp_path, runner):
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("group", [None, "velar"])
+def test_evaluate_rejects_unknown_model_tag(tmp_path, runner, group):
+    # a mistyped "tm" would be reported as a third model, without the McNemar
+    # test; the bilabial u2 fails also where --group leaves it out
+    lines = [{"utt_id": u, "phoneme": "b", "vot_ms": -10.0, "onset": "b", "model": m}
+             for u, m in (("u1", "BM"), ("u1", "TM"), ("u2", "BM"), ("u2", "tm"))]
+    path = tmp_path / "instances.jsonl"
+    path.write_text("".join(dump_line(o) + "\n" for o in lines), encoding="utf-8")
+    result = runner.invoke(main, ["evaluate", str(path), "--out-prefix", str(tmp_path / "rep")]
+                           + (["--group", group] if group else []))
+    assert result.exit_code == 1
+    assert result.output == f"Error: {path}: u2: unknown model tag 'tm'\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_evaluate_reports_the_first_fault_in_file_order(tmp_path, runner):
     line = dump_line({"utt_id": "u1", "phoneme": "b", "vot_ms": -10.0, "onset": "b",
                       "model": "BM"})
