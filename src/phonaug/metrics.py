@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import io
 from .errors import EmptyDenominator, PhonaugError, ZeroBaseline
-from .inventory import ASPIRATION, Inventory, Phone, phonation_of
+from .inventory import ASPIRATION, Inventory, Phone
 from .io import MODEL_TAGS, POA_GROUP_OF, POA_GROUPS
 
 VOICED_PHONEMES = ("b", "d", "g")
@@ -45,6 +45,12 @@ class Realization(enum.Enum):
     # in C, where Enum hashes the name through a Python-level call
     __hash__ = object.__hash__
 
+
+# The members, for the code that runs once per instance: through EnumType's
+# __getattr__ hook, a read such as Realization.NULL costs about 150 ns.
+_VOICED, _TENUIS, _ASPIRATED, _AMBIGUOUS, _NULL = (
+    Realization.VOICED, Realization.TENUIS, Realization.ASPIRATED,
+    Realization.AMBIGUOUS_ASPIRATED, Realization.NULL)
 
 class _InstanceFields(NamedTuple):
     utt_id: str
@@ -132,21 +138,22 @@ def _onset_head(onset: str, inv: Inventory) -> _Head:
 def _realize(head: _Head, target_phoneme: str, cfg: ClassifierConfig) -> Realization:
     """The realization class of an onset head for one target phoneme."""
     if head is None:
-        return Realization.NULL
+        return _NULL
     first, next_base = head
-    if first.features.place not in cfg.poa_groups[target_phoneme]:
-        return Realization.NULL
-    if first.features.manner not in ("plosive", "affricate"):
-        return Realization.NULL
+    features = first.features
+    if features.place not in cfg.poa_groups[target_phoneme]:
+        return _NULL
+    if features.manner not in ("plosive", "affricate"):
+        return _NULL
     if ASPIRATION in first.diacritics:
-        return Realization.ASPIRATED
-    phn = phonation_of(first)
-    if not phn.voiced and not phn.spread_glottis and first.features.manner == "plosive":
+        return _ASPIRATED
+    phn = features.phonation
+    if not phn.voiced and not phn.spread_glottis and features.manner == "plosive":
         if next_base in cfg.continuants[target_phoneme]:
-            return Realization.AMBIGUOUS_ASPIRATED
+            return _AMBIGUOUS
     if phn.voiced:
-        return Realization.VOICED
-    return Realization.TENUIS
+        return _VOICED
+    return _TENUIS
 
 
 def classify_prediction(inst: EvalInstance, inventory: Inventory | None = None,
@@ -188,7 +195,7 @@ def classify_all(instances: Iterable[EvalInstance], inventory: Inventory | None 
 def _voicing_correct(realization: Realization, voicing_lead: bool) -> bool:
     """Predicted voicing agrees with the VOT sign (vot_ms < 0 means voiced;
     0 counts as voiceless)."""
-    return (realization is Realization.VOICED) == voicing_lead
+    return (realization is _VOICED) == voicing_lead
 
 
 def _defined(share: float | None, what: str) -> float:
@@ -336,7 +343,6 @@ class Evaluation:
 
     def update(self, classified: Iterable[tuple[EvalInstance, Realization]]) -> None:
         cells, vots, voicing = self._cells, self._vots, self._voicing
-        null = Realization.NULL  # a member read costs an EnumType attribute lookup
         for inst, realization in classified:
             model, phoneme, vot = inst.model_tag, inst.target_phoneme, inst.vot_ms
             lead = vot < 0
@@ -346,7 +352,7 @@ class Evaluation:
                 cell = cells[model, phoneme, realization] = [0, 0, bucket]
             cell[lead] += 1
             cell[2].append(vot)
-            if realization is not null and phoneme in VOICED_PHONEMES:
+            if realization is not _NULL and phoneme in VOICED_PHONEMES:
                 voicing[model][inst.utt_id] = _voicing_correct(realization, lead)
 
     def row(self) -> MetricsReport:
