@@ -22,8 +22,7 @@ _EXPORTS = {
     "errors": ("PhonaugError",),
     "inventory": (
         "ASPIRATED", "BREATHY_VOICED", "TENUIS", "VOICED", "Inventory", "Phonation", "Phone",
-        "PhoneFeatures", "normalize_g", "phonation_of", "serialize", "tokenize_ipa",
-        "with_phonation",
+        "normalize_g", "phonation_of", "serialize", "tokenize_ipa", "with_phonation",
     ),
     "manifest": (
         "SegmentRecord", "VocabSpec", "build_onset_testset", "clean_vocab", "filter_downvoted",

@@ -166,7 +166,7 @@ def augment_track(rm: PhoneTrack, hm: PhoneTrack, matches: list[MatchPair],
         matched_idx = {p.rm_index for p in matches}
         stats.unmatched_rm_plosives += sum(
             1 for i, tp in enumerate(rm.phones)
-            if i not in matched_idx and tp.phone.features.manner == "plosive")
+            if i not in matched_idx and tp.phone.manner == "plosive")
     return PhoneTrack(rm.utt_id, "TM", out, rm.frame_ms)
 
 

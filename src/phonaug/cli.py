@@ -306,6 +306,7 @@ def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
     """Classify predictions and emit metric tables, JSON and boxplot CSV."""
     txt, json_file, csv_file = (f"{out_prefix}{suffix}"
                                 for suffix in (".txt", ".json", "_boxplot.csv"))
+    Path(out_prefix).parent.mkdir(parents=True, exist_ok=True)
     io.check_outputs(txt, json_file, csv_file)
     inv = _load(inventory.Inventory, inventory_path)
     cfg = _load(metrics.ClassifierConfig, continuants_path)
@@ -332,7 +333,6 @@ def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
                  f"p = {sig['p_value']:.6g} on {sig['n_pairs']} pairs\n")
     csv = metrics.boxplot_csv(evaluation.boxplot_rows())
 
-    Path(out_prefix).parent.mkdir(parents=True, exist_ok=True)
     io.write_text(txt, text)
     io.write_text(json_file, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
                   + "\n")

@@ -5,7 +5,8 @@ languages can extend it without touching code. All functions are pure. An
 Inventory's symbol tables never change after loading; its only mutable state is
 the tokenizer's patterns, compiled on first use, and memo tables (one shared
 Phone per (base, diacritics), per single-phone symbol and per phonation
-rewrite) whose contents never change a result.
+rewrite) whose contents never change a result. A Phone carries its place, its
+manner and its phonation, one of the four shared Phonation constants.
 """
 
 from __future__ import annotations
@@ -60,23 +61,20 @@ TENUIS = Phonation(False, False)
 ASPIRATED = Phonation(False, True)
 VOICED = Phonation(True, False)
 BREATHY_VOICED = Phonation(True, True)
-
-
-@dataclass(frozen=True)
-class PhoneFeatures:
-    place: str
-    manner: str
-    phonation: Phonation
+_PHONATIONS = {(p.voiced, p.spread_glottis): p
+               for p in (TENUIS, ASPIRATED, VOICED, BREATHY_VOICED)}
 
 
 @dataclass(frozen=True)
 class Phone:
     """One IPA segment: base symbol (tie-bar affricates allowed), ordered
-    diacritics, and the articulatory features derived from both."""
+    diacritics, and the place, manner and shared phonation derived from both."""
 
     base: str
     diacritics: tuple[str, ...]
-    features: PhoneFeatures
+    place: str
+    manner: str
+    phonation: Phonation
 
     @cached_property
     def text(self) -> str:
@@ -188,7 +186,8 @@ class Inventory:
 
     # -- feature derivation -------------------------------------------------
 
-    def features_of(self, base: str, diacritics: tuple[str, ...]) -> PhoneFeatures:
+    def features_of(self, base: str, diacritics: tuple[str, ...]) -> tuple[str, str, Phonation]:
+        """The (place, manner, phonation) of a phone; the phonation is shared."""
         place, manner, voiced = self._base_triple(base)
         spread = False
         for d in diacritics:
@@ -199,7 +198,7 @@ class Inventory:
                 place = "dental"
             elif sem in SPREAD:
                 spread = True
-        return PhoneFeatures(place, manner, Phonation(voiced, spread))
+        return place, manner, _PHONATIONS[voiced, spread]
 
     def _base_triple(self, base: str) -> tuple[str, str, bool]:
         first, tie, second = base.replace(TIE_BARS[1], TIE_BARS[0]).partition(TIE_BARS[0])
@@ -214,7 +213,7 @@ class Inventory:
         phone = self._phones.get(key)
         if phone is None:
             phone = self._phones[key] = Phone(base, diacritics,
-                                              self.features_of(base, diacritics))
+                                              *self.features_of(base, diacritics))
         return phone
 
     def phone(self, symbol: str) -> Phone:
@@ -270,7 +269,7 @@ def serialize(phones: list[Phone]) -> str:
 
 
 def phonation_of(p: Phone) -> Phonation:
-    return p.features.phonation
+    return p.phonation
 
 
 def with_phonation(p: Phone, target: Phonation, inventory: Inventory | None = None) -> Phone:

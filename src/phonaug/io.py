@@ -283,11 +283,16 @@ def dump_line(obj: Any) -> str:
 
 def check_outputs(*paths: str | Path | None) -> None:
     """Fail unless each output path (None for an output not asked for) names a
-    regular file or nothing yet: a rename would replace a directory, device or
-    pipe itself. A command calls it before it writes its first file."""
+    regular file or nothing yet, in a directory that exists: a rename would
+    replace a directory, device or pipe itself. A command calls it before it
+    writes its first file."""
     for path in paths:
-        if path is not None and os.path.exists(path) and not os.path.isfile(path):
+        if path is None:
+            continue
+        if os.path.exists(path) and not os.path.isfile(path):
             raise PhonaugError(f"{path}: output must be a regular file")
+        if not os.path.isdir(os.path.dirname(os.path.realpath(path))):
+            raise PhonaugError(f"{path}: output directory does not exist")
 
 
 @contextmanager

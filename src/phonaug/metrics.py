@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import io
 from .errors import EmptyDenominator, PhonaugError, ZeroBaseline
-from .inventory import ASPIRATION, Inventory, Phone
+from .inventory import ASPIRATION, PLACES, TENUIS, Inventory, Phone
 from .io import MODEL_TAGS, POA_GROUP_OF, POA_GROUPS
 
 VOICED_PHONEMES = ("b", "d", "g")
@@ -112,8 +112,15 @@ class ClassifierConfig:
     def load(cls, path: str | Path) -> "ClassifierConfig":
         names = ("poa_groups", "continuants")
         rows = dict.fromkeys(ALL_PHONEMES, io.ListOf(io.STRING))
-        return io.read_json(path, lambda obj: cls(*({p: frozenset(obj[n][p]) for p in ALL_PHONEMES}
-                                                    for n in names)), dict.fromkeys(names, rows))
+
+        def from_obj(obj):
+            for p in ALL_PHONEMES:  # a misspelt place would score every onset Null
+                for place in obj["poa_groups"][p]:
+                    if place not in PLACES:
+                        raise io.FieldError(f"field 'poa_groups.{p}' names no place: {place!r}")
+            return cls(*({p: frozenset(obj[n][p]) for p in ALL_PHONEMES} for n in names))
+
+        return io.read_json(path, from_obj, dict.fromkeys(names, rows))
 
     @classmethod
     def default(cls) -> "ClassifierConfig":
@@ -142,15 +149,15 @@ def _realize(head: _Head, target_phoneme: str, cfg: ClassifierConfig) -> Realiza
     if head is None:
         return _NULL
     first, next_base = head
-    features = first.features
-    if features.place not in cfg.poa_groups[target_phoneme]:
+    if first.place not in cfg.poa_groups[target_phoneme]:
         return _NULL
-    if features.manner not in ("plosive", "affricate"):
+    manner = first.manner
+    if manner not in ("plosive", "affricate"):
         return _NULL
     if ASPIRATION in first.diacritics:
         return _ASPIRATED
-    phn = features.phonation
-    if not phn.voiced and not phn.spread_glottis and features.manner == "plosive":
+    phn = first.phonation
+    if phn is TENUIS and manner == "plosive":
         if next_base in cfg.continuants[target_phoneme]:
             return _AMBIGUOUS
     if phn.voiced:

@@ -78,9 +78,9 @@ def test_criterion_3_augmentation_law():
         matched_idx = {p.rm_index for p in matches}
         for p in matches:
             got = out.phones[p.rm_index].phone
-            if got.features.place != p.rm_phone.phone.features.place:
+            if got.place != p.rm_phone.phone.place:
                 violations += 1
-            if got.features.manner != p.rm_phone.phone.features.manner:
+            if got.manner != p.rm_phone.phone.manner:
                 violations += 1
             if phonation_of(got) != phonation_of(p.hm_phone.phone):
                 violations += 1

@@ -124,6 +124,25 @@ def test_directory_at_an_output_path_fails_before_any_write(dirs, command, outpu
     assert list(o.iterdir()) == [blocked] and not any(blocked.iterdir())
 
 
+@pytest.mark.parametrize("command, output", [
+    pytest.param(command, output, id=f"{command}-{output}")
+    for command, (_, outputs) in COMMANDS.items() if not command.startswith("evaluate")
+    for output in outputs])
+def test_an_output_in_a_missing_directory_fails_before_any_write(dirs, command, output):
+    # once: a FileNotFoundError traceback, after the outputs before it were written
+    # (evaluate creates the directory of its --out-prefix)
+    i, o = dirs
+    args, _ = COMMANDS[command]
+    moved = o / "missing" / output
+    result = CliRunner().invoke(main, [a.format(i=i, o=o).replace(str(o / output), str(moved))
+                                       for a in args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"Error: {moved}: output directory does not exist\n"
+    assert "Traceback" not in result.output
+    assert list(o.iterdir()) == []
+
+
 PREPARE = [c for c in COMMANDS if c.startswith("prepare-")]
 
 
@@ -241,6 +260,8 @@ CONFIG_FAULTS = {
         "missing-field": (lambda o: o["poa_groups"].pop("k"), "poa_groups.k"),
         "wrong-type": (lambda o: o.update(continuants=[["x"]]), "continuants"),
         "string-for-list": (lambda o: o["poa_groups"].update(k="velar"), "poa_groups.k"),
+        # once: exit 0, with every /k/ reported as Null
+        "unknown-place": (lambda o: o["poa_groups"].update(k=["vealr"]), "poa_groups.k"),
     },
     "spec.json": {
         "missing-field": (lambda o: o.pop("seed"), "seed"),

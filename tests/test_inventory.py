@@ -23,8 +23,8 @@ def test_single_aspirated_plosive():
     assert len(phones) == 1
     assert phones[0].base == "t"
     assert phones[0].diacritics == ("ʰ",)
-    assert phones[0].features.place == "alveolar"
-    assert phones[0].features.manner == "plosive"
+    assert phones[0].place == "alveolar"
+    assert phones[0].manner == "plosive"
 
 
 def test_sample_prediction_segmentation():
@@ -60,7 +60,7 @@ def test_double_aspiration_marks_rejected():
 def test_tie_bar_affricate_is_one_phone():
     phones = tokenize_ipa("t͡sa", INV)
     assert len(phones) == 2
-    assert phones[0].features.manner == "affricate"
+    assert phones[0].manner == "affricate"
     assert serialize(phones) == "t͡sa"
 
 
@@ -155,8 +155,11 @@ def test_phonation_rewrite_laws_exhaustive():
         for target in ALL_PHONATIONS:
             out = with_phonation(phone, target, INV)
             assert phonation_of(out) == target
-            assert out.features.place == phone.features.place
-            assert out.features.manner == phone.features.manner
+            assert out.phonation is target  # the shared constant, not an equal copy
+            assert (out.place, out.manner, out.phonation) == INV.features_of(out.base,
+                                                                             out.diacritics)
+            assert out.place == phone.place
+            assert out.manner == phone.manner
             assert with_phonation(out, target, INV) == out
 
 
