@@ -13,7 +13,6 @@ from __future__ import annotations
 import importlib.util
 import json
 import sys
-from collections import defaultdict
 from contextlib import closing
 from pathlib import Path
 
@@ -277,22 +276,6 @@ def cmd_synth(spec_file, rm_out, hm_out, truth_out, inventory_path):
     click.echo(f"generated {len(rm_tracks)} utterances", err=True)
 
 
-def _checked_instances(instances, group: str | None):
-    """The instances of PoA `group` (all when None). Every instance, kept or
-    not, is first checked to be its model's only one with its utt_id: the
-    significance test pairs the models' instances by utt_id."""
-    # one set of utt_id strings per model: a key tuple per instance costs
-    # several times more, mostly in cyclic GC
-    utt_ids: defaultdict[str, set[str]] = defaultdict(set)
-    for inst in instances:
-        seen = utt_ids[inst.model_tag]
-        if inst.utt_id in seen:
-            raise PhonaugError(f"{inst.utt_id}: more than one {inst.model_tag} instance")
-        seen.add(inst.utt_id)
-        if group is None or io.POA_GROUP_OF[inst.target_phoneme] == group:
-            yield inst
-
-
 @main.command(name="evaluate")
 @click.argument("instances_file", type=_EXISTING)
 @click.option("--out-prefix", type=_PATH, required=True,
@@ -315,7 +298,7 @@ def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
     with closing(io.parse_records(instances_file, metrics.EvalInstance.from_obj,
                                   metrics.INSTANCE_FIELDS)) as instances:
         evaluation.update(metrics.realizations(
-            _checked_instances(instances, group_filter), inv, cfg))
+            evaluation.checked(instances, instances_file, group_filter), inv, cfg))
     reports = evaluation.report()
 
     payload: dict = {

@@ -9,9 +9,10 @@ utt_ids they report). `evaluate` builds one checked tuple record per line
 (`metrics.EvalInstance`), classifies and tallies it as it is read, and keeps no
 instance. It reads the head of each distinct onset once, its first phone and the
 base of its second, by one regex match that builds no other phone. What grows
-with its input is one vot_ms per instance, one utt_id per instance for the
-duplicate check, and one head per distinct onset. `decode` holds its input in
-memory so that it can sort it.
+with its input is one vot_ms per instance, one head per distinct onset, and one
+entry per instance in `metrics.Evaluation`'s per-model dict from utt_id to
+voicing flag (or None), which serves both the duplicate check and the paired
+test. `decode` holds its input in memory so that it can sort it.
 A string that escapes a lone surrogate ("\\ud800") fails at read with its file
 and line, since no UTF-8 output can hold it.
 Writers emit deterministic bytes (sorted keys, no trailing spaces) so re-runs
@@ -21,7 +22,8 @@ appears at its path only once it is written in full.
 
 Each config file, the packaged tables under `DATA` too, is one JSON object,
 read whole by `read_json`. Both readers `check` each object against its schema
-of JSON types before its `from_obj` reads it: a fault names the file and the field.
+of JSON types before its `from_obj` reads it: a fault names the file and the field,
+and any other error that `from_obj` raises names the file.
 A config object must also name no key its schema does not (a record may).
 """
 
@@ -257,8 +259,8 @@ def parse_records(path: str | Path, from_obj: Callable[[dict], T],
 def read_json(path: str | Path, from_obj: Callable[[dict], T], schema: dict) -> T:
     """from_obj of the JSON object in the file at `path` (or a table under DATA), checked
     as in parse_records, and holding no key its schema does not name (a config file's
-    keys are all read, unlike a record's); a fault names the file, any other
-    PhonaugError passes as it is."""
+    keys are all read, unlike a record's); a fault, or a PhonaugError from from_obj,
+    names the file."""
     data = (Path(path) if isinstance(path, str) else path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -273,7 +275,7 @@ def read_json(path: str | Path, from_obj: Callable[[dict], T], schema: dict) -> 
         _refuse_lone_surrogates(path, text)
     try:
         return _read(obj, schema, from_obj, closed=True)
-    except FieldError as e:
+    except PhonaugError as e:
         raise in_context(e, path) from None
 
 

@@ -50,6 +50,11 @@ class SegmentRecord:
         return {name: value for name, value in vars(self).items() if value is not None}
 
 
+def _check_count(name: str, n: int) -> None:
+    if n < 0:  # random.sample would raise a ValueError
+        raise PhonaugError(f"{name} must be at least 0, got {n}")
+
+
 def _by_id(records: list[SegmentRecord]) -> list[SegmentRecord]:
     return sorted(records, key=lambda r: r.utt_id)
 
@@ -61,6 +66,7 @@ def filter_downvoted(records: list[SegmentRecord], threshold: int = 0) -> list[S
 
 def sample_segments(records: list[SegmentRecord], n: int, seed: int) -> list[SegmentRecord]:
     """Uniform sample without replacement, deterministic per seed, ordered by utt_id."""
+    _check_count("sample size", n)
     if len(records) < n:
         raise InsufficientSegments(f"need {n} segments, manifest has {len(records)}")
     rng = random.Random(seed)
@@ -168,6 +174,7 @@ def build_onset_testset(records: list[SegmentRecord], per_phoneme_n: int, seed: 
     """Absolute-onset test set: records whose lower-cased sentence starts with
     one of <b d g p t k>, labelled with the target phoneme, sampled
     per_phoneme_n per bucket among analyzable records."""
+    _check_count("per-phoneme count", per_phoneme_n)
     buckets: dict[str, list[SegmentRecord]] = {p: [] for p in ONSET_PHONEMES}
     for rec in records:
         sentence = rec.sentence.lstrip().lower()

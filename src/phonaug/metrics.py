@@ -336,8 +336,9 @@ class Evaluation:
     """Everything `evaluate` reports, accumulated one classified instance at a
     time. Of the instances it keeps only the counts behind the metrics, the
     vot_ms values per (model, PoA group, realization) for the boxplots, and
-    per model the voicing-correct flag of each non-Null /b d g/ instance by
-    utt_id for the paired test."""
+    one dict per model from each utt_id to the voicing-correct flag of a kept
+    non-Null /b d g/ instance, or None: `checked` refuses a second utt_id by
+    it, and `significance` pairs the models by it."""
 
     def __init__(self, classified: Iterable[tuple[EvalInstance, Realization]] = ()):
         # (model, phoneme, realization) -> [count with vot_ms >= 0, count with
@@ -347,8 +348,22 @@ class Evaluation:
         # (model, PoA group, realization value) -> vot_ms in arrival order:
         # where -0.0 and 0.0 both occur, the order decides a zero's sign
         self._vots: dict[tuple[str, str, str], list[float]] = {}
-        self._voicing: defaultdict[str, dict[str, bool]] = defaultdict(dict)
+        self._voicing: defaultdict[str, dict[str, bool | None]] = defaultdict(dict)
         self.update(classified)
+
+    def checked(self, instances: Iterable[EvalInstance], source: str | Path,
+                group: str | None = None) -> Iterator[EvalInstance]:
+        """The instances of PoA `group` (all when None). Each instance read from `source`,
+        kept or not, must first be its model's only one with its utt_id: see `significance`."""
+        voicing = self._voicing
+        for inst in instances:
+            seen = voicing[inst.model_tag]
+            if inst.utt_id in seen:
+                raise PhonaugError(f"{source}: {inst.utt_id}: more than one "
+                                   f"{inst.model_tag} instance")
+            seen[inst.utt_id] = None
+            if group is None or POA_GROUP_OF[inst.target_phoneme] == group:
+                yield inst
 
     def update(self, classified: Iterable[tuple[EvalInstance, Realization]]) -> None:
         cells, vots, voicing = self._cells, self._vots, self._voicing
@@ -388,10 +403,12 @@ class Evaluation:
         named, paired by utt_id over the non-Null /b d g/ instances both
         models have."""
         first, second = (self._voicing.get(m, {}) for m in models[:2])
-        shared = first.keys() & second.keys()  # the test counts pairs: order is free
-        return {"models": list(models), "n_pairs": len(shared),
-                "p_value": mcnemar_exact([first[u] for u in shared],
-                                         [second[u] for u in shared])}
+        a, b = [], []  # the two flags of each utt_id that has one in both models
+        for utt_id, flag in first.items():
+            if flag is not None and (other := second.get(utt_id)) is not None:
+                a.append(flag)
+                b.append(other)
+        return {"models": list(models), "n_pairs": len(a), "p_value": mcnemar_exact(a, b)}
 
     def boxplot_rows(self) -> list[dict]:
         """Tukey boxplot stats of vot_ms per (model, PoA group, realization class).

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from phonaug import Inventory, ScenarioSpec, generate, serialize
 from phonaug.cli import main
 from phonaug.ctc import read_tracks
-from phonaug.io import dump_line
+from phonaug.io import DATA, dump_line
 
 INV = Inventory.default()
 
@@ -307,8 +307,10 @@ def test_rm_base_without_voicing_pair_fails_at_load(tmp_path, runner, command, t
         else [str(rm), str(hm), "--out", str(out)]
     result = runner.invoke(main, [command, *args, f"--{table}", str(table_file)])
     assert result.exit_code == 1
-    assert result.output == \
-        f"Error: mapping table RM base {base!r} has no voicing pair in the inventory\n"
+    # the error names the mapping table that fails, the packaged one under --inventory
+    failing = table_file if table == "mapping" else DATA / "mapping.json"
+    assert result.output == (f"Error: {failing}: mapping table RM base {base!r} has no "
+                             "voicing pair in the inventory\n")
     assert sorted(tmp_path.iterdir()) == before
 
 

@@ -171,6 +171,21 @@ def test_prepare_rejects_an_utt_id_that_occurs_twice(ids, command):
             assert list(o.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, option, name", [
+    ("prepare-sample", "--n", "sample size"),
+    ("prepare-onset-testset", "--per-phoneme-n", "per-phoneme count")])
+def test_prepare_rejects_a_negative_count(dirs, command, option, name):
+    # once: a ValueError traceback from random.sample
+    i, o = dirs
+    args = [a.format(i=i, o=o) for a in COMMANDS[command][0]]
+    args[args.index(option) + 1] = "-1"
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"Error: {name} must be at least 0, got -1\n"
+    assert list(o.iterdir()) == []
+
+
 def test_prepare_rejects_an_ill_typed_utt_id(dirs):
     i, o = dirs
     manifest = i / "manifest.jsonl"
@@ -255,6 +270,8 @@ CONFIG_FAULTS = {
         "missing-field": (lambda o: o.pop("entries"), "entries"),
         "wrong-type": (lambda o: o.update(window_offsets=[0, 1.5]), "window_offsets"),
         "string-for-list": (lambda o: o["entries"][0].update(rm="pb"), "entries[0].rm"),
+        # once without the file: raised by from_obj, not by the type check
+        "unknown-symbol": (lambda o: o["entries"][0]["hm"].append("Q"), "'Q' not in inventory"),
     },
     "continuants.json": {
         "missing-field": (lambda o: o["poa_groups"].pop("k"), "poa_groups.k"),
@@ -267,6 +284,8 @@ CONFIG_FAULTS = {
         "missing-field": (lambda o: o.pop("seed"), "seed"),
         "wrong-type": (lambda o: o.update(jitter=1.5), "jitter"),
         "string-for-list": (lambda o: o.update(n_utterances="5"), "n_utterances"),
+        # once without the file: raised by from_obj, not by the type check
+        "rate-out-of-range": (lambda o: o.update(drop_rate=1.5), "probabilities in [0, 1]"),
     },
     "remap.json": {
         "wrong-type": (lambda o: o.update(remap={"x": 1}), "remap"),

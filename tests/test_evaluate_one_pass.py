@@ -181,6 +181,25 @@ def test_paired_significance_equals_oracle(rows):
         "models": ["BM", "TM"], "n_pairs": len(paired), "p_value": mcnemar_exact(a, b)}
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["BM", "TM"]), st.integers(0, 5),
+                          st.sampled_from(PHONEMES)), max_size=20),
+       st.sampled_from([None, *POA_GROUPS]))
+def test_checked_refuses_a_second_utt_id_per_model_outside_the_group_too(rows, group):
+    xs = [EvalInstance(f"u{n}", phoneme, 5.0, "b", model) for model, n, phoneme in rows]
+    keys = [(x.model_tag, x.utt_id) for x in xs]
+    repeated = next((k for j, k in enumerate(keys) if k in keys[:j]), None)
+    kept = Evaluation().checked(xs, "in.jsonl", group)
+    if repeated is None:
+        assert list(kept) == [x for x in xs
+                              if group is None or POA_GROUP_OF[x.target_phoneme] == group]
+    else:
+        with pytest.raises(PhonaugError) as failure:
+            list(kept)
+        model, utt_id = repeated
+        assert str(failure.value) == f"in.jsonl: {utt_id}: more than one {model} instance"
+
+
 # -- one classification per distinct onset -------------------------------------
 
 # onset pieces: bases, diacritics, ʰ/ʱ, both tie bars, ASCII and other

@@ -287,5 +287,5 @@ def test_evaluate_reports_the_first_fault_in_file_order(tmp_path, runner):
     result = runner.invoke(main, ["evaluate", str(path), "--out-prefix",
                                   str(tmp_path / "rep")])
     assert result.exit_code == 1
-    assert result.output == "Error: u1: more than one BM instance\n"
+    assert result.output == f"Error: {path}: u1: more than one BM instance\n"
     assert list(tmp_path.iterdir()) == [path]
