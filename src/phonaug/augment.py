@@ -17,7 +17,7 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import io
 from .ctc import PhoneTrack, TimedPhone, read_tracks, write_tracks
@@ -82,8 +82,7 @@ class MappingTable:
         return (rm_base, hm_base) in self._pairs
 
 
-@dataclass(frozen=True)
-class MatchPair:
+class MatchPair(NamedTuple):
     rm_index: int
     hm_index: int
     rm_phone: TimedPhone

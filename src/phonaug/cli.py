@@ -92,7 +92,8 @@ def decode(framepath_file, out_file, blank, frame_ms, model_tag, inventory_path)
     # checked like every track file: each utt_id once
     tracks = sorted(io.parse_records(framepath_file, from_obj, fields), key=lambda t: t.utt_id)
     n = ctc.write_tracks(out_file, ctc.in_utt_id_order(tracks, framepath_file))
-    click.echo(f"decoded {n} utterances -> {out_file}", err=True)
+    empty = sum(not track.phones for track in tracks)  # all blank: no phone to match
+    click.echo(f"decoded {n} utterances ({empty} empty) -> {out_file}", err=True)
 
 
 @main.command(name="augment")

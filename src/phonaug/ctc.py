@@ -13,18 +13,20 @@ from dataclasses import dataclass
 from itertools import groupby
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import io
 from .errors import PhonaugError, in_context
 from .inventory import Inventory, Phone, tokenize_ipa
 from .io import MODEL_TAGS
 
-# the fields of a frame-path line and a track line; labels are checked per run, in decode_track
+# the fields of a frame-path line and a track line; labels are checked per run, in
+# decode_track, and phones per entry, in track_from_obj, against TRACK_FIELDS
 FRAME_PATH_FIELDS = {"utt_id": io.STRING, "labels": io.LIST, "frame_ms": io.NUMBER,
                      "blank": io.Optional(io.STRING)}
 TRACK_FIELDS = {"utt_id": io.STRING, "model": io.Optional(io.STRING), "frame_ms": io.NUMBER,
                 "phones": io.ListOf({"symbol": io.STRING, "start": io.INTEGER, "end": io.INTEGER})}
+_TRACK_HEAD = {**TRACK_FIELDS, "phones": io.LIST}
 
 
 def check_frame_ms(utt_id: str, frame_ms: float) -> None:
@@ -46,8 +48,7 @@ class FramePath:
         check_frame_ms(self.utt_id, self.frame_ms)
 
 
-@dataclass(frozen=True)
-class TimedPhone:
+class TimedPhone(NamedTuple):
     phone: Phone
     start_frame: int
     end_frame: int
@@ -67,13 +68,13 @@ class PhoneTrack:
             raise PhonaugError(f"{self.utt_id}: unknown model tag {self.model_tag!r}")
         check_frame_ms(self.utt_id, self.frame_ms)
         previous = 0
-        for i, tp in enumerate(self.phones):
-            start, end = tp.start_frame, tp.end_frame
+        for i, (_, start, end) in enumerate(self.phones):
             if not 0 <= start <= end:
                 raise PhonaugError(
                     f"{self.utt_id}: phones[{i}]: invalid frame span {start}..{end}")
             if start < previous:
-                raise PhonaugError(f"{self.utt_id}: phone start frames must be non-decreasing")
+                raise PhonaugError(
+                    f"{self.utt_id}: phones[{i}]: start frame {start} comes before {previous}")
             previous = start
 
 
@@ -168,12 +169,22 @@ def track_line(track: PhoneTrack) -> str:
 
 
 def track_from_obj(obj: dict, inventory: Inventory | None = None) -> PhoneTrack:
-    inv = inventory or Inventory.default()
-    try:
-        phones = [TimedPhone(inv.phone(entry["symbol"]), entry["start"], entry["end"])
-                  for entry in obj["phones"]]
-    except PhonaugError as e:
-        raise in_context(e, obj["utt_id"]) from None
+    """The track of a line whose head `_TRACK_HEAD` admits. Each phone's field types
+    are tested as it is built; on a fault, or a symbol that spells no one phone,
+    `io.check` against TRACK_FIELDS first names the line's first ill-typed field."""
+    phone = (inventory or Inventory.default()).phone
+    phones = []
+    for entry in obj["phones"]:
+        if type(entry) is not dict:
+            io.check(obj, TRACK_FIELDS)  # raises: the full schema refuses the entry
+        symbol, start, end = entry.get("symbol"), entry.get("start"), entry.get("end")
+        if type(symbol) is not str or type(start) is not int or type(end) is not int:
+            io.check(obj, TRACK_FIELDS)  # raises: the full schema refuses the entry
+        try:  # tuple's __new__ builds what TimedPhone's does, without its Python frame
+            phones.append(tuple.__new__(TimedPhone, (phone(symbol), start, end)))
+        except PhonaugError as e:
+            io.check(obj, TRACK_FIELDS)
+            raise in_context(e, obj["utt_id"]) from None
     return PhoneTrack(obj["utt_id"], obj.get("model", "OTHER"), phones, float(obj["frame_ms"]))
 
 
@@ -191,7 +202,7 @@ def in_utt_id_order(tracks: Iterable[PhoneTrack], source: str | Path) -> Iterato
 def read_tracks(path: str | Path, inventory: Inventory | None = None) -> Iterator[PhoneTrack]:
     inv = inventory or Inventory.default()
     with closing(io.parse_records(path, lambda obj: track_from_obj(obj, inv),
-                                  TRACK_FIELDS)) as tracks:
+                                  _TRACK_HEAD)) as tracks:
         yield from in_utt_id_order(tracks, path)
 
 

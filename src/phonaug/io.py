@@ -23,7 +23,9 @@ appears at its path only once it is written in full.
 Each config file, the packaged tables under `DATA` too, is one JSON object,
 read whole by `read_json`. Both readers `check` each object against its schema
 of JSON types before its `from_obj` reads it: a fault names the file and the field,
-and any other error that `from_obj` raises names the file.
+and any other error that `from_obj` raises names the file. A track line is checked
+so only up to its `phones` list; `ctc.track_from_obj` type-checks each phone as it
+builds it, and names a fault as `check` would.
 A config object must also name no key its schema does not (a record may).
 """
 
@@ -185,19 +187,6 @@ def _fault(value: Any, kind: Any) -> tuple[str, Any] | None:
                 return f".{name}{fault[0]}", fault[1]
         return None
     item = kind[0]
-    if type(item) is dict and type(kind) is ListOf:  # objects whose kinds fit, as in check
-        fields = item.items()
-        for v in value:
-            if type(v) is not dict:
-                break
-            for name, k in fields:
-                if type(v.get(name, _ABSENT)) not in k:
-                    break
-            else:
-                continue
-            break
-        else:
-            return None
     for key, v in enumerate(value) if type(kind) is ListOf else value.items():
         fault = _fault(v, item)
         if fault is not None:

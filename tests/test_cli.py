@@ -65,6 +65,21 @@ def test_decode_all_blank(tmp_path, runner):
     assert track.phones == []
 
 
+def test_decode_counts_the_empty_tracks_on_stderr_only(tmp_path, runner):
+    in_file = tmp_path / "paths.jsonl"
+    out_file = tmp_path / "tracks.jsonl"
+    write_lines(in_file, [{"utt_id": "u2", "frame_ms": 20.0, "labels": ["_", "_", "_"]},
+                          {"utt_id": "u1", "frame_ms": 20.0, "labels": ["_", "t", "a"]}])
+    result = runner.invoke(main, ["decode", str(in_file), str(out_file)])
+    assert result.exit_code == 0
+    assert result.stdout == ""
+    assert result.stderr == f"decoded 2 utterances (1 empty) -> {out_file}\n"
+    assert out_file.read_bytes() == (
+        b'{"frame_ms":20.0,"model":"OTHER","phones":[{"end":1,"start":1,"symbol":"t"},'
+        b'{"end":2,"start":2,"symbol":"a"}],"utt_id":"u1"}\n'
+        b'{"frame_ms":20.0,"model":"OTHER","phones":[],"utt_id":"u2"}\n')
+
+
 def test_decode_malformed_line_reports_lineno(tmp_path, runner):
     in_file = tmp_path / "paths.jsonl"
     in_file.write_text('{"utt_id": "u1", "frame_ms": 20.0, "labels": ["a"]}\nnot json\n',

@@ -379,7 +379,7 @@ def test_a_voicing_pair_of_other_than_two_symbols_is_named(dirs, pair):
      "phones[1]: invalid frame span 5..2"),
     ([{"symbol": "t", "start": -1, "end": 0}], "phones[0]: invalid frame span -1..0"),
     ([{"symbol": "t", "start": 2, "end": 3}, {"symbol": "a", "start": 1, "end": 4}],
-     "phone start frames must be non-decreasing"),
+     "phones[1]: start frame 1 comes before 2"),
 ])
 def test_a_phone_span_fault_names_the_utterance(dirs, phones, fault):
     i, o = dirs
