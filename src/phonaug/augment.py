@@ -208,15 +208,18 @@ def augment_corpus(rm_file: str | Path, hm_file: str | Path, table: MappingTable
 
 
 def prefilter_by_aspiration(rm_file: str | Path, hm_file: str | Path, table: MappingTable,
-                            inventory: Inventory | None = None) -> list[str]:
+                            inventory: Inventory | None = None,
+                            stats: AugmentationStats | None = None) -> list[str]:
     """utt_ids whose matches produce at least one aspirated output phone. A
     transfer gives the RM phone exactly the HM phonation, so the matched HM
-    phones decide and no TM track is built."""
+    phones decide and no TM track is built. `stats`, if given, counts the
+    utterance pairs read and lists the RM utterances without an HM counterpart."""
     inv = inventory or Inventory.default()
     table.check_voicing_pairs(inv)
+    stats = AugmentationStats() if stats is None else stats
     selected = []
-    for rm, hm in _paired_tracks(rm_file, hm_file, inv, skip_missing=True,
-                                 stats=AugmentationStats()):
+    for rm, hm in _paired_tracks(rm_file, hm_file, inv, skip_missing=True, stats=stats):
+        stats.utterances += 1
         if any(phonation_of(p.hm_phone.phone) == ASPIRATED for p in match_phones(rm, hm, table)):
             selected.append(rm.utt_id)
     return selected

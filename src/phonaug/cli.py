@@ -5,7 +5,7 @@ byte-identical outputs. Hard errors exit nonzero with a diagnostic on stderr.
 What is skipped is listed where a command skips it: `augment` names each RM
 utterance without an HM counterpart under `missing_counterparts` in its stats,
 and `prepare remap` writes each rewrite and drop to its `--report-file`;
-`prefilter-aspiration` skips such utterances and lists none of them.
+`prefilter-aspiration` skips such utterances and counts them on stderr.
 """
 
 from __future__ import annotations
@@ -133,12 +133,16 @@ def prefilter_aspiration(rm_file, hm_file, mapping_path, inventory_path, out_fil
     """List utt_ids whose matches produce at least one aspirated phone."""
     inv = _load(inventory.Inventory, inventory_path)
     table = _load(aug.MappingTable, mapping_path, inv)
-    selected = aug.prefilter_by_aspiration(rm_file, hm_file, table, inv)
+    stats = aug.AugmentationStats()
+    selected = aug.prefilter_by_aspiration(rm_file, hm_file, table, inv, stats)
     text = "\n".join(selected) + ("\n" if selected else "")
     if out_file:
         io.write_text(out_file, text)
     else:
         click.echo(text, nl=False)
+    missing = len(stats.missing_counterparts)
+    click.echo(f"selected {len(selected)} of {stats.utterances + missing} utterances "
+               f"({missing} without an HM counterpart)", err=True)
 
 
 @main.group()
@@ -269,12 +273,15 @@ def cmd_synth(spec_file, rm_out, hm_out, truth_out, inventory_path):
     io.check_outputs(rm_out, hm_out, truth_out)
     inv = _load(inventory.Inventory, inventory_path)
     spec = synth.ScenarioSpec.load(spec_file)
-    rm_tracks, hm_tracks, truth = synth.generate(spec, inv)
-    ctc.write_tracks(rm_out, rm_tracks)
-    ctc.write_tracks(hm_out, hm_tracks)
-    if truth_out:
-        io.write_jsonl(truth_out, (t.to_obj() for t in truth))
-    click.echo(f"generated {len(rm_tracks)} utterances", err=True)
+    # each utterance's lines are written as it is made; the files are renamed into
+    # place once all of them are complete, and none is on a fault
+    with io.replacing(rm_out, hm_out, truth_out) as (rm_file, hm_file, truth_file):
+        for rm, hm, truths in synth.utterances(spec, inv):
+            rm_file.write(ctc.track_line(rm) + "\n")
+            hm_file.write(ctc.track_line(hm) + "\n")
+            if truth_file is not None:
+                truth_file.writelines([synth.truth_line(t) + "\n" for t in truths])
+    click.echo(f"generated {spec.n_utterances} utterances", err=True)
 
 
 @main.command(name="evaluate")

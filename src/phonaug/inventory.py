@@ -49,12 +49,11 @@ class Phonation:
 
     @property
     def name(self) -> str:
-        return {
-            (False, False): "tenuis",
-            (False, True): "aspirated",
-            (True, False): "voiced",
-            (True, True): "breathy",
-        }[(self.voiced, self.spread_glottis)]
+        return _PHONATION_NAMES[self.voiced, self.spread_glottis]
+
+
+_PHONATION_NAMES = {(False, False): "tenuis", (False, True): "aspirated",
+                    (True, False): "voiced", (True, True): "breathy"}
 
 
 TENUIS = Phonation(False, False)

@@ -12,13 +12,16 @@ base of its second, by one regex match that builds no other phone. What grows
 with its input is one vot_ms per instance, one head per distinct onset, and one
 entry per instance in `metrics.Evaluation`'s per-model dict from utt_id to
 voicing flag (or None), which serves both the duplicate check and the paired
-test. `decode` holds its input in memory so that it can sort it.
+test. `synth` makes and writes one utterance at a time, so nothing of it grows
+with n_utterances. `decode` holds its input in memory so that it can sort it.
 A string that escapes a lone surrogate ("\\ud800") fails at read with its file
 and line, since no UTF-8 output can hold it.
 Writers emit deterministic bytes (sorted keys, no trailing spaces) so re-runs
-are byte-identical; track lines are formatted by `ctc.track_line`, with the
-bytes that `dump_line` gives their objects. Every output file, JSONL or not,
-appears at its path only once it is written in full.
+are byte-identical; track lines are formatted by `ctc.track_line` and truth
+lines by `synth.truth_line`, with the bytes that `dump_line` gives their
+objects. Every output file, JSONL or not, appears at its path only once it is
+written in full; a command's several outputs, which must name distinct files,
+are written together by `replacing` when one pass makes them all.
 
 Each config file, the packaged tables under `DATA` too, is one JSON object,
 read whole by `read_json`. Both readers `check` each object against its schema
@@ -35,7 +38,7 @@ import json
 import os
 import re
 from collections import namedtuple
-from contextlib import closing, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
@@ -274,45 +277,59 @@ def dump_line(obj: Any) -> str:
 
 def check_outputs(*paths: str | Path | None) -> None:
     """Fail unless each output path (None for an output not asked for) names a
-    regular file or nothing yet, in a directory that exists: a rename would
-    replace a directory, device or pipe itself. A command calls it before it
-    writes its first file."""
+    regular file or nothing yet, in a directory that exists, and no two of them
+    name one file (by `os.path.realpath`): a rename would replace a directory,
+    device or pipe itself, and of two outputs renamed onto one file only the
+    last would be left. A command calls it before it writes its first file."""
+    named: dict[str, str | Path] = {}  # realpath -> the first path that names it
     for path in paths:
         if path is None:
             continue
         if os.path.exists(path) and not os.path.isfile(path):
             raise PhonaugError(f"{path}: output must be a regular file")
-        if not os.path.isdir(os.path.dirname(os.path.realpath(path))):
+        real = os.path.realpath(path)
+        if not os.path.isdir(os.path.dirname(real)):
             raise PhonaugError(f"{path}: output directory does not exist")
+        if real in named:
+            raise PhonaugError(f"{path}: output is the same file as {named[real]}")
+        named[real] = path
 
 
 @contextmanager
-def _replacing(path: str | Path) -> Iterator[TextIO]:
-    """A text file to write in place of `path`: a temporary file beside it
-    that replaces it when the block ends; if the block fails, the temporary
-    file is removed and `path` is left as it was."""
-    check_outputs(path)
-    path = Path(path).resolve()  # replace a symlink's target, not the link
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+def replacing(*paths: str | Path | None) -> Iterator[list[TextIO | None]]:
+    """One text file to write in place of each path (None for a path that is
+    None): temporary files beside them, open together, each of which replaces
+    its path once the block ends, so only when all are complete. If the block
+    fails, every temporary file is removed and each path is left as it was."""
+    check_outputs(*paths)
+    # replace a symlink's target, not the link
+    targets = [None if path is None else Path(path).resolve() for path in paths]
+    tmps = [None if target is None else
+            target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp") for target in targets]
     try:
-        with open(tmp, "x", encoding="utf-8") as f:
-            yield f
-        os.replace(tmp, path)
+        with ExitStack() as stack:
+            yield [None if tmp is None else stack.enter_context(open(tmp, "x", encoding="utf-8"))
+                   for tmp in tmps]
+        for tmp, target in zip(tmps, targets):
+            if tmp is not None:
+                os.replace(tmp, target)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            if tmp is not None:
+                tmp.unlink(missing_ok=True)
         raise
 
 
 def write_text(path: str | Path, text: str) -> None:
     """Write `text` to `path`, all or nothing."""
-    with _replacing(path) as f:
+    with replacing(path) as (f,):
         f.write(text)
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> int:
     """Write each line and a newline, all or nothing, and return the count."""
     n = 0
-    with _replacing(path) as f:
+    with replacing(path) as (f,):
         for line in lines:
             f.write(line + "\n")
             n += 1

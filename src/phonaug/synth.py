@@ -4,15 +4,18 @@ Lets the matcher, augmenter and metrics be exercised without audio or trained
 models. Filler vowels are drawn from a set that never appears in the mapping
 table, so fixtures isolate plosive behavior. Generation is a pure function of
 the scenario spec: each utterance gets its own child RNG seeded from
-(seed, index), so
-utterances could be generated in parallel without changing the output.
+(seed, index), so utterances could be generated in parallel without changing
+the output. `utterances` yields them one at a time, so `phonaug synth` writes
+each as it is made and holds no more than one in memory.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 from . import io
 from .ctc import PhoneTrack, TimedPhone
@@ -58,8 +61,7 @@ class ScenarioSpec:
             for name, kind in kinds.items()})
 
 
-@dataclass(frozen=True)
-class GroundTruthMatch:
+class GroundTruthMatch(NamedTuple):
     utt_id: str
     rm_index: int
     hm_index: int
@@ -70,14 +72,22 @@ class GroundTruthMatch:
                 "hm_index": self.hm_index, "phonation": self.phonation.name}
 
 
-def generate(spec: ScenarioSpec, inventory: Inventory | None = None,
-             ) -> tuple[list[PhoneTrack], list[PhoneTrack], list[GroundTruthMatch]]:
-    """Generate RM tracks, mirrored HM tracks and the intended match list."""
+def truth_line(t: GroundTruthMatch) -> str:
+    """The line of `t` in a truth file, without its newline: the bytes of
+    `io.dump_line(t.to_obj())`, formatted in its sorted key order without
+    building the dict, as `ctc.track_line` formats a track. A phonation name is
+    a lowercase ASCII word, which JSON spells as it is."""
+    return (f'{{"hm_index":{t.hm_index},"phonation":"{t.phonation.name}",'
+            f'"rm_index":{t.rm_index},"utt_id":{encode_basestring(t.utt_id)}}}')
+
+
+def utterances(spec: ScenarioSpec, inventory: Inventory | None = None,
+               ) -> Iterator[tuple[PhoneTrack, PhoneTrack, list[GroundTruthMatch]]]:
+    """Yield each utterance's RM track, mirrored HM track and intended matches,
+    in utt_id order, one utterance at a time."""
     inv = inventory or Inventory.default()
     pitch = SPAN_FRAMES + 2 * spec.jitter  # slot spacing keeps jittered starts ordered
-    rm_tracks: list[PhoneTrack] = []
-    hm_tracks: list[PhoneTrack] = []
-    truth: list[GroundTruthMatch] = []
+    new = tuple.__new__  # builds what a NamedTuple's __new__ does, without its Python frame
 
     for u in range(spec.n_utterances):
         utt_id = f"synth-{u:06d}"
@@ -85,27 +95,39 @@ def generate(spec: ScenarioSpec, inventory: Inventory | None = None,
         n_phones = rng.randint(3, 8)
         rm_phones: list[TimedPhone] = []
         hm_phones: list[TimedPhone] = []
+        truths: list[GroundTruthMatch] = []
         for i in range(n_phones):
             start = i * pitch
             end = start + SPAN_FRAMES - 1
             if rng.random() < spec.plosive_rate:
                 rm_phone = inv.make_phone(rng.choice(RM_PLOSIVES))
-                rm_phones.append(TimedPhone(rm_phone, start, end))
                 if rng.random() < spec.drop_rate:
                     hm_phone = inv.make_phone(rng.choice(FILLER_VOWELS))
                 else:
                     target = _draw_phonation(rng, spec, phonation_of(rm_phone))
                     hm_phone = with_phonation(rm_phone, target, inv)
-                    truth.append(GroundTruthMatch(utt_id, i, i, target))
+                    truths.append(new(GroundTruthMatch, (utt_id, i, i, target)))
             else:
-                rm_phone = inv.make_phone(rng.choice(FILLER_VOWELS))
-                rm_phones.append(TimedPhone(rm_phone, start, end))
-                hm_phone = rm_phone
+                rm_phone = hm_phone = inv.make_phone(rng.choice(FILLER_VOWELS))
+            rm_phones.append(new(TimedPhone, (rm_phone, start, end)))
             shift = rng.randint(-spec.jitter, spec.jitter) if spec.jitter else 0
             hm_start = max(0, start + shift)
-            hm_phones.append(TimedPhone(hm_phone, hm_start, hm_start + SPAN_FRAMES - 1))
-        rm_tracks.append(PhoneTrack(utt_id, "RM", rm_phones, 20.0))
-        hm_tracks.append(PhoneTrack(utt_id, "HM", hm_phones, 20.0))
+            hm_phones.append(new(TimedPhone, (hm_phone, hm_start, hm_start + SPAN_FRAMES - 1)))
+        yield (PhoneTrack(utt_id, "RM", rm_phones, 20.0),
+               PhoneTrack(utt_id, "HM", hm_phones, 20.0), truths)
+
+
+def generate(spec: ScenarioSpec, inventory: Inventory | None = None,
+             ) -> tuple[list[PhoneTrack], list[PhoneTrack], list[GroundTruthMatch]]:
+    """Generate RM tracks, mirrored HM tracks and the intended match list: what
+    `utterances` yields, collected."""
+    rm_tracks: list[PhoneTrack] = []
+    hm_tracks: list[PhoneTrack] = []
+    truth: list[GroundTruthMatch] = []
+    for rm, hm, truths in utterances(spec, inventory):
+        rm_tracks.append(rm)
+        hm_tracks.append(hm)
+        truth.extend(truths)
     return rm_tracks, hm_tracks, truth
 
 

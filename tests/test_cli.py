@@ -8,7 +8,8 @@ from importlib import resources
 import pytest
 from click.testing import CliRunner
 
-from phonaug import Inventory, ScenarioSpec, generate, serialize
+from phonaug import Inventory, MappingTable, ScenarioSpec, generate, serialize
+from phonaug.augment import prefilter_by_aspiration
 from phonaug.cli import main
 from phonaug.ctc import read_tracks
 from phonaug.io import DATA, dump_line
@@ -298,9 +299,30 @@ def test_prefilter_aspiration_cli(tmp_path, runner):
     rm, hm, _ = synth_files(tmp_path, runner)
     result = runner.invoke(main, ["prefilter-aspiration", str(rm), str(hm)])
     assert result.exit_code == 0
-    ids = result.output.split()
+    ids = result.stdout.split()
     assert ids == sorted(ids)
     assert len(ids) > 0
+
+
+def test_prefilter_aspiration_counts_what_it_skips_on_stderr_only(tmp_path, runner):
+    rm, hm, _ = synth_files(tmp_path, runner)
+    lines = hm.read_text(encoding="utf-8").splitlines(keepends=True)
+    short = tmp_path / "short.jsonl"  # no HM track for synth-000003 and synth-000004
+    short.write_text("".join(lines[:3] + lines[5:]), encoding="utf-8")
+    table = MappingTable.default(INV)
+    for hm_file, missing in ((hm, 0), (short, 2)):
+        selected = prefilter_by_aspiration(rm, hm_file, table, INV)
+        text = "".join(f"{u}\n" for u in selected)
+        line = f"selected {len(selected)} of 30 utterances ({missing} without an HM counterpart)\n"
+        result = runner.invoke(main, ["prefilter-aspiration", str(rm), str(hm_file)])
+        assert result.exit_code == 0
+        assert (result.stdout, result.stderr) == (text, line)
+        out = tmp_path / "selected.txt"
+        result = runner.invoke(main, ["prefilter-aspiration", str(rm), str(hm_file),
+                                      "--out", str(out)])
+        assert result.exit_code == 0
+        assert (result.stdout, result.stderr) == ("", line)
+        assert out.read_text(encoding="utf-8") == text
 
 
 @pytest.mark.parametrize("command", ["augment", "prefilter-aspiration"])

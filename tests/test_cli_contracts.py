@@ -143,6 +143,23 @@ def test_an_output_in_a_missing_directory_fails_before_any_write(dirs, command, 
     assert list(o.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, first, second", [
+    pytest.param(command, first, second, id=f"{command}-{first}-{second}")
+    for command, (_, outputs) in COMMANDS.items() if not command.startswith("evaluate")
+    for n, first in enumerate(outputs) for second in outputs[n + 1:]])
+def test_two_outputs_that_name_one_file_fail_before_any_write(dirs, command, first, second):
+    # once: `synth --rm-out x --hm-out x` left only the HM track in x, and `augment
+    # rm hm out --stats-file out` wrote the stats over the TM track, each with exit 0
+    i, o = dirs
+    args, _ = COMMANDS[command]
+    result = CliRunner().invoke(main, [a.format(i=i, o=o).replace(str(o / second), str(o / first))
+                                       for a in args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"Error: {o / first}: output is the same file as {o / first}\n"
+    assert list(o.iterdir()) == []
+
+
 PREPARE = [c for c in COMMANDS if c.startswith("prepare-")]
 
 
