@@ -1,7 +1,12 @@
 """Composable pipeline subcommands over JSON Lines files.
 
 Every subcommand is deterministic: identical inputs (and seeds) produce
-byte-identical outputs. Hard errors exit nonzero with a diagnostic on stderr.
+byte-identical outputs. A command exits 0 on success and 1 on a hard error,
+with one `Error: ...` line on stderr. A usage error (an unknown command or
+option, a missing or malformed argument, an input path that does not exist,
+is a directory or cannot be read) exits 2 before anything is written: stderr
+holds the command's usage, then one `Error: ...` line naming the
+argument. Options are matched by their full names only, never by a prefix.
 What is skipped is listed where a command skips it: `augment` names each RM
 utterance without an HM counterpart under `missing_counterparts` in its stats,
 and `prepare remap` writes each rewrite and drop to its `--report-file`;
@@ -10,13 +15,13 @@ and `prepare remap` writes each rewrite and drop to its `--report-file`;
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import json
+import os
 import sys
 from contextlib import closing
 from pathlib import Path
-
-import click
 
 from . import io
 from .errors import PhonaugError
@@ -40,10 +45,16 @@ def _lazy(name: str):
 aug, ctc, inventory, manifest, metrics, synth = map(
     _lazy, ("augment", "ctc", "inventory", "manifest", "metrics", "synth"))
 
-# shared by every argument and option: each click.Path() searches the file system
-# for its gettext translations
-_EXISTING = click.Path(exists=True)
-_PATH = click.Path()
+
+def _input(path: str) -> str:
+    """An input file argument: it must exist, be readable and not be a directory."""
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"File {path!r} does not exist.")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"File {path!r} is a directory.")
+    if not os.access(path, os.R_OK):
+        raise argparse.ArgumentTypeError(f"File {path!r} is not readable.")
+    return path
 
 
 def _load(cls, path: str | None, *args):
@@ -51,30 +62,97 @@ def _load(cls, path: str | None, *args):
     return cls.load(path, *args) if path else cls.default(*args)
 
 
-class _Commands(click.Group):
-    """A PhonaugError from any subcommand exits 1 with one `Error: ...` line."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except PhonaugError as e:
-            raise click.ClickException(str(e)) from e
+def _echo(text: str, err: bool = False, end: str = "\n") -> None:
+    """Print `text` on stdout, or on stderr if `err`, and flush it, so that the
+    two streams keep their order where they share one pipe."""
+    print(text, end=end, file=sys.stderr if err else sys.stdout, flush=True)
 
 
-@click.group(cls=_Commands)
-def main():
-    """Selective phonation augmentation pipeline."""
+class _Parser(argparse.ArgumentParser):
+    """An option is matched by its full name only, and a usage error exits 2 with
+    the usage and one `Error: ...` line on stderr."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.exit(2, f"{self.format_usage()}Error: {message}\n")
 
 
-@main.command()
-@click.argument("framepath_file", type=_EXISTING)
-@click.argument("out_file", type=_PATH)
-@click.option("--blank", default="_", show_default=True, help="CTC blank token.")
-@click.option("--frame-ms", type=float, default=None,
-              help="Override the per-line frame_ms field.")
-@click.option("--model-tag", default="OTHER", show_default=True,
-              type=click.Choice(io.MODEL_TAGS))
-@click.option("--inventory", "inventory_path", type=_EXISTING)
+# each command's name -> (its function, its add_argument calls); a group's name
+# -> (its help, its own such table)
+_COMMANDS: dict = {}
+_PREPARE: dict = {}
+
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+def _command(name: str, *arguments, group: dict = _COMMANDS):
+    def register(run):
+        group[name] = run, arguments
+        return run
+    return register
+
+
+def _add_commands(parser: _Parser, commands: dict, args: list[str]) -> None:
+    """Add `commands` to `parser`; only the one that args[0] names, if it names one,
+    since building the parsers of all commands takes about 3 ms at every start."""
+    subparsers = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    for name in args[:1] if args and args[0] in commands else commands:
+        run, arguments = commands[name]
+        doc = run if isinstance(run, str) else run.__doc__
+        sub = subparsers.add_parser(name, help=doc, description=doc)
+        if isinstance(arguments, dict):
+            _add_commands(sub, arguments, args[1:])
+            continue
+        sub.set_defaults(run=run, parser=sub)
+        for flags, kwargs in arguments:
+            sub.add_argument(*flags, **kwargs)
+
+
+def main(args: list[str] | None = None, prog_name: str = "phonaug",
+         standalone_mode: bool = True) -> None:
+    """Run the command line `args` (default: sys.argv[1:]). A usage error exits 2.
+    In standalone mode a PhonaugError exits 1 with one `Error: ...` line on
+    stderr; otherwise it propagates to the caller."""
+    args = sys.argv[1:] if args is None else list(args)
+    parser = _Parser(prog=prog_name, description="Selective phonation augmentation pipeline.")
+    _add_commands(parser, _COMMANDS, args)
+    namespace, extra = parser.parse_known_args(args)
+    params = vars(namespace)
+    run, command = params.pop("run"), params.pop("parser")
+    if extra:  # in click's words, which scripts may match
+        option = next((a for a in extra if a.startswith("-")), None)
+        command.error(f"No such option: {option}" if option else
+                      f"Got unexpected extra argument{'s' * (len(extra) > 1)} "
+                      f"({' '.join(extra)})")
+    try:
+        run(**params)
+    except PhonaugError as e:
+        if not standalone_mode:
+            raise
+        _echo(f"Error: {e}", err=True)
+        sys.exit(1)
+    except BrokenPipeError:  # stdout closed early, as by `| head`: exit 1 quietly
+        if not standalone_mode:
+            raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+
+
+main.main = main  # only for perfbench/run.py, which calls main.main(..., standalone_mode=False)
+
+
+@_command("decode",
+          _arg("framepath_file", type=_input),
+          _arg("out_file"),
+          _arg("--blank", default="_", help="CTC blank token (default: %(default)s)."),
+          _arg("--frame-ms", type=float, help="Override the per-line frame_ms field."),
+          _arg("--model-tag", default="OTHER", choices=io.MODEL_TAGS,
+               help="The tracks' model (default: %(default)s)."),
+          _arg("--inventory", dest="inventory_path", type=_input))
 def decode(framepath_file, out_file, blank, frame_ms, model_tag, inventory_path):
     """Collapse per-frame CTC label paths into timestamped phone tracks."""
     inv = _load(inventory.Inventory, inventory_path)
@@ -93,20 +171,21 @@ def decode(framepath_file, out_file, blank, frame_ms, model_tag, inventory_path)
     tracks = sorted(io.parse_records(framepath_file, from_obj, fields), key=lambda t: t.utt_id)
     n = ctc.write_tracks(out_file, ctc.in_utt_id_order(tracks, framepath_file))
     empty = sum(not track.phones for track in tracks)  # all blank: no phone to match
-    click.echo(f"decoded {n} utterances ({empty} empty) -> {out_file}", err=True)
+    _echo(f"decoded {n} utterances ({empty} empty) -> {out_file}", err=True)
 
 
-@main.command(name="augment")
-@click.argument("rm_file", type=_EXISTING)
-@click.argument("hm_file", type=_EXISTING)
-@click.argument("out_file", type=_PATH)
-@click.option("--mapping", "mapping_path", type=_EXISTING)
-@click.option("--inventory", "inventory_path", type=_EXISTING)
-@click.option("--no-breathy", is_flag=True, help="Do not transfer breathy voice (ʱ).")
-@click.option("--skip-missing/--fail-missing", default=True, show_default=True,
-              help="Skip RM utterances without an HM counterpart.")
-@click.option("--stats-file", type=_PATH, default=None,
-              help="Write AugmentationStats JSON here (default: stdout).")
+@_command("augment",
+          _arg("rm_file", type=_input),
+          _arg("hm_file", type=_input),
+          _arg("out_file"),
+          _arg("--mapping", dest="mapping_path", type=_input),
+          _arg("--inventory", dest="inventory_path", type=_input),
+          _arg("--no-breathy", action="store_true", help="Do not transfer breathy voice (ʱ)."),
+          _arg("--skip-missing", action="store_true", default=True,
+               help="Skip RM utterances without an HM counterpart (the default)."),
+          _arg("--fail-missing", dest="skip_missing", action="store_false",
+               help="Fail on an RM utterance without an HM counterpart."),
+          _arg("--stats-file", help="Write AugmentationStats JSON here (default: stdout)."))
 def cmd_augment(rm_file, hm_file, out_file, mapping_path, inventory_path,
                 no_breathy, skip_missing, stats_file):
     """Match RM plosives to HM plosives and overwrite their phonation."""
@@ -119,16 +198,15 @@ def cmd_augment(rm_file, hm_file, out_file, mapping_path, inventory_path,
     if stats_file:
         io.write_text(stats_file, payload + "\n")
     else:
-        click.echo(payload)
+        _echo(payload)
 
 
-@main.command(name="prefilter-aspiration")
-@click.argument("rm_file", type=_EXISTING)
-@click.argument("hm_file", type=_EXISTING)
-@click.option("--mapping", "mapping_path", type=_EXISTING)
-@click.option("--inventory", "inventory_path", type=_EXISTING)
-@click.option("--out", "out_file", type=_PATH, default=None,
-              help="Write selected utt_ids here (default: stdout).")
+@_command("prefilter-aspiration",
+          _arg("rm_file", type=_input),
+          _arg("hm_file", type=_input),
+          _arg("--mapping", dest="mapping_path", type=_input),
+          _arg("--inventory", dest="inventory_path", type=_input),
+          _arg("--out", dest="out_file", help="Write selected utt_ids here (default: stdout)."))
 def prefilter_aspiration(rm_file, hm_file, mapping_path, inventory_path, out_file):
     """List utt_ids whose matches produce at least one aspirated phone."""
     inv = _load(inventory.Inventory, inventory_path)
@@ -139,15 +217,14 @@ def prefilter_aspiration(rm_file, hm_file, mapping_path, inventory_path, out_fil
     if out_file:
         io.write_text(out_file, text)
     else:
-        click.echo(text, nl=False)
+        _echo(text, end="")
     missing = len(stats.missing_counterparts)
-    click.echo(f"selected {len(selected)} of {stats.utterances + missing} utterances "
-               f"({missing} without an HM counterpart)", err=True)
+    _echo(f"selected {len(selected)} of {stats.utterances + missing} utterances "
+          f"({missing} without an HM counterpart)", err=True)
 
 
-@main.group()
-def prepare():
-    """Manifest operations: filter, sample, split, remap, onset-testset, clean-vocab."""
+_COMMANDS["prepare"] = (
+    "Manifest operations: filter, sample, split, remap, onset-testset, clean-vocab.", _PREPARE)
 
 
 def _read_manifest(path) -> list[manifest.SegmentRecord]:
@@ -167,49 +244,54 @@ def _write_manifest(path, records) -> None:
     io.write_jsonl(path, (r.to_obj() for r in records))
 
 
-@prepare.command(name="filter")
-@click.argument("in_file", type=_EXISTING)
-@click.argument("out_file", type=_PATH)
-@click.option("--max-downvotes", type=int, default=0, show_default=True)
+@_command("filter",
+          _arg("in_file", type=_input),
+          _arg("out_file"),
+          _arg("--max-downvotes", type=int, default=0,
+               help="Keep segments with at most this many (default: %(default)s)."),
+          group=_PREPARE)
 def prepare_filter(in_file, out_file, max_downvotes):
     """Drop downvoted segments."""
     records = manifest.filter_downvoted(_read_manifest(in_file), max_downvotes)
     _write_manifest(out_file, records)
-    click.echo(f"kept {len(records)} records", err=True)
+    _echo(f"kept {len(records)} records", err=True)
 
 
-@prepare.command(name="sample")
-@click.argument("in_file", type=_EXISTING)
-@click.argument("out_file", type=_PATH)
-@click.option("--n", type=int, required=True)
-@click.option("--seed", type=int, required=True)
+@_command("sample",
+          _arg("in_file", type=_input),
+          _arg("out_file"),
+          _arg("--n", type=int, required=True),
+          _arg("--seed", type=int, required=True),
+          group=_PREPARE)
 def prepare_sample(in_file, out_file, n, seed):
     """Seeded uniform sample without replacement."""
     _write_manifest(out_file, manifest.sample_segments(_read_manifest(in_file), n, seed))
 
 
-@prepare.command(name="split")
-@click.argument("in_file", type=_EXISTING)
-@click.option("--fraction", type=float, required=True, help="Validation fraction.")
-@click.option("--seed", type=int, required=True)
-@click.option("--train-out", type=_PATH, required=True)
-@click.option("--valid-out", type=_PATH, required=True)
+@_command("split",
+          _arg("in_file", type=_input),
+          _arg("--fraction", type=float, required=True, help="Validation fraction."),
+          _arg("--seed", type=int, required=True),
+          _arg("--train-out", required=True),
+          _arg("--valid-out", required=True),
+          group=_PREPARE)
 def prepare_split(in_file, fraction, seed, train_out, valid_out):
     """Seeded train/validation split."""
     io.check_outputs(train_out, valid_out)
     train, valid = manifest.split_validation(_read_manifest(in_file), fraction, seed)
     _write_manifest(train_out, train)
     _write_manifest(valid_out, valid)
-    click.echo(f"train {len(train)} / valid {len(valid)}", err=True)
+    _echo(f"train {len(train)} / valid {len(valid)}", err=True)
 
 
-@prepare.command(name="remap")
-@click.argument("in_file", type=_EXISTING)
-@click.argument("out_file", type=_PATH)
-@click.option("--config", "config_path", type=_EXISTING, required=True,
-              help='JSON {"remap": {...}, "exclude": [...]}.')
-@click.option("--report-file", type=_PATH, default=None)
-@click.option("--inventory", "inventory_path", type=_EXISTING)
+@_command("remap",
+          _arg("in_file", type=_input),
+          _arg("out_file"),
+          _arg("--config", dest="config_path", type=_input, required=True,
+               help='JSON {"remap": {...}, "exclude": [...]}.'),
+          _arg("--report-file"),
+          _arg("--inventory", dest="inventory_path", type=_input),
+          group=_PREPARE)
 def prepare_remap(in_file, out_file, config_path, report_file, inventory_path):
     """Rewrite invalid transcriptions and drop the unfixable ones."""
     io.check_outputs(out_file, report_file)
@@ -220,27 +302,30 @@ def prepare_remap(in_file, out_file, config_path, report_file, inventory_path):
     _write_manifest(out_file, kept)
     if report_file:
         io.write_jsonl(report_file, rep)
-    click.echo(f"kept {len(kept)} records, {len(rep)} report entries", err=True)
+    _echo(f"kept {len(kept)} records, {len(rep)} report entries", err=True)
 
 
-@prepare.command(name="onset-testset")
-@click.argument("in_file", type=_EXISTING)
-@click.argument("out_file", type=_PATH)
-@click.option("--per-phoneme-n", type=int, default=40, show_default=True)
-@click.option("--seed", type=int, required=True)
+@_command("onset-testset",
+          _arg("in_file", type=_input),
+          _arg("out_file"),
+          _arg("--per-phoneme-n", type=int, default=40,
+               help="Records per phoneme (default: %(default)s)."),
+          _arg("--seed", type=int, required=True),
+          group=_PREPARE)
 def prepare_onset_testset(in_file, out_file, per_phoneme_n, seed):
     """Absolute-onset test set: sentence-initial <b d g p t k>, sampled per phoneme."""
     records = manifest.build_onset_testset(_read_manifest(in_file), per_phoneme_n, seed)
     _write_manifest(out_file, records)
-    click.echo(f"wrote {len(records)} test records", err=True)
+    _echo(f"wrote {len(records)} test records", err=True)
 
 
-@prepare.command(name="clean-vocab")
-@click.argument("vocab_file", type=_EXISTING)
-@click.argument("corpus_file", type=_EXISTING)
-@click.argument("out_file", type=_PATH)
-@click.option("--remove", multiple=True, help="Token to remove (repeatable).")
-@click.option("--add", multiple=True, help="Token to add (repeatable).")
+@_command("clean-vocab",
+          _arg("vocab_file", type=_input),
+          _arg("corpus_file", type=_input),
+          _arg("out_file"),
+          _arg("--remove", action="append", default=[], help="Token to remove (repeatable)."),
+          _arg("--add", action="append", default=[], help="Token to add (repeatable)."),
+          group=_PREPARE)
 def prepare_clean_vocab(vocab_file, corpus_file, out_file, remove, add):
     """Remove unused tokens, add new ones, reassign dense ids."""
     def from_obj(raw):
@@ -259,15 +344,15 @@ def prepare_clean_vocab(vocab_file, corpus_file, out_file, remove, add):
     # clean_vocab numbers the tokens by position; the map is keyed by the file's ids
     out["id_map"] = {str(ids[vocab.tokens[k]]): v for k, v in sorted(id_map.items())}
     io.write_text(out_file, json.dumps(out, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
-    click.echo(f"vocabulary: {len(vocab.tokens)} -> {len(cleaned.tokens)} tokens", err=True)
+    _echo(f"vocabulary: {len(vocab.tokens)} -> {len(cleaned.tokens)} tokens", err=True)
 
 
-@main.command(name="synth")
-@click.argument("spec_file", type=_EXISTING)
-@click.option("--rm-out", type=_PATH, required=True)
-@click.option("--hm-out", type=_PATH, required=True)
-@click.option("--truth-out", type=_PATH, default=None)
-@click.option("--inventory", "inventory_path", type=_EXISTING)
+@_command("synth",
+          _arg("spec_file", type=_input),
+          _arg("--rm-out", required=True),
+          _arg("--hm-out", required=True),
+          _arg("--truth-out"),
+          _arg("--inventory", dest="inventory_path", type=_input))
 def cmd_synth(spec_file, rm_out, hm_out, truth_out, inventory_path):
     """Generate synthetic paired RM/HM tracks with known ground truth."""
     io.check_outputs(rm_out, hm_out, truth_out)
@@ -281,17 +366,17 @@ def cmd_synth(spec_file, rm_out, hm_out, truth_out, inventory_path):
             hm_file.write(ctc.track_line(hm) + "\n")
             if truth_file is not None:
                 truth_file.writelines([synth.truth_line(t) + "\n" for t in truths])
-    click.echo(f"generated {spec.n_utterances} utterances", err=True)
+    _echo(f"generated {spec.n_utterances} utterances", err=True)
 
 
-@main.command(name="evaluate")
-@click.argument("instances_file", type=_EXISTING)
-@click.option("--out-prefix", type=_PATH, required=True,
-              help="Writes <prefix>.txt, <prefix>.json and <prefix>_boxplot.csv.")
-@click.option("--continuants", "continuants_path", type=_EXISTING)
-@click.option("--inventory", "inventory_path", type=_EXISTING)
-@click.option("--group", "group_filter", type=click.Choice(io.POA_GROUPS),
-              default=None, help="Report on one PoA group only.")
+@_command("evaluate",
+          _arg("instances_file", type=_input),
+          _arg("--out-prefix", required=True,
+               help="Writes <prefix>.txt, <prefix>.json and <prefix>_boxplot.csv."),
+          _arg("--continuants", dest="continuants_path", type=_input),
+          _arg("--inventory", dest="inventory_path", type=_input),
+          _arg("--group", dest="group_filter", choices=io.POA_GROUPS,
+               help="Report on one PoA group only."))
 def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
                  group_filter):
     """Classify predictions and emit metric tables, JSON and boxplot CSV."""
@@ -328,7 +413,7 @@ def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
     io.write_text(json_file, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
                   + "\n")
     io.write_text(csv_file, csv)
-    click.echo(text)
+    _echo(text)
 
 
 if __name__ == "__main__":

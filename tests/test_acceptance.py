@@ -15,7 +15,7 @@ import time
 import unicodedata
 
 import pytest
-from click.testing import CliRunner
+from clirun import invoke
 
 from phonaug import (
     Classified, EvalInstance, FramePath, Inventory, MappingTable,
@@ -24,7 +24,6 @@ from phonaug import (
     tokenize_ipa, voicing_acc,
 )
 from phonaug.augment import augment_track
-from phonaug.cli import main
 from phonaug.errors import EmptyDenominator
 from phonaug.io import dump_line
 from phonaug.manifest import SegmentRecord, build_onset_testset
@@ -197,7 +196,6 @@ def test_criterion_9_onset_testset_construction():
 
 def _run_pipeline(work) -> bytes:
     """decode -> augment -> evaluate; returns concatenated output bytes."""
-    runner = CliRunner()
     work.mkdir(parents=True)
 
     # deterministic frame paths from synthetic tracks (jitter spaces the slots)
@@ -223,11 +221,11 @@ def _run_pipeline(work) -> bytes:
     rm_file, hm_file, tm_file = work / "rm.jsonl", work / "hm.jsonl", work / "tm.jsonl"
     for args in (["decode", str(rm_paths), str(rm_file), "--model-tag", "RM"],
                  ["decode", str(hm_paths), str(hm_file), "--model-tag", "HM"]):
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 0, result.output
     stats_file = work / "stats.json"
-    result = runner.invoke(main, ["augment", str(rm_file), str(hm_file), str(tm_file),
-                                  "--stats-file", str(stats_file)])
+    result = invoke(["augment", str(rm_file), str(hm_file), str(tm_file),
+                     "--stats-file", str(stats_file)])
     assert result.exit_code == 0, result.output
 
     # deterministic eval instances from the augmented plosives
@@ -247,8 +245,8 @@ def _run_pipeline(work) -> bytes:
     inst_file = work / "instances.jsonl"
     inst_file.write_text("".join(dump_line(o) + "\n" for o in instances),
                          encoding="utf-8")
-    result = runner.invoke(main, ["evaluate", str(inst_file), "--out-prefix",
-                                  str(work / "report")])
+    result = invoke(["evaluate", str(inst_file), "--out-prefix",
+                     str(work / "report")])
     assert result.exit_code == 0, result.output
 
     return b"".join(p.read_bytes() for p in (

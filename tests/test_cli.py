@@ -1,4 +1,4 @@
-"""End-to-end subcommand behavior via the click test runner."""
+"""End-to-end subcommand behavior, each command run in process (tests/clirun.py)."""
 
 from __future__ import annotations
 
@@ -6,20 +6,14 @@ import json
 from importlib import resources
 
 import pytest
-from click.testing import CliRunner
+from clirun import invoke
 
 from phonaug import Inventory, MappingTable, ScenarioSpec, generate, serialize
 from phonaug.augment import prefilter_by_aspiration
-from phonaug.cli import main
 from phonaug.ctc import read_tracks
 from phonaug.io import DATA, dump_line
 
 INV = Inventory.default()
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def write_lines(path, objs):
@@ -31,7 +25,7 @@ def count_lines(path):
         return sum(1 for _ in f)
 
 
-def test_decode_roundtrip_with_synth(tmp_path, runner):
+def test_decode_roundtrip_with_synth(tmp_path):
     # frame paths regenerated from synthetic tracks must decode back to them;
     # jitter=1 spaces the slots so repeated phones stay blank-separated
     rm_tracks, _, _ = generate(ScenarioSpec(seed=6, n_utterances=20, jitter=1), INV)
@@ -48,30 +42,30 @@ def test_decode_roundtrip_with_synth(tmp_path, runner):
     in_file = tmp_path / "paths.jsonl"
     out_file = tmp_path / "tracks.jsonl"
     write_lines(in_file, objs)
-    result = runner.invoke(main, ["decode", str(in_file), str(out_file),
-                                  "--model-tag", "RM"])
+    result = invoke(["decode", str(in_file), str(out_file),
+                     "--model-tag", "RM"])
     assert result.exit_code == 0, result.output
     decoded = list(read_tracks(out_file, INV))
     assert [[serialize([p.phone]) for p in t.phones] for t in decoded] == \
         [[serialize([p.phone]) for p in t.phones] for t in rm_tracks]
 
 
-def test_decode_all_blank(tmp_path, runner):
+def test_decode_all_blank(tmp_path):
     in_file = tmp_path / "paths.jsonl"
     out_file = tmp_path / "tracks.jsonl"
     write_lines(in_file, [{"utt_id": "u1", "frame_ms": 20.0, "labels": ["_", "_"]}])
-    result = runner.invoke(main, ["decode", str(in_file), str(out_file)])
+    result = invoke(["decode", str(in_file), str(out_file)])
     assert result.exit_code == 0
     (track,) = read_tracks(out_file, INV)
     assert track.phones == []
 
 
-def test_decode_counts_the_empty_tracks_on_stderr_only(tmp_path, runner):
+def test_decode_counts_the_empty_tracks_on_stderr_only(tmp_path):
     in_file = tmp_path / "paths.jsonl"
     out_file = tmp_path / "tracks.jsonl"
     write_lines(in_file, [{"utt_id": "u2", "frame_ms": 20.0, "labels": ["_", "_", "_"]},
                           {"utt_id": "u1", "frame_ms": 20.0, "labels": ["_", "t", "a"]}])
-    result = runner.invoke(main, ["decode", str(in_file), str(out_file)])
+    result = invoke(["decode", str(in_file), str(out_file)])
     assert result.exit_code == 0
     assert result.stdout == ""
     assert result.stderr == f"decoded 2 utterances (1 empty) -> {out_file}\n"
@@ -81,20 +75,20 @@ def test_decode_counts_the_empty_tracks_on_stderr_only(tmp_path, runner):
         b'{"frame_ms":20.0,"model":"OTHER","phones":[],"utt_id":"u2"}\n')
 
 
-def test_decode_malformed_line_reports_lineno(tmp_path, runner):
+def test_decode_malformed_line_reports_lineno(tmp_path):
     in_file = tmp_path / "paths.jsonl"
     in_file.write_text('{"utt_id": "u1", "frame_ms": 20.0, "labels": ["a"]}\nnot json\n',
                        encoding="utf-8")
-    result = runner.invoke(main, ["decode", str(in_file), str(tmp_path / "o.jsonl")])
+    result = invoke(["decode", str(in_file), str(tmp_path / "o.jsonl")])
     assert result.exit_code != 0
     assert ":2:" in result.output
 
 
-def test_decode_rejects_duplicate_utt_id(tmp_path, runner):
+def test_decode_rejects_duplicate_utt_id(tmp_path):
     in_file, out_file = tmp_path / "paths.jsonl", tmp_path / "tracks.jsonl"
     write_lines(in_file, [{"utt_id": u, "frame_ms": 20.0, "labels": ["t"]}
                           for u in ("u2", "u1", "u1")])
-    result = runner.invoke(main, ["decode", str(in_file), str(out_file)])
+    result = invoke(["decode", str(in_file), str(out_file)])
     assert result.exit_code == 1
     assert "utterance 'u1' occurs twice" in result.output
     assert list(tmp_path.iterdir()) == [in_file]
@@ -134,7 +128,7 @@ INSTANCE = {"utt_id": "u1", "phoneme": "t", "vot_ms": 30.0, "onset": "t", "model
                  "utterance 'u1': field 'vot_ms' has the wrong type: [30]",
                  id="evaluate-ill-typed"),
 ])
-def test_missing_or_ill_typed_field_names_it(tmp_path, runner, command, record, field,
+def test_missing_or_ill_typed_field_names_it(tmp_path, command, record, field,
                                              bad, expect):
     good = {**record, "utt_id": "u0"}
     broken = {k: v for k, v in record.items() if k != field}
@@ -149,7 +143,7 @@ def test_missing_or_ill_typed_field_names_it(tmp_path, runner, command, record, 
         "prepare": ["filter", str(in_file), str(out)],
         "evaluate": [str(in_file), "--out-prefix", str(tmp_path / "rep")],
     }[command]
-    result = runner.invoke(main, [command, *args])
+    result = invoke([command, *args])
     assert result.exit_code == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
     message = result.output.strip()
@@ -169,21 +163,21 @@ def u2_track(symbol):
     ("augment", u2_track("t͡s͡ʃ"), "u2: phone carries more than one tie bar at offset 3"),
     ("augment", u2_track("ʰt"), "u2: diacritic 'ʰ' at offset 0 has no preceding base"),
 ], ids=["decode-unknown", "augment-unknown", "augment-chained-ties", "augment-orphan"])
-def test_tokenizer_error_names_file_and_utterance(tmp_path, runner, command, bad, error):
+def test_tokenizer_error_names_file_and_utterance(tmp_path, command, bad, error):
     in_file, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
     write_lines(in_file, [FRAME_PATH if command == "decode" else TRACK, bad])
     args = [str(in_file), str(out)] if command == "decode" else \
         [str(in_file), str(in_file), str(out)]
-    result = runner.invoke(main, [command, *args])
+    result = invoke([command, *args])
     assert result.exit_code == 1
     assert result.output == f"Error: {in_file}: {error}\n"
     assert list(tmp_path.iterdir()) == [in_file]
 
 
-def test_evaluate_counts_chained_tie_bars_as_null(tmp_path, runner):
+def test_evaluate_counts_chained_tie_bars_as_null(tmp_path):
     path = tmp_path / "instances.jsonl"
     write_lines(path, [{**INSTANCE, "onset": "t͡s͡ʃa"}, {**INSTANCE, "utt_id": "u2"}])
-    result = runner.invoke(main, ["evaluate", str(path), "--out-prefix", str(tmp_path / "rep")])
+    result = invoke(["evaluate", str(path), "--out-prefix", str(tmp_path / "rep")])
     assert result.exit_code == 0, result.output
     row = json.loads((tmp_path / "rep.json").read_text(encoding="utf-8"))["models"]["BM"]["all"]
     assert (row["n_instances"], row["n_null"]) == (2, 1)
@@ -193,35 +187,47 @@ def decode_symbols(out_file):
     return [[p.phone.text for p in t.phones] for t in read_tracks(out_file, INV)]
 
 
-def test_decode_line_blank_overrides_option(tmp_path, runner):
+def test_decode_line_blank_overrides_option(tmp_path):
     in_file, out_file = tmp_path / "paths.jsonl", tmp_path / "tracks.jsonl"
     write_lines(in_file, [{"utt_id": "u1", "frame_ms": 20.0, "blank": "#",
                            "labels": ["#", "t", "#", "t"]}])
     # with --blank t the line would lose its phones and fail on "#"
-    result = runner.invoke(main, ["decode", str(in_file), str(out_file), "--blank", "t"])
+    result = invoke(["decode", str(in_file), str(out_file), "--blank", "t"])
     assert result.exit_code == 0, result.output
     assert decode_symbols(out_file) == [["t", "t"]]
 
 
-def test_decode_blank_option_applies_without_line_blank(tmp_path, runner):
+def test_decode_blank_option_applies_without_line_blank(tmp_path):
     in_file, out_file = tmp_path / "paths.jsonl", tmp_path / "tracks.jsonl"
     write_lines(in_file, [{"utt_id": "u1", "frame_ms": 20.0,
                            "labels": ["#", "t", "#", "t"]}])
-    result = runner.invoke(main, ["decode", str(in_file), str(out_file), "--blank", "#"])
+    result = invoke(["decode", str(in_file), str(out_file), "--blank", "#"])
     assert result.exit_code == 0, result.output
     assert decode_symbols(out_file) == [["t", "t"]]
-    assert runner.invoke(main, ["decode", str(in_file), str(out_file)]).exit_code != 0
+    assert invoke(["decode", str(in_file), str(out_file)]).exit_code != 0
 
 
-def test_decode_frame_ms_option_overrides_line(tmp_path, runner):
+def test_an_option_value_that_begins_with_a_dash_follows_an_equals_sign(tmp_path):
+    in_file, out_file = tmp_path / "paths.jsonl", tmp_path / "tracks.jsonl"
+    write_lines(in_file, [{"utt_id": "u1", "frame_ms": 20.0, "labels": ["-x", "t", "-x", "t"]}])
+    result = invoke(["decode", str(in_file), str(out_file), "--blank=-x"])
+    assert result.exit_code == 0, result.output
+    assert decode_symbols(out_file) == [["t", "t"]]
+    # as a separate word, `-x` reads as an option: a usage error
+    result = invoke(["decode", str(in_file), str(out_file), "--blank", "-x"])
+    assert result.exit_code == 2
+    assert result.stderr.endswith("Error: argument --blank: expected one argument\n")
+
+
+def test_decode_frame_ms_option_overrides_line(tmp_path):
     in_file, out_file = tmp_path / "paths.jsonl", tmp_path / "tracks.jsonl"
     write_lines(in_file, [{"utt_id": "u1", "frame_ms": 20.0, "labels": ["_", "t"]}])
-    result = runner.invoke(main, ["decode", str(in_file), str(out_file)])
+    result = invoke(["decode", str(in_file), str(out_file)])
     assert result.exit_code == 0, result.output
     (track,) = read_tracks(out_file, INV)
     assert track.frame_ms == 20.0
-    result = runner.invoke(main, ["decode", str(in_file), str(out_file),
-                                  "--frame-ms", "10"])
+    result = invoke(["decode", str(in_file), str(out_file),
+                     "--frame-ms", "10"])
     assert result.exit_code == 0, result.output
     (track,) = read_tracks(out_file, INV)
     assert track.frame_ms == 10.0
@@ -232,7 +238,7 @@ def test_decode_frame_ms_option_overrides_line(tmp_path, runner):
     ("prefilter-aspiration", "--workers"), ("synth", "--workers"),
     ("evaluate", "--workers"), ("evaluate", "--lenient"), ("evaluate", "--strict"),
 ])
-def test_removed_options_are_unknown(tmp_path, runner, command, option):
+def test_removed_options_are_unknown(tmp_path, command, option):
     f = tmp_path / "in.jsonl"
     f.write_text("", encoding="utf-8")
     args = {
@@ -243,13 +249,13 @@ def test_removed_options_are_unknown(tmp_path, runner, command, option):
         "evaluate": [str(f), "--out-prefix", str(tmp_path / "rep")],
     }[command]
     value = ["2"] if option == "--workers" else []
-    result = runner.invoke(main, [command, *args, option, *value])
+    result = invoke([command, *args, option, *value])
     assert result.exit_code == 2
     assert "No such option" in result.output and option in result.output
     assert list(tmp_path.iterdir()) == [f]
 
 
-def synth_files(tmp_path, runner, spec_overrides=None):
+def synth_files(tmp_path, spec_overrides=None):
     spec = {"seed": 12, "n_utterances": 30, "plosive_rate": 0.6,
             "hm_aspiration_rate": 0.4, "hm_voicing_rate": 0.2,
             "hm_breathy_rate": 0.1, "jitter": 0, "drop_rate": 0.0}
@@ -257,55 +263,55 @@ def synth_files(tmp_path, runner, spec_overrides=None):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps(spec), encoding="utf-8")
     rm, hm, truth = tmp_path / "rm.jsonl", tmp_path / "hm.jsonl", tmp_path / "truth.jsonl"
-    result = runner.invoke(main, ["synth", str(spec_file), "--rm-out", str(rm),
-                                  "--hm-out", str(hm), "--truth-out", str(truth)])
+    result = invoke(["synth", str(spec_file), "--rm-out", str(rm),
+                     "--hm-out", str(hm), "--truth-out", str(truth)])
     assert result.exit_code == 0, result.output
     return rm, hm, truth
 
 
-def test_augment_stats_match_ground_truth(tmp_path, runner):
-    rm, hm, truth = synth_files(tmp_path, runner)
+def test_augment_stats_match_ground_truth(tmp_path):
+    rm, hm, truth = synth_files(tmp_path)
     out = tmp_path / "tm.jsonl"
     stats_file = tmp_path / "stats.json"
-    result = runner.invoke(main, ["augment", str(rm), str(hm), str(out),
-                                  "--stats-file", str(stats_file)])
+    result = invoke(["augment", str(rm), str(hm), str(out),
+                     "--stats-file", str(stats_file)])
     assert result.exit_code == 0, result.output
     stats = json.loads(stats_file.read_text())
     n_truth = count_lines(truth)
     assert stats["matched"] == n_truth
 
 
-def test_augment_empty_inputs(tmp_path, runner):
+def test_augment_empty_inputs(tmp_path):
     rm, hm, out = tmp_path / "rm.jsonl", tmp_path / "hm.jsonl", tmp_path / "tm.jsonl"
     rm.write_text("")
     hm.write_text("")
-    result = runner.invoke(main, ["augment", str(rm), str(hm), str(out)])
+    result = invoke(["augment", str(rm), str(hm), str(out)])
     assert result.exit_code == 0
     assert out.read_text() == ""
     assert json.loads(result.output)["matched"] == 0
 
 
-def test_augment_no_breathy_flag(tmp_path, runner):
-    rm, hm, _ = synth_files(tmp_path, runner, {"hm_breathy_rate": 0.6,
-                                               "hm_aspiration_rate": 0.0,
-                                               "hm_voicing_rate": 0.0})
+def test_augment_no_breathy_flag(tmp_path):
+    rm, hm, _ = synth_files(tmp_path, {"hm_breathy_rate": 0.6,
+                                       "hm_aspiration_rate": 0.0,
+                                       "hm_voicing_rate": 0.0})
     out = tmp_path / "tm.jsonl"
-    result = runner.invoke(main, ["augment", str(rm), str(hm), str(out), "--no-breathy"])
+    result = invoke(["augment", str(rm), str(hm), str(out), "--no-breathy"])
     assert result.exit_code == 0, result.output
     assert "ʱ" not in out.read_text(encoding="utf-8")
 
 
-def test_prefilter_aspiration_cli(tmp_path, runner):
-    rm, hm, _ = synth_files(tmp_path, runner)
-    result = runner.invoke(main, ["prefilter-aspiration", str(rm), str(hm)])
+def test_prefilter_aspiration_cli(tmp_path):
+    rm, hm, _ = synth_files(tmp_path)
+    result = invoke(["prefilter-aspiration", str(rm), str(hm)])
     assert result.exit_code == 0
     ids = result.stdout.split()
     assert ids == sorted(ids)
     assert len(ids) > 0
 
 
-def test_prefilter_aspiration_counts_what_it_skips_on_stderr_only(tmp_path, runner):
-    rm, hm, _ = synth_files(tmp_path, runner)
+def test_prefilter_aspiration_counts_what_it_skips_on_stderr_only(tmp_path):
+    rm, hm, _ = synth_files(tmp_path)
     lines = hm.read_text(encoding="utf-8").splitlines(keepends=True)
     short = tmp_path / "short.jsonl"  # no HM track for synth-000003 and synth-000004
     short.write_text("".join(lines[:3] + lines[5:]), encoding="utf-8")
@@ -314,12 +320,12 @@ def test_prefilter_aspiration_counts_what_it_skips_on_stderr_only(tmp_path, runn
         selected = prefilter_by_aspiration(rm, hm_file, table, INV)
         text = "".join(f"{u}\n" for u in selected)
         line = f"selected {len(selected)} of 30 utterances ({missing} without an HM counterpart)\n"
-        result = runner.invoke(main, ["prefilter-aspiration", str(rm), str(hm_file)])
+        result = invoke(["prefilter-aspiration", str(rm), str(hm_file)])
         assert result.exit_code == 0
         assert (result.stdout, result.stderr) == (text, line)
         out = tmp_path / "selected.txt"
-        result = runner.invoke(main, ["prefilter-aspiration", str(rm), str(hm_file),
-                                      "--out", str(out)])
+        result = invoke(["prefilter-aspiration", str(rm), str(hm_file),
+                         "--out", str(out)])
         assert result.exit_code == 0
         assert (result.stdout, result.stderr) == ("", line)
         assert out.read_text(encoding="utf-8") == text
@@ -327,8 +333,8 @@ def test_prefilter_aspiration_counts_what_it_skips_on_stderr_only(tmp_path, runn
 
 @pytest.mark.parametrize("command", ["augment", "prefilter-aspiration"])
 @pytest.mark.parametrize("table, base", [("mapping", "ʔ"), ("inventory", "c")])
-def test_rm_base_without_voicing_pair_fails_at_load(tmp_path, runner, command, table, base):
-    rm, hm, _ = synth_files(tmp_path, runner)
+def test_rm_base_without_voicing_pair_fails_at_load(tmp_path, command, table, base):
+    rm, hm, _ = synth_files(tmp_path)
     if table == "mapping":  # a table that covers ʔ, which has no voicing pair
         entries = [{"rm": ["t", "ʔ"], "hm": ["t", "ʔ"]}]
         data = {"window_offsets": [0, 1], "entries": entries}
@@ -342,7 +348,7 @@ def test_rm_base_without_voicing_pair_fails_at_load(tmp_path, runner, command, t
     out, stats = tmp_path / "out", tmp_path / "stats.json"
     args = [str(rm), str(hm), str(out), "--stats-file", str(stats)] if command == "augment" \
         else [str(rm), str(hm), "--out", str(out)]
-    result = runner.invoke(main, [command, *args, f"--{table}", str(table_file)])
+    result = invoke([command, *args, f"--{table}", str(table_file)])
     assert result.exit_code == 1
     # the error names the mapping table that fails, the packaged one under --inventory
     failing = table_file if table == "mapping" else DATA / "mapping.json"
@@ -364,31 +370,30 @@ def manifest_file(tmp_path, n=300):
     return path
 
 
-def test_prepare_filter_sample_split(tmp_path, runner):
+def test_prepare_filter_sample_split(tmp_path):
     manifest = manifest_file(tmp_path)
     filtered = tmp_path / "filtered.jsonl"
-    assert runner.invoke(main, ["prepare", "filter", str(manifest), str(filtered)]
-                         ).exit_code == 0
+    assert invoke(["prepare", "filter", str(manifest), str(filtered)]).exit_code == 0
     sampled = tmp_path / "sampled.jsonl"
-    assert runner.invoke(main, ["prepare", "sample", str(filtered), str(sampled),
-                                "--n", "200", "--seed", "4"]).exit_code == 0
+    assert invoke(["prepare", "sample", str(filtered), str(sampled),
+                   "--n", "200", "--seed", "4"]).exit_code == 0
     assert count_lines(sampled) == 200
 
     sampled2 = tmp_path / "sampled2.jsonl"
-    runner.invoke(main, ["prepare", "sample", str(filtered), str(sampled2),
-                         "--n", "200", "--seed", "4"])
+    invoke(["prepare", "sample", str(filtered), str(sampled2),
+            "--n", "200", "--seed", "4"])
     assert sampled.read_bytes() == sampled2.read_bytes()
 
     train, valid = tmp_path / "train.jsonl", tmp_path / "valid.jsonl"
-    result = runner.invoke(main, ["prepare", "split", str(sampled), "--fraction", "0.2",
-                                  "--seed", "1", "--train-out", str(train),
-                                  "--valid-out", str(valid)])
+    result = invoke(["prepare", "split", str(sampled), "--fraction", "0.2",
+                     "--seed", "1", "--train-out", str(train),
+                     "--valid-out", str(valid)])
     assert result.exit_code == 0
     assert count_lines(valid) == 40
     assert count_lines(train) == 160
 
 
-def test_prepare_onset_testset(tmp_path, runner):
+def test_prepare_onset_testset(tmp_path):
     objs = []
     i = 0
     for letter in "bdgptk":
@@ -399,24 +404,24 @@ def test_prepare_onset_testset(tmp_path, runner):
     manifest = tmp_path / "m.jsonl"
     write_lines(manifest, objs)
     out = tmp_path / "test.jsonl"
-    result = runner.invoke(main, ["prepare", "onset-testset", str(manifest), str(out),
-                                  "--per-phoneme-n", "40", "--seed", "2"])
+    result = invoke(["prepare", "onset-testset", str(manifest), str(out),
+                     "--per-phoneme-n", "40", "--seed", "2"])
     assert result.exit_code == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 240
 
 
-def test_prepare_onset_testset_insufficient(tmp_path, runner):
+def test_prepare_onset_testset_insufficient(tmp_path):
     manifest = tmp_path / "m.jsonl"
     write_lines(manifest, [{"utt_id": "u1", "sentence": "ball", "transcription": "a",
                             "analyzable": True}])
-    result = runner.invoke(main, ["prepare", "onset-testset", str(manifest),
-                                  str(tmp_path / "o.jsonl"), "--per-phoneme-n", "40",
-                                  "--seed", "2"])
+    result = invoke(["prepare", "onset-testset", str(manifest),
+                     str(tmp_path / "o.jsonl"), "--per-phoneme-n", "40",
+                     "--seed", "2"])
     assert result.exit_code != 0
 
 
-def test_prepare_remap_and_clean_vocab(tmp_path, runner):
+def test_prepare_remap_and_clean_vocab(tmp_path):
     manifest = tmp_path / "m.jsonl"
     write_lines(manifest, [
         {"utt_id": "u1", "transcription": "gato"},
@@ -427,9 +432,9 @@ def test_prepare_remap_and_clean_vocab(tmp_path, runner):
                       encoding="utf-8")
     out = tmp_path / "clean.jsonl"
     report_file = tmp_path / "report.jsonl"
-    result = runner.invoke(main, ["prepare", "remap", str(manifest), str(out),
-                                  "--config", str(config), "--report-file",
-                                  str(report_file)])
+    result = invoke(["prepare", "remap", str(manifest), str(out),
+                     "--config", str(config), "--report-file",
+                     str(report_file)])
     assert result.exit_code == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 and "ɡato" in lines[0]
@@ -439,8 +444,8 @@ def test_prepare_remap_and_clean_vocab(tmp_path, runner):
     vocab.write_text(json.dumps({"tokens": {"_": 0, "g": 1, "ɡ": 2, "a": 3, "t": 4, "o": 5},
                                  "blank": "_"}, ensure_ascii=False), encoding="utf-8")
     cleaned = tmp_path / "vocab_clean.json"
-    result = runner.invoke(main, ["prepare", "clean-vocab", str(vocab), str(out),
-                                  str(cleaned), "--remove", "g", "--add", "ʱ"])
+    result = invoke(["prepare", "clean-vocab", str(vocab), str(out),
+                     str(cleaned), "--remove", "g", "--add", "ʱ"])
     assert result.exit_code == 0, result.output
     data = json.loads(cleaned.read_text(encoding="utf-8"))
     assert "g" not in data["tokens"]
@@ -464,10 +469,10 @@ def eval_instances(tmp_path):
     return path
 
 
-def test_evaluate_outputs(tmp_path, runner):
+def test_evaluate_outputs(tmp_path):
     instances = eval_instances(tmp_path)
     prefix = tmp_path / "report"
-    result = runner.invoke(main, ["evaluate", str(instances), "--out-prefix", str(prefix)])
+    result = invoke(["evaluate", str(instances), "--out-prefix", str(prefix)])
     assert result.exit_code == 0, result.output
     assert (tmp_path / "report.txt").exists()
     payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
@@ -477,47 +482,47 @@ def test_evaluate_outputs(tmp_path, runner):
     assert csv.startswith("group,class,min,q1,median,q3,max,outliers")
 
 
-def test_evaluate_dotted_out_prefix_keeps_every_output(tmp_path, runner):
+def test_evaluate_dotted_out_prefix_keeps_every_output(tmp_path):
     instances = eval_instances(tmp_path)
     for prefix in ("eval.a", "eval.b"):
-        result = runner.invoke(main, ["evaluate", str(instances), "--out-prefix",
-                                      str(tmp_path / "runs" / prefix)])
+        result = invoke(["evaluate", str(instances), "--out-prefix",
+                         str(tmp_path / "runs" / prefix)])
         assert result.exit_code == 0, result.output
     assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [
         f"eval.{m}{suffix}" for m in "ab" for suffix in (".json", ".txt", "_boxplot.csv")]
 
 
-def test_evaluate_single_model_omits_significance(tmp_path, runner):
+def test_evaluate_single_model_omits_significance(tmp_path):
     objs = [{"utt_id": "u1", "phoneme": "k", "vot_ms": 30.0, "onset": "kʰ", "model": "TM"}]
     path = tmp_path / "one.jsonl"
     write_lines(path, objs)
-    result = runner.invoke(main, ["evaluate", str(path), "--out-prefix",
-                                  str(tmp_path / "rep")])
+    result = invoke(["evaluate", str(path), "--out-prefix",
+                     str(tmp_path / "rep")])
     assert result.exit_code == 0
     payload = json.loads((tmp_path / "rep.json").read_text(encoding="utf-8"))
     assert "significance" not in payload
     assert "McNemar" not in result.output
 
 
-def test_evaluate_group_filter(tmp_path, runner):
+def test_evaluate_group_filter(tmp_path):
     instances = eval_instances(tmp_path)
-    result = runner.invoke(main, ["evaluate", str(instances), "--out-prefix",
-                                  str(tmp_path / "velar"), "--group", "velar"])
+    result = invoke(["evaluate", str(instances), "--out-prefix",
+                     str(tmp_path / "velar"), "--group", "velar"])
     assert result.exit_code == 0
     text = (tmp_path / "velar.txt").read_text(encoding="utf-8")
     assert "velar" in text
     assert "bilabial" not in text
 
 
-def test_pipeline_determinism_across_reruns(tmp_path, runner):
-    rm, hm, _ = synth_files(tmp_path, runner, {"jitter": 1, "drop_rate": 0.1,
-                                               "n_utterances": 60})
+def test_pipeline_determinism_across_reruns(tmp_path):
+    rm, hm, _ = synth_files(tmp_path, {"jitter": 1, "drop_rate": 0.1,
+                                       "n_utterances": 60})
     outputs = []
     for run in ("a", "b"):
         out = tmp_path / f"tm_{run}.jsonl"
         stats = tmp_path / f"stats_{run}.json"
-        result = runner.invoke(main, ["augment", str(rm), str(hm), str(out),
-                                      "--stats-file", str(stats)])
+        result = invoke(["augment", str(rm), str(hm), str(out),
+                         "--stats-file", str(stats)])
         assert result.exit_code == 0
         outputs.append((out.read_bytes(), stats.read_bytes()))
     assert outputs[0] == outputs[1]

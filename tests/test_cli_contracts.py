@@ -12,12 +12,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from clirun import invoke
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phonaug import Inventory, ScenarioSpec, generate
-from phonaug.cli import main
 from phonaug.ctc import track_to_obj, write_tracks
 from phonaug.errors import PhonaugError
 from phonaug.io import DATA, dump_line
@@ -99,7 +98,7 @@ def dirs(tmp_path):
 
 def run(command, i, o):
     args, _ = COMMANDS[command]
-    return CliRunner().invoke(main, [a.format(i=i, o=o) for a in args])
+    return invoke([a.format(i=i, o=o) for a in args])
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -134,8 +133,8 @@ def test_an_output_in_a_missing_directory_fails_before_any_write(dirs, command, 
     i, o = dirs
     args, _ = COMMANDS[command]
     moved = o / "missing" / output
-    result = CliRunner().invoke(main, [a.format(i=i, o=o).replace(str(o / output), str(moved))
-                                       for a in args])
+    result = invoke([a.format(i=i, o=o).replace(str(o / output), str(moved))
+                     for a in args])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.output == f"Error: {moved}: output directory does not exist\n"
@@ -152,15 +151,99 @@ def test_two_outputs_that_name_one_file_fail_before_any_write(dirs, command, fir
     # rm hm out --stats-file out` wrote the stats over the TM track, each with exit 0
     i, o = dirs
     args, _ = COMMANDS[command]
-    result = CliRunner().invoke(main, [a.format(i=i, o=o).replace(str(o / second), str(o / first))
-                                       for a in args])
+    result = invoke([a.format(i=i, o=o).replace(str(o / second), str(o / first))
+                     for a in args])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.output == f"Error: {o / first}: output is the same file as {o / first}\n"
     assert list(o.iterdir()) == []
 
 
-PREPARE = [c for c in COMMANDS if c.startswith("prepare-")]
+# each command's input arguments, by the name a usage error gives them: first the
+# positional ones, in the order of their files in COMMANDS, then the options
+INPUTS = {
+    "decode": ["framepath_file", "--inventory"],
+    "augment": ["rm_file", "hm_file", "--mapping", "--inventory"],
+    "prefilter-aspiration": ["rm_file", "hm_file", "--mapping", "--inventory"],
+    "prepare-filter": ["in_file"],
+    "prepare-sample": ["in_file"],
+    "prepare-split": ["in_file"],
+    "prepare-remap": ["in_file", "--config", "--inventory"],
+    "prepare-onset-testset": ["in_file"],
+    "prepare-clean-vocab": ["vocab_file", "corpus_file"],
+    "synth": ["spec_file", "--inventory"],
+    "evaluate": ["instances_file", "--continuants", "--inventory"],
+}
+
+
+def usage_error(result, message: str) -> None:
+    """`result` is a usage error: exit 2, the usage, then one `Error:` line."""
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: phonaug ")
+    assert result.stderr.endswith(f"\nError: {message}\n")
+    assert result.stderr.count("Error:") == 1 and "Traceback" not in result.stderr
+
+
+def with_input(command: str, argument: str, path, i, o) -> list[str]:
+    """The arguments of `command` from COMMANDS, its outputs in the missing
+    directory o/new and `path` as its input `argument`."""
+    args = [a.format(i=i, o=o / "new") for a in COMMANDS[command][0]]
+    if argument.startswith("--"):
+        return [*args, argument, str(path)]  # a repeated option takes its last value
+    files = [k for k, a in enumerate(args)
+             if a.startswith(str(i)) and not args[k - 1].startswith("--")]
+    args[files[INPUTS[command].index(argument)]] = str(path)
+    return args
+
+
+@pytest.mark.parametrize("command, argument", [
+    pytest.param(command, argument, id=f"{command}-{argument}")
+    for command, arguments in INPUTS.items() for argument in arguments])
+def test_a_directory_as_an_input_is_a_usage_error(dirs, command, argument):
+    # once: an IsADirectoryError traceback with exit 1, and evaluate had already
+    # made the directory of its --out-prefix
+    i, o = dirs
+    result = invoke(with_input(command, argument, i, i, o))
+    usage_error(result, f"argument {argument}: File {str(i)!r} is a directory.")
+    assert list(o.iterdir()) == []
+
+
+@pytest.mark.parametrize("fault", ["does not exist", "is not readable"])
+def test_a_missing_or_unreadable_input_is_a_usage_error(dirs, monkeypatch, fault):
+    i, o = dirs
+    path = i / "paths.jsonl"
+    if fault == "does not exist":
+        path.unlink()
+    else:  # os.access, since a test run as root may read any file
+        monkeypatch.setattr("os.access", lambda p, mode: p != str(path))
+    result = invoke(with_input("decode", "framepath_file", path, i, o))
+    usage_error(result, f"argument framepath_file: File {str(path)!r} {fault}.")
+    assert list(o.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, prefix", [
+    ("evaluate", "--out-pre"), ("decode", "--model"), ("augment", "--stats"),
+    ("prepare-sample", "--se")])
+def test_an_option_prefix_is_not_an_option(dirs, command, prefix):
+    # click never took a prefix for an option; argparse does unless allow_abbrev=False
+    i, o = dirs
+    args = [a.format(i=i, o=o) for a in COMMANDS[command][0]]
+    usage_error(invoke([*args, prefix, str(o / "x")]), f"No such option: {prefix}")
+    assert list(o.iterdir()) == []
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["x"], "Got unexpected extra argument (x)"),
+    (["x", "y"], "Got unexpected extra arguments (x y)")])
+def test_an_extra_argument_is_a_usage_error(dirs, extra, message):
+    i, o = dirs
+    usage_error(invoke([a.format(i=i, o=o) for a in COMMANDS["decode"][0]] + extra), message)
+    assert list(o.iterdir()) == []
+
+
+PREPARE =[c for c in COMMANDS if c.startswith("prepare-")]
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,7 +262,7 @@ def test_prepare_rejects_an_utt_id_that_occurs_twice(ids, command):
         args = [a.format(i=i, o=o) for a in COMMANDS[command][0]]
         if command == "prepare-onset-testset":  # the manifest has no /d g p t k/
             args[args.index("--per-phoneme-n") + 1] = "0"
-        result = CliRunner().invoke(main, args)
+        result = invoke(args)
         if repeated is None:
             assert result.exit_code == 0, result.output
         else:
@@ -196,7 +279,7 @@ def test_prepare_rejects_a_negative_count(dirs, command, option, name):
     i, o = dirs
     args = [a.format(i=i, o=o) for a in COMMANDS[command][0]]
     args[args.index(option) + 1] = "-1"
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.output == f"Error: {name} must be at least 0, got -1\n"
@@ -249,7 +332,7 @@ def test_frame_ms_must_be_positive_and_finite(frame_ms, where):
             args = ["decode", str(source), str(out)]
             if where == "--frame-ms":
                 args.append(f"--frame-ms={frame_ms!r}")
-        result = CliRunner().invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 1, result.output
         assert result.output == (f"Error: {source}: {utt_id}: frame_ms must be positive "
                                  f"and finite, got {float(frame_ms)!r}\n")

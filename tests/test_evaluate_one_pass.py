@@ -15,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from clirun import invoke
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +26,6 @@ from phonaug import (
     classify_all, classify_prediction, mcnemar_exact, null_pct, report, ten_pct, tokenize_ipa,
     voicing_acc,
 )
-from phonaug.cli import main
 from phonaug.errors import EmptyDenominator, PhonaugError
 from phonaug.io import MalformedLine, read_jsonl
 from phonaug.metrics import (
@@ -269,8 +268,8 @@ def test_evaluate_reads_each_distinct_onset_once(monkeypatch, tmp_path):
                                         "onset": o, "model": model}) + "\n"
                             for n, (p, o) in enumerate(REPEATED) for model in ("BM", "TM")),
                     encoding="utf-8")
-    result = CliRunner().invoke(main, ["evaluate", str(path), "--out-prefix",
-                                       str(tmp_path / "rep")])
+    result = invoke(["evaluate", str(path), "--out-prefix",
+                     str(tmp_path / "rep")])
     assert result.exit_code == 0, result.output
     assert sorted(calls) == sorted({"kʰa", "#", "ba"})
 
@@ -406,7 +405,7 @@ def test_evaluate_outputs_equal_list_oracle(objs, group):
         path.write_text("".join(json.dumps(o, ensure_ascii=False) + "\n" for o in objs),
                         encoding="utf-8")
         args = ["evaluate", str(path), "--out-prefix", f"{d}/rep"]
-        result = CliRunner().invoke(main, args + (["--group", group] if group else []))
+        result = invoke(args + (["--group", group] if group else []))
         assert result.exit_code == 0, result.output
         got = tuple(Path(f"{d}/rep{suffix}").read_text(encoding="utf-8")
                     for suffix in (".txt", ".json", "_boxplot.csv"))
@@ -509,8 +508,8 @@ def test_evaluate_rejects_non_finite_vot(tmp_path, vot):
     ]
     path = tmp_path / "instances.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    result = CliRunner().invoke(main, ["evaluate", str(path), "--out-prefix",
-                                       str(tmp_path / "rep")])
+    result = invoke(["evaluate", str(path), "--out-prefix",
+                     str(tmp_path / "rep")])
     assert result.exit_code == 1
     assert "u2: vot_ms must be finite" in result.output
     assert not (tmp_path / "rep.json").exists()

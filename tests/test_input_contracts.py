@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from clirun import invoke
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,17 +18,11 @@ from phonaug import (
     AugmentationStats, Inventory, MappingTable, PhoneTrack, ScenarioSpec, augment_corpus,
     augment_track, generate, match_phones, phonation_of, prefilter_by_aspiration,
 )
-from phonaug.cli import main
 from phonaug.ctc import read_tracks, track_to_obj, write_tracks
 from phonaug.errors import MissingCounterpart, PhonaugError
 from phonaug.io import dump_line, write_jsonl
 
 INV = Inventory.default()
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def test_write_jsonl_failure_keeps_earlier_file(tmp_path):
@@ -72,12 +66,12 @@ def test_write_jsonl_refuses_non_regular_target(tmp_path):
     assert list(tmp_path.iterdir()) == [fifo]
 
 
-def test_fail_missing_leaves_no_output(tmp_path, runner):
+def test_fail_missing_leaves_no_output(tmp_path):
     rm_tracks, hm_tracks, _ = generate(ScenarioSpec(seed=3, n_utterances=50), INV)
     rm, hm, out = tmp_path / "rm.jsonl", tmp_path / "hm.jsonl", tmp_path / "tm.jsonl"
     write_tracks(rm, rm_tracks)
     write_tracks(hm, hm_tracks[:45])
-    result = runner.invoke(main, ["augment", str(rm), str(hm), str(out), "--fail-missing"])
+    result = invoke(["augment", str(rm), str(hm), str(out), "--fail-missing"])
     assert result.exit_code == 1
     assert "no HM counterpart for utterance 'synth-000045'" in result.output
     assert sorted(p.name for p in tmp_path.iterdir()) == ["hm.jsonl", "rm.jsonl"]
@@ -123,7 +117,7 @@ def test_one_defect_fails_the_command_without_output(seed, data, defect, command
         write_tracks(hm, hm_tracks)
         args = ["augment", str(rm), str(hm), str(out)] if command == "augment" \
             else ["prefilter-aspiration", str(rm), str(hm), "--out", str(out)]
-        result = CliRunner().invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 1, result.output
         assert repr(utt_id) in result.output
         assert sorted(p.name for p in work.iterdir()) == ["hm.jsonl", "rm.jsonl"]
@@ -186,7 +180,7 @@ def test_merge_join_equals_dict_join(seed, membership, skip_missing):
                                                        "stats.json"))
         write_tracks(rm, rm_tracks)
         write_tracks(hm, hm_tracks)
-        result = CliRunner().invoke(main, [
+        result = invoke([
             "augment", str(rm), str(hm), str(out), "--stats-file", str(stats),
             "--skip-missing" if skip_missing else "--fail-missing"])
         if missing and not skip_missing:
@@ -238,54 +232,54 @@ def test_failed_join_closes_both_files(tmp_path, command, defect):
     assert not out.exists()
 
 
-def test_evaluate_rejects_duplicate_model_utt_id(tmp_path, runner):
+def test_evaluate_rejects_duplicate_model_utt_id(tmp_path):
     lines = [{"utt_id": "u1", "phoneme": "b", "vot_ms": -10.0, "onset": onset, "model": m}
              for onset, m in (("b", "BM"), ("p", "BM"), ("b", "TM"))]
     path = tmp_path / "instances.jsonl"
     path.write_text("".join(dump_line(o) + "\n" for o in lines), encoding="utf-8")
-    result = runner.invoke(main, ["evaluate", str(path), "--out-prefix",
-                                  str(tmp_path / "rep")])
+    result = invoke(["evaluate", str(path), "--out-prefix",
+                     str(tmp_path / "rep")])
     assert result.exit_code == 1
     assert "u1: more than one BM instance" in result.output
     assert list(tmp_path.iterdir()) == [path]
 
 
 
-def test_evaluate_rejects_duplicate_outside_the_group(tmp_path, runner):
+def test_evaluate_rejects_duplicate_outside_the_group(tmp_path):
     # both copies are bilabial; the velar filter drops them, the check does not
     lines = [{"utt_id": u, "phoneme": p, "vot_ms": -10.0, "onset": "b", "model": "BM"}
              for u, p in (("u1", "b"), ("u2", "g"), ("u1", "p"))]
     path = tmp_path / "instances.jsonl"
     path.write_text("".join(dump_line(o) + "\n" for o in lines), encoding="utf-8")
-    result = runner.invoke(main, ["evaluate", str(path), "--out-prefix",
-                                  str(tmp_path / "rep"), "--group", "velar"])
+    result = invoke(["evaluate", str(path), "--out-prefix",
+                     str(tmp_path / "rep"), "--group", "velar"])
     assert result.exit_code == 1
     assert "u1: more than one BM instance" in result.output
     assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("group", [None, "velar"])
-def test_evaluate_rejects_unknown_model_tag(tmp_path, runner, group):
+def test_evaluate_rejects_unknown_model_tag(tmp_path, group):
     # a mistyped "tm" would be reported as a third model, without the McNemar
     # test; the bilabial u2 fails also where --group leaves it out
     lines = [{"utt_id": u, "phoneme": "b", "vot_ms": -10.0, "onset": "b", "model": m}
              for u, m in (("u1", "BM"), ("u1", "TM"), ("u2", "BM"), ("u2", "tm"))]
     path = tmp_path / "instances.jsonl"
     path.write_text("".join(dump_line(o) + "\n" for o in lines), encoding="utf-8")
-    result = runner.invoke(main, ["evaluate", str(path), "--out-prefix", str(tmp_path / "rep")]
-                           + (["--group", group] if group else []))
+    result = invoke(["evaluate", str(path), "--out-prefix", str(tmp_path / "rep")]
+                    + (["--group", group] if group else []))
     assert result.exit_code == 1
     assert result.output == f"Error: {path}: u2: unknown model tag 'tm'\n"
     assert list(tmp_path.iterdir()) == [path]
 
 
-def test_evaluate_reports_the_first_fault_in_file_order(tmp_path, runner):
+def test_evaluate_reports_the_first_fault_in_file_order(tmp_path):
     line = dump_line({"utt_id": "u1", "phoneme": "b", "vot_ms": -10.0, "onset": "b",
                       "model": "BM"})
     path = tmp_path / "instances.jsonl"
     path.write_text(f"{line}\n{line}\n{{not json\n", encoding="utf-8")
-    result = runner.invoke(main, ["evaluate", str(path), "--out-prefix",
-                                  str(tmp_path / "rep")])
+    result = invoke(["evaluate", str(path), "--out-prefix",
+                     str(tmp_path / "rep")])
     assert result.exit_code == 1
     assert result.output == f"Error: {path}: u1: more than one BM instance\n"
     assert list(tmp_path.iterdir()) == [path]

@@ -10,12 +10,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from clirun import invoke
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phonaug import io
-from phonaug.cli import main
 from phonaug.io import dump_line
 
 STR, INT, NUM, BOOL, LIST = (str,), (int,), (int, float), (bool,), (list,)
@@ -59,7 +58,7 @@ def run(command: str, source: Path, out: Path, *extra: str):
         "evaluate": ["evaluate", str(source), "--out-prefix", str(out)],
         "prepare": ["prepare", "filter", str(source), str(out)],
     }[command]
-    return CliRunner().invoke(main, [*args, *extra])
+    return invoke([*args, *extra])
 
 
 @settings(max_examples=400, deadline=None)
@@ -198,7 +197,7 @@ def test_clean_vocab_keys_id_map_by_the_file_ids(ids, removed, added):
         d = Path(d)
         (d / "vocab.json").write_text(json.dumps({"tokens": vocab}), encoding="utf-8")
         write_lines(d / "corpus.jsonl", [{"utt_id": "u1", "transcription": "ta"}])
-        result = CliRunner().invoke(main, [
+        result = invoke([
             "prepare", "clean-vocab", str(d / "vocab.json"), str(d / "corpus.jsonl"),
             str(d / "out.json"), *(f"--remove={t}" for t in remove),
             *(f"--add={t}" for t in sorted(added))])
@@ -214,8 +213,8 @@ def test_clean_vocab_refuses_two_tokens_with_one_id(tmp_path):
     vocab, corpus = tmp_path / "vocab.json", tmp_path / "corpus.jsonl"
     vocab.write_text('{"tokens": {"_": 0, "t": 1, "a": 1}}', encoding="utf-8")
     write_lines(corpus, [{"utt_id": "u1", "transcription": "ta"}])
-    result = CliRunner().invoke(main, ["prepare", "clean-vocab", str(vocab), str(corpus),
-                                       str(tmp_path / "out.json")])
+    result = invoke(["prepare", "clean-vocab", str(vocab), str(corpus),
+                     str(tmp_path / "out.json")])
     assert result.exit_code == 1
     assert result.output == f"Error: {vocab}: field 'tokens' gives two tokens one id\n"
     assert not (tmp_path / "out.json").exists()
@@ -229,8 +228,8 @@ def test_remap_refuses_an_empty_pattern(tmp_path, config, field):
     path, manifest, out = tmp_path / "remap.json", tmp_path / "m.jsonl", tmp_path / "out.jsonl"
     path.write_text(json.dumps(config), encoding="utf-8")
     write_lines(manifest, [{"utt_id": "u1", "transcription": "ta"}])
-    result = CliRunner().invoke(main, ["prepare", "remap", str(manifest), str(out),
-                                       "--config", str(path)])
+    result = invoke(["prepare", "remap", str(manifest), str(out),
+                     "--config", str(path)])
     assert result.exit_code == 1
     assert result.output == (f"Error: {path}: field {field!r} holds the empty pattern, "
                              "which occurs in every transcription\n")

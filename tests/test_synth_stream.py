@@ -12,12 +12,11 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from clirun import invoke
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phonaug import Inventory, ScenarioSpec, generate, io
-from phonaug.cli import main
 from phonaug.ctc import write_tracks
 from phonaug.errors import PhonaugError
 from phonaug.inventory import ASPIRATED, BREATHY_VOICED, TENUIS, VOICED, Phonation
@@ -63,10 +62,10 @@ def test_streamed_files_equal_generate_and_the_list_writers(spec):
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         (d / "spec.json").write_text(json.dumps(vars(spec)), encoding="utf-8")
-        result = CliRunner().invoke(main, ["synth", str(d / "spec.json"),
-                                           "--rm-out", str(d / "rm.jsonl"),
-                                           "--hm-out", str(d / "hm.jsonl"),
-                                           "--truth-out", str(d / "truth.jsonl")])
+        result = invoke(["synth", str(d / "spec.json"),
+                         "--rm-out", str(d / "rm.jsonl"),
+                         "--hm-out", str(d / "hm.jsonl"),
+                         "--truth-out", str(d / "truth.jsonl")])
         assert result.exit_code == 0, result.output
         assert result.stderr == f"generated {spec.n_utterances} utterances\n"
         rm_tracks, hm_tracks, truth = generate(spec, INV)
@@ -96,9 +95,9 @@ PINNED = [
 def test_streamed_files_keep_their_pinned_bytes(tmp_path, spec, digests):
     (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
     outs = [tmp_path / f"{name}.jsonl" for name in ("rm", "hm", "truth")]
-    result = CliRunner().invoke(main, ["synth", str(tmp_path / "spec.json"),
-                                       "--rm-out", str(outs[0]), "--hm-out", str(outs[1]),
-                                       "--truth-out", str(outs[2])])
+    result = invoke(["synth", str(tmp_path / "spec.json"),
+                     "--rm-out", str(outs[0]), "--hm-out", str(outs[1]),
+                     "--truth-out", str(outs[2])])
     assert result.exit_code == 0, result.output
     assert [hashlib.sha256(out.read_bytes()).hexdigest() for out in outs] == digests
 
@@ -123,11 +122,11 @@ def test_a_fault_after_lines_were_streamed_leaves_no_file(tmp_path):
     before = sorted(tmp_path.iterdir())
     out = tmp_path / "out"
     out.mkdir()
-    result = CliRunner().invoke(main, ["synth", str(tmp_path / "spec.json"),
-                                       "--rm-out", str(out / "rm.jsonl"),
-                                       "--hm-out", str(out / "hm.jsonl"),
-                                       "--truth-out", str(out / "truth.jsonl"),
-                                       "--inventory", str(inv_file)])
+    result = invoke(["synth", str(tmp_path / "spec.json"),
+                     "--rm-out", str(out / "rm.jsonl"),
+                     "--hm-out", str(out / "hm.jsonl"),
+                     "--truth-out", str(out / "truth.jsonl"),
+                     "--inventory", str(inv_file)])
     assert result.exit_code == 1
     assert result.output == "Error: 'ɡ' has no voicing counterpart\n"
     assert list(out.iterdir()) == []  # no output and no temporary file

@@ -9,12 +9,11 @@ import json
 import sys
 from pathlib import Path
 
-from click.testing import CliRunner
+from clirun import invoke
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from phonaug import Inventory
-from phonaug.cli import main
 from phonaug.ctc import PhoneTrack, TimedPhone, track_line, track_to_obj
 from phonaug.errors import PhonaugError
 from phonaug.inventory import SPREAD, TIE_BARS
@@ -85,7 +84,7 @@ def test_every_written_track_file_reencodes_to_itself(tmp_path):
     for args in ("decode {d}/paths.jsonl {d}/decoded.jsonl --model-tag HM",
                  "synth {d}/spec.json --rm-out {d}/rm.jsonl --hm-out {d}/hm.jsonl",
                  "augment {d}/rm.jsonl {d}/hm.jsonl {d}/tm.jsonl --stats-file {d}/stats.json"):
-        result = CliRunner().invoke(main, args.format(d=tmp_path).split())
+        result = invoke(args.format(d=tmp_path).split())
         assert result.exit_code == 0, result.output
     for name in ("decoded.jsonl", "rm.jsonl", "hm.jsonl", "tm.jsonl"):
         assert reencodes(tmp_path / name), name
