@@ -17,7 +17,7 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, TextIO
 
 from . import io
 from .ctc import PhoneTrack, TimedPhone, read_tracks, write_tracks
@@ -194,14 +194,14 @@ def _paired_tracks(rm_file: str | Path, hm_file: str | Path,
 
 
 def augment_corpus(rm_file: str | Path, hm_file: str | Path, table: MappingTable,
-                   out_file: str | Path, inventory: Inventory | None = None,
+                   out: TextIO, inventory: Inventory | None = None,
                    breathy: bool = True, skip_missing: bool = True) -> AugmentationStats:
     """Augment every joinable utterance pair and write the TM training tracks,
-    ordered by utt_id."""
+    ordered by utt_id, to `out`, an output that `io.replacing` opened."""
     inv = inventory or Inventory.default()
     table.check_voicing_pairs(inv)
     stats = AugmentationStats()
-    stats.utterances = write_tracks(out_file, (
+    stats.utterances = write_tracks(out, (
         augment_track(rm, hm, match_phones(rm, hm, table), inv, breathy=breathy, stats=stats)
         for rm, hm in _paired_tracks(rm_file, hm_file, inv, skip_missing, stats)))
     return stats

@@ -169,7 +169,8 @@ def decode(framepath_file, out_file, blank, frame_ms, model_tag, inventory_path)
     # frame paths come from outside phonaug, so they are sorted here, then
     # checked like every track file: each utt_id once
     tracks = sorted(io.parse_records(framepath_file, from_obj, fields), key=lambda t: t.utt_id)
-    n = ctc.write_tracks(out_file, ctc.in_utt_id_order(tracks, framepath_file))
+    with io.replacing(out_file) as (out,):
+        n = ctc.write_tracks(out, ctc.in_utt_id_order(tracks, framepath_file))
     empty = sum(not track.phones for track in tracks)  # all blank: no phone to match
     _echo(f"decoded {n} utterances ({empty} empty) -> {out_file}", err=True)
 
@@ -181,23 +182,22 @@ def decode(framepath_file, out_file, blank, frame_ms, model_tag, inventory_path)
           _arg("--mapping", dest="mapping_path", type=_input),
           _arg("--inventory", dest="inventory_path", type=_input),
           _arg("--no-breathy", action="store_true", help="Do not transfer breathy voice (ʱ)."),
-          _arg("--skip-missing", action="store_true", default=True,
-               help="Skip RM utterances without an HM counterpart (the default)."),
           _arg("--fail-missing", dest="skip_missing", action="store_false",
-               help="Fail on an RM utterance without an HM counterpart."),
+               help="Fail on an RM utterance without an HM counterpart "
+                    "(default: skip it and list it in the stats)."),
           _arg("--stats-file", help="Write AugmentationStats JSON here (default: stdout)."))
 def cmd_augment(rm_file, hm_file, out_file, mapping_path, inventory_path,
                 no_breathy, skip_missing, stats_file):
     """Match RM plosives to HM plosives and overwrite their phonation."""
-    io.check_outputs(out_file, stats_file)
-    inv = _load(inventory.Inventory, inventory_path)
-    table = _load(aug.MappingTable, mapping_path, inv)
-    stats = aug.augment_corpus(rm_file, hm_file, table, out_file, inv,
-                               breathy=not no_breathy, skip_missing=skip_missing)
-    payload = json.dumps(stats.to_obj(), ensure_ascii=False, sort_keys=True, indent=2)
-    if stats_file:
-        io.write_text(stats_file, payload + "\n")
-    else:
+    with io.replacing(out_file, stats_file or None) as (out, stats_out):
+        inv = _load(inventory.Inventory, inventory_path)
+        table = _load(aug.MappingTable, mapping_path, inv)
+        stats = aug.augment_corpus(rm_file, hm_file, table, out, inv,
+                                   breathy=not no_breathy, skip_missing=skip_missing)
+        payload = json.dumps(stats.to_obj(), ensure_ascii=False, sort_keys=True, indent=2)
+        if stats_out is not None:
+            stats_out.write(payload + "\n")
+    if stats_out is None:
         _echo(payload)
 
 
@@ -215,7 +215,8 @@ def prefilter_aspiration(rm_file, hm_file, mapping_path, inventory_path, out_fil
     selected = aug.prefilter_by_aspiration(rm_file, hm_file, table, inv, stats)
     text = "\n".join(selected) + ("\n" if selected else "")
     if out_file:
-        io.write_text(out_file, text)
+        with io.replacing(out_file) as (out,):
+            out.write(text)
     else:
         _echo(text, end="")
     missing = len(stats.missing_counterparts)
@@ -240,8 +241,9 @@ def _read_manifest(path) -> list[manifest.SegmentRecord]:
     return records
 
 
-def _write_manifest(path, records) -> None:
-    io.write_jsonl(path, (r.to_obj() for r in records))
+def _write_jsonl(out, objs) -> None:
+    """Write one JSON line per object to `out`, an output that `io.replacing` opened."""
+    out.writelines([io.dump_line(obj) + "\n" for obj in objs])
 
 
 @_command("filter",
@@ -253,7 +255,8 @@ def _write_manifest(path, records) -> None:
 def prepare_filter(in_file, out_file, max_downvotes):
     """Drop downvoted segments."""
     records = manifest.filter_downvoted(_read_manifest(in_file), max_downvotes)
-    _write_manifest(out_file, records)
+    with io.replacing(out_file) as (out,):
+        _write_jsonl(out, (r.to_obj() for r in records))
     _echo(f"kept {len(records)} records", err=True)
 
 
@@ -265,7 +268,9 @@ def prepare_filter(in_file, out_file, max_downvotes):
           group=_PREPARE)
 def prepare_sample(in_file, out_file, n, seed):
     """Seeded uniform sample without replacement."""
-    _write_manifest(out_file, manifest.sample_segments(_read_manifest(in_file), n, seed))
+    records = manifest.sample_segments(_read_manifest(in_file), n, seed)
+    with io.replacing(out_file) as (out,):
+        _write_jsonl(out, (r.to_obj() for r in records))
 
 
 @_command("split",
@@ -277,10 +282,10 @@ def prepare_sample(in_file, out_file, n, seed):
           group=_PREPARE)
 def prepare_split(in_file, fraction, seed, train_out, valid_out):
     """Seeded train/validation split."""
-    io.check_outputs(train_out, valid_out)
-    train, valid = manifest.split_validation(_read_manifest(in_file), fraction, seed)
-    _write_manifest(train_out, train)
-    _write_manifest(valid_out, valid)
+    with io.replacing(train_out, valid_out) as (train_file, valid_file):
+        train, valid = manifest.split_validation(_read_manifest(in_file), fraction, seed)
+        _write_jsonl(train_file, (r.to_obj() for r in train))
+        _write_jsonl(valid_file, (r.to_obj() for r in valid))
     _echo(f"train {len(train)} / valid {len(valid)}", err=True)
 
 
@@ -294,14 +299,15 @@ def prepare_split(in_file, fraction, seed, train_out, valid_out):
           group=_PREPARE)
 def prepare_remap(in_file, out_file, config_path, report_file, inventory_path):
     """Rewrite invalid transcriptions and drop the unfixable ones."""
-    io.check_outputs(out_file, report_file)
-    remap, exclude = io.read_json(config_path, manifest.remap_config, {
-        "remap": io.Optional(io.MapOf(io.STRING)), "exclude": io.Optional(io.ListOf(io.STRING))})
-    inv = _load(inventory.Inventory, inventory_path)
-    kept, rep = manifest.remap_invalid(_read_manifest(in_file), remap, exclude, inv)
-    _write_manifest(out_file, kept)
-    if report_file:
-        io.write_jsonl(report_file, rep)
+    with io.replacing(out_file, report_file or None) as (out, report):
+        remap, exclude = io.read_json(config_path, manifest.remap_config, {
+            "remap": io.Optional(io.MapOf(io.STRING)),
+            "exclude": io.Optional(io.ListOf(io.STRING))})
+        inv = _load(inventory.Inventory, inventory_path)
+        kept, rep = manifest.remap_invalid(_read_manifest(in_file), remap, exclude, inv)
+        _write_jsonl(out, (r.to_obj() for r in kept))
+        if report is not None:
+            _write_jsonl(report, rep)
     _echo(f"kept {len(kept)} records, {len(rep)} report entries", err=True)
 
 
@@ -315,7 +321,8 @@ def prepare_remap(in_file, out_file, config_path, report_file, inventory_path):
 def prepare_onset_testset(in_file, out_file, per_phoneme_n, seed):
     """Absolute-onset test set: sentence-initial <b d g p t k>, sampled per phoneme."""
     records = manifest.build_onset_testset(_read_manifest(in_file), per_phoneme_n, seed)
-    _write_manifest(out_file, records)
+    with io.replacing(out_file) as (out,):
+        _write_jsonl(out, (r.to_obj() for r in records))
     _echo(f"wrote {len(records)} test records", err=True)
 
 
@@ -343,7 +350,8 @@ def prepare_clean_vocab(vocab_file, corpus_file, out_file, remove, add):
     out = cleaned.to_obj()
     # clean_vocab numbers the tokens by position; the map is keyed by the file's ids
     out["id_map"] = {str(ids[vocab.tokens[k]]): v for k, v in sorted(id_map.items())}
-    io.write_text(out_file, json.dumps(out, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+    with io.replacing(out_file) as (f,):
+        f.write(json.dumps(out, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
     _echo(f"vocabulary: {len(vocab.tokens)} -> {len(cleaned.tokens)} tokens", err=True)
 
 
@@ -355,12 +363,11 @@ def prepare_clean_vocab(vocab_file, corpus_file, out_file, remove, add):
           _arg("--inventory", dest="inventory_path", type=_input))
 def cmd_synth(spec_file, rm_out, hm_out, truth_out, inventory_path):
     """Generate synthetic paired RM/HM tracks with known ground truth."""
-    io.check_outputs(rm_out, hm_out, truth_out)
-    inv = _load(inventory.Inventory, inventory_path)
-    spec = synth.ScenarioSpec.load(spec_file)
     # each utterance's lines are written as it is made; the files are renamed into
     # place once all of them are complete, and none is on a fault
     with io.replacing(rm_out, hm_out, truth_out) as (rm_file, hm_file, truth_file):
+        inv = _load(inventory.Inventory, inventory_path)
+        spec = synth.ScenarioSpec.load(spec_file)
         for rm, hm, truths in synth.utterances(spec, inv):
             rm_file.write(ctc.track_line(rm) + "\n")
             hm_file.write(ctc.track_line(hm) + "\n")
@@ -383,36 +390,33 @@ def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
     txt, json_file, csv_file = (f"{out_prefix}{suffix}"
                                 for suffix in (".txt", ".json", "_boxplot.csv"))
     Path(out_prefix).parent.mkdir(parents=True, exist_ok=True)
-    io.check_outputs(txt, json_file, csv_file)
-    inv = _load(inventory.Inventory, inventory_path)
-    cfg = _load(metrics.ClassifierConfig, continuants_path)
-    # one pass: read, check, classify and tally each instance as it arrives
-    evaluation = metrics.Evaluation()
-    with closing(io.parse_records(instances_file, metrics.EvalInstance.from_obj,
-                                  metrics.INSTANCE_FIELDS)) as instances:
-        evaluation.update(metrics.realizations(
-            evaluation.checked(instances, instances_file, group_filter), inv, cfg))
-    reports = evaluation.report()
+    with io.replacing(txt, json_file, csv_file) as (txt_out, json_out, csv_out):
+        inv = _load(inventory.Inventory, inventory_path)
+        cfg = _load(metrics.ClassifierConfig, continuants_path)
+        # one pass: read, check, classify and tally each instance as it arrives
+        evaluation = metrics.Evaluation()
+        with closing(io.parse_records(instances_file, metrics.EvalInstance.from_obj,
+                                      metrics.INSTANCE_FIELDS)) as instances:
+            evaluation.update(metrics.realizations(
+                evaluation.checked(instances, instances_file, group_filter), inv, cfg))
+        reports = evaluation.report()
 
-    payload: dict = {
-        "models": {m: {g: r.to_obj() for g, r in rows.items()}
-                   for m, rows in reports.items()},
-    }
-    models = sorted(reports)
-    if len(models) == 2:
-        payload["significance"] = evaluation.significance(models)
+        payload: dict = {
+            "models": {m: {g: r.to_obj() for g, r in rows.items()}
+                       for m, rows in reports.items()},
+        }
+        models = sorted(reports)
+        if len(models) == 2:
+            payload["significance"] = evaluation.significance(models)
 
-    text = metrics.format_report(reports)
-    if "significance" in payload:
-        sig = payload["significance"]
-        text += (f"McNemar exact (voicing, {sig['models'][0]} vs {sig['models'][1]}): "
-                 f"p = {sig['p_value']:.6g} on {sig['n_pairs']} pairs\n")
-    csv = metrics.boxplot_csv(evaluation.boxplot_rows())
-
-    io.write_text(txt, text)
-    io.write_text(json_file, json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
-                  + "\n")
-    io.write_text(csv_file, csv)
+        text = metrics.format_report(reports)
+        if "significance" in payload:
+            sig = payload["significance"]
+            text += (f"McNemar exact (voicing, {sig['models'][0]} vs {sig['models'][1]}): "
+                     f"p = {sig['p_value']:.6g} on {sig['n_pairs']} pairs\n")
+        txt_out.write(text)
+        json_out.write(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+        csv_out.write(metrics.boxplot_csv(evaluation.boxplot_rows()))
     _echo(text)
 
 

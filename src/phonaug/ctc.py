@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from . import io
 from .errors import PhonaugError, in_context
@@ -206,5 +206,11 @@ def read_tracks(path: str | Path, inventory: Inventory | None = None) -> Iterato
         yield from in_utt_id_order(tracks, path)
 
 
-def write_tracks(path: str | Path, tracks: Iterable[PhoneTrack]) -> int:
-    return io.write_lines(path, map(track_line, tracks))
+def write_tracks(out: TextIO, tracks: Iterable[PhoneTrack]) -> int:
+    """Write the line of each track to `out`, an output that `io.replacing` opened,
+    and return the count."""
+    n = 0
+    for track in tracks:
+        out.write(track_line(track) + "\n")
+        n += 1
+    return n

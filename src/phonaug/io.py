@@ -19,9 +19,11 @@ and line, since no UTF-8 output can hold it.
 Writers emit deterministic bytes (sorted keys, no trailing spaces) so re-runs
 are byte-identical; track lines are formatted by `ctc.track_line` and truth
 lines by `synth.truth_line`, with the bytes that `dump_line` gives their
-objects. Every output file, JSONL or not, appears at its path only once it is
-written in full; a command's several outputs, which must name distinct files,
-are written together by `replacing` when one pass makes them all.
+objects. `replacing` is the one writer: every output file, JSONL or not, is
+written to a temporary file beside its path and appears there only once it is
+written in full. A command writes all of its outputs, which must name distinct
+files, inside one `replacing`, so they are renamed into place only once all of
+them are written, and none is on a fault.
 
 Each config file, the packaged tables under `DATA` too, is one JSON object,
 read whole by `read_json`. Both readers `check` each object against its schema
@@ -144,6 +146,7 @@ ListOf = namedtuple("ListOf", "item")  # a list whose every item has the kind `i
 MapOf = namedtuple("MapOf", "value")  # an object whose every value has the kind `value`
 _Optional = namedtuple("Optional", "kind")
 _ABSENT = object()  # what check reads for an absent field: no JSON value is of type object
+_UNKNOWN = object()  # what a closed check reads for a key that no schema names
 
 
 def Optional(kind: Any) -> Any:
@@ -155,29 +158,36 @@ class FieldError(PhonaugError):
     """A field of a record or config object is missing or cannot be read."""
 
 
-def check(obj: dict, schema: dict) -> None:
-    """Raise FieldError naming the field by its path (`phones[0].start`) unless `obj` fits."""
+def check(obj: dict, schema: dict, closed: bool = False) -> None:
+    """Raise FieldError naming the field by its path (`phones[0].start`) unless `obj` fits,
+    and, if `closed`, unless its schema names every key; a type fault anywhere comes first."""
     # the common case, inline: plain kinds that fit (a list, map or object kind holds no type)
     for name, kind in schema.items():
         if type(obj.get(name, _ABSENT)) not in kind:
             break
     else:
-        return
-    fault = _fault(obj, schema)
-    if fault is not None:
+        if not closed:
+            return
+    fault = _fault(obj, schema) or closed and _fault(obj, schema, closed=True)
+    if fault:
         path, value = fault[0][1:], fault[1]  # the path without its leading "."
-        raise FieldError(f"missing field {path!r}" if value is _ABSENT
-                         else f"field {path!r} has the wrong type: {value!r}")
+        raise FieldError(f"missing field {path!r}" if value is _ABSENT else
+                         f"unknown field {path!r}" if value is _UNKNOWN else
+                         f"field {path!r} has the wrong type: {value!r}")
 
 
-def _fault(value: Any, kind: Any) -> tuple[str, Any] | None:
-    """None if `value` has `kind`, else the path to its first part that has not, and that part."""
+def _fault(value: Any, kind: Any, closed: bool = False) -> tuple[str, Any] | None:
+    """None if `value` has `kind`, else the path to its first part that has not, and that
+    part. With `closed`, for a `value` that has `kind`: the path to its first key, in its
+    own order, that no schema in `kind` names, and _UNKNOWN (a MapOf's keys are data)."""
     if type(kind) is tuple:
         return None if type(value) in kind else ("", value)
     if type(value) is not (list if type(kind) is ListOf else dict):
         return "", value
     if type(kind) is dict:
-        for name, k in kind.items():
+        for name, k in ((n, kind.get(n, _UNKNOWN)) for n in value) if closed else kind.items():
+            if k is _UNKNOWN:
+                return f".{name}", _UNKNOWN
             v = value.get(name, _ABSENT)
             if type(k) is tuple and type(v) in k:
                 continue
@@ -185,45 +195,22 @@ def _fault(value: Any, kind: Any) -> tuple[str, Any] | None:
                 if v is _ABSENT:
                     continue
                 k = k.kind
-            fault = ("", v) if v is _ABSENT else _fault(v, k)
+            fault = ("", v) if v is _ABSENT else _fault(v, k, closed)
             if fault is not None:
                 return f".{name}{fault[0]}", fault[1]
         return None
     item = kind[0]
     for key, v in enumerate(value) if type(kind) is ListOf else value.items():
-        fault = _fault(v, item)
+        fault = _fault(v, item, closed)
         if fault is not None:
             return (f"[{key}]" if type(kind) is ListOf else f".{key}") + fault[0], fault[1]
     return None
 
 
-def _unknown(value: Any, kind: Any) -> str | None:
-    """The path to the first key in `value`, which has `kind`, that no schema in `kind`
-    names, or None. A MapOf's keys are data, so it admits any."""
-    if type(kind) is _Optional:
-        kind = kind.kind
-    if type(kind) is dict:
-        for name, v in value.items():
-            k = kind.get(name, _ABSENT)
-            if k is _ABSENT:
-                return f".{name}"
-            path = None if type(k) is tuple else _unknown(v, k)
-            if path is not None:
-                return f".{name}{path}"
-    elif type(kind) is not tuple and type(kind[0]) is not tuple:  # items that hold keys
-        for key, v in enumerate(value) if type(kind) is ListOf else value.items():
-            path = _unknown(v, kind[0])
-            if path is not None:
-                return (f"[{key}]" if type(kind) is ListOf else f".{key}") + path
-    return None
-
-
 def _read(obj: dict, schema: dict, from_obj: Callable[[dict], T], closed: bool = False) -> T:
-    """from_obj of `obj` once `check` admits it, and, if `closed`, once its schema names
-    every key; from_obj's read errors raise FieldError."""
-    check(obj, schema)
-    if closed and (path := _unknown(obj, schema)) is not None:
-        raise FieldError(f"unknown field {path[1:]!r}")  # the path without its leading "."
+    """from_obj of `obj` once `check` admits it (closed, if `closed`); from_obj's read
+    errors raise FieldError."""
+    check(obj, schema, closed)
     try:
         return from_obj(obj)
     except (TypeError, ValueError, OverflowError) as e:
@@ -280,7 +267,7 @@ def check_outputs(*paths: str | Path | None) -> None:
     regular file or nothing yet, in a directory that exists, and no two of them
     name one file (by `os.path.realpath`): a rename would replace a directory,
     device or pipe itself, and of two outputs renamed onto one file only the
-    last would be left. A command calls it before it writes its first file."""
+    last would be left. `replacing` calls it before it opens any file."""
     named: dict[str, str | Path] = {}  # realpath -> the first path that names it
     for path in paths:
         if path is None:
@@ -320,22 +307,11 @@ def replacing(*paths: str | Path | None) -> Iterator[list[TextIO | None]]:
         raise
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Write `text` to `path`, all or nothing."""
-    with replacing(path) as (f,):
-        f.write(text)
-
-
-def write_lines(path: str | Path, lines: Iterable[str]) -> int:
-    """Write each line and a newline, all or nothing, and return the count."""
+def write_jsonl(path: str | Path, objs: Iterable[dict]) -> int:
+    """Write one line per object to `path`, all or nothing, and return the count."""
     n = 0
     with replacing(path) as (f,):
-        for line in lines:
-            f.write(line + "\n")
+        for obj in objs:
+            f.write(dump_line(obj) + "\n")
             n += 1
     return n
-
-
-def write_jsonl(path: str | Path, objs: Iterable[dict]) -> int:
-    """Write one line per object, all or nothing, and return the count."""
-    return write_lines(path, map(dump_line, objs))

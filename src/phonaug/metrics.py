@@ -286,18 +286,8 @@ class MetricsReport:
     n_null: int
 
     def to_obj(self) -> dict:
-        def r(x):
-            return None if x is None else round(x, 1)
-        return {
-            "voicing_acc": r(self.voicing_acc),
-            "asp_strict": r(self.asp_strict),
-            "asp_lenient": r(self.asp_lenient),
-            "ten_strict": r(self.ten_strict),
-            "ten_lenient": r(self.ten_lenient),
-            "null_pct": r(self.null_pct),
-            "n_instances": self.n_instances,
-            "n_null": self.n_null,
-        }
+        """Each field by its name, a percentage rounded to one decimal."""
+        return {k: round(v, 1) if type(v) is float else v for k, v in vars(self).items()}
 
 
 def _pct(hits: int, pool: int) -> float | None:

@@ -18,8 +18,9 @@ from phonaug import (
     augment_track, match_phones, prefilter_by_aspiration, serialize, tokenize_ipa,
 )
 from phonaug.augment import default_proximity
-from phonaug.ctc import write_tracks
+from phonaug.ctc import track_to_obj
 from phonaug.errors import PhonaugError, UtteranceMismatch
+from phonaug.io import replacing, write_jsonl
 from phonaug.inventory import ASPIRATED, phonation_of
 
 INV = Inventory.default()
@@ -67,7 +68,8 @@ def test_entry_points_check_table_against_their_inventory(tmp_path, entry_point)
     out = tmp_path / "tm.jsonl"
     with pytest.raises(PhonaugError) as failure:
         if entry_point == "augment_corpus":
-            augment_corpus(rm_file, hm_file, TABLE, out, inv)
+            with replacing(out) as (f,):
+                augment_corpus(rm_file, hm_file, TABLE, f, inv)
         else:
             prefilter_by_aspiration(rm_file, hm_file, TABLE, inv)
     assert str(failure.value) == "mapping table RM base 'c' has no voicing pair in the inventory"
@@ -202,8 +204,8 @@ def test_breathy_flag():
 def corpus_files(tmp_path, rm_tracks, hm_tracks):
     rm_file = tmp_path / "rm.jsonl"
     hm_file = tmp_path / "hm.jsonl"
-    write_tracks(rm_file, rm_tracks)
-    write_tracks(hm_file, hm_tracks)
+    write_jsonl(rm_file, map(track_to_obj, rm_tracks))
+    write_jsonl(hm_file, map(track_to_obj, hm_tracks))
     return rm_file, hm_file
 
 
@@ -216,7 +218,8 @@ def test_augment_corpus_counts(tmp_path):
         p_out = "pʰ" if i == 0 else "p"
         hm_tracks.append(track(["tʰ", "kʰ", p_out], utt_id=uid, tag="HM"))
     rm_file, hm_file = corpus_files(tmp_path, rm_tracks, hm_tracks)
-    stats = augment_corpus(rm_file, hm_file, TABLE, tmp_path / "tm.jsonl", INV)
+    with replacing(tmp_path / "tm.jsonl") as (f,):
+        stats = augment_corpus(rm_file, hm_file, TABLE, f, INV)
     assert stats.counts["pʰ"] == 1
     assert stats.counts["tʰ"] == 20
     assert stats.counts["kʰ"] == 20
@@ -227,7 +230,8 @@ def test_augment_corpus_counts(tmp_path):
 
 def test_augment_corpus_empty(tmp_path):
     rm_file, hm_file = corpus_files(tmp_path, [], [])
-    stats = augment_corpus(rm_file, hm_file, TABLE, tmp_path / "tm.jsonl", INV)
+    with replacing(tmp_path / "tm.jsonl") as (f,):
+        stats = augment_corpus(rm_file, hm_file, TABLE, f, INV)
     assert stats.matched == 0 and stats.utterances == 0
     assert (tmp_path / "tm.jsonl").read_text() == ""
 
@@ -237,7 +241,8 @@ def test_augment_corpus_one_matchable_per_utt(tmp_path):
     rm_tracks = [track(["a", "t", "e"], utt_id=f"u{i:03d}") for i in range(n)]
     hm_tracks = [track(["a", "d", "e"], utt_id=f"u{i:03d}", tag="HM") for i in range(n)]
     rm_file, hm_file = corpus_files(tmp_path, rm_tracks, hm_tracks)
-    stats = augment_corpus(rm_file, hm_file, TABLE, tmp_path / "tm.jsonl", INV)
+    with replacing(tmp_path / "tm.jsonl") as (f,):
+        stats = augment_corpus(rm_file, hm_file, TABLE, f, INV)
     assert stats.matched == n
 
 
@@ -245,8 +250,8 @@ def test_augment_corpus_missing_counterpart(tmp_path):
     rm_tracks = [track(["t"], utt_id="u1"), track(["t"], utt_id="u2")]
     hm_tracks = [track(["tʰ"], utt_id="u1", tag="HM")]
     rm_file, hm_file = corpus_files(tmp_path, rm_tracks, hm_tracks)
-    stats = augment_corpus(rm_file, hm_file, TABLE, tmp_path / "tm.jsonl", INV,
-                           skip_missing=True)
+    with replacing(tmp_path / "tm.jsonl") as (f,):
+        stats = augment_corpus(rm_file, hm_file, TABLE, f, INV, skip_missing=True)
     assert stats.missing_counterparts == ["u2"]
     assert stats.utterances == 1
 
@@ -312,6 +317,6 @@ def test_prefilter_equals_the_selection_read_off_augment_track(pairs):
     expected = [rm.utt_id for rm, hm in pairs if aspirated_output(rm, hm)]
     with tempfile.TemporaryDirectory() as d:
         rm_file, hm_file = Path(d) / "rm.jsonl", Path(d) / "hm.jsonl"
-        write_tracks(rm_file, [rm for rm, _ in pairs])
-        write_tracks(hm_file, [hm for _, hm in pairs])
+        write_jsonl(rm_file, map(track_to_obj, [rm for rm, _ in pairs]))
+        write_jsonl(hm_file, map(track_to_obj, [hm for _, hm in pairs]))
         assert prefilter_by_aspiration(rm_file, hm_file, TABLE, INV) == expected

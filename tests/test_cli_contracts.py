@@ -1,13 +1,16 @@
 """Contracts every command keeps: a fault exits 1 with one `Error:` line and
-writes nothing, an output path must take a regular file, a manifest holds each
+writes nothing, a write fault in any output leaves every output as it was, an
+output path must take a regular file, a manifest holds each
 utt_id once, frame_ms is positive and finite wherever it is read, and a
 malformed config file or a line that is not UTF-8 is named in the error."""
 
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -17,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phonaug import Inventory, ScenarioSpec, generate
-from phonaug.ctc import track_to_obj, write_tracks
+from phonaug import io as phonaug_io
+from phonaug.ctc import track_to_obj
 from phonaug.errors import PhonaugError
-from phonaug.io import DATA, dump_line
+from phonaug.io import DATA, dump_line, write_jsonl
 
 INV = Inventory.default()
 
@@ -31,8 +35,8 @@ def write_lines(path, objs):
 def write_inputs(d: Path) -> None:
     """One valid input of each kind that the commands read."""
     rm_tracks, hm_tracks, _ = generate(ScenarioSpec(seed=3, n_utterances=4, jitter=1), INV)
-    write_tracks(d / "rm.jsonl", rm_tracks)
-    write_tracks(d / "hm.jsonl", hm_tracks)
+    write_jsonl(d / "rm.jsonl", map(track_to_obj, rm_tracks))
+    write_jsonl(d / "hm.jsonl", map(track_to_obj, hm_tracks))
     write_lines(d / "paths.jsonl", [{"utt_id": "u1", "frame_ms": 10, "labels": ["t", "a"]}])
     write_lines(d / "manifest.jsonl", [
         {"utt_id": f"u{n}", "sentence": f"{letter}all", "transcription": "ta",
@@ -159,6 +163,39 @@ def test_two_outputs_that_name_one_file_fail_before_any_write(dirs, command, fir
     assert list(o.iterdir()) == []
 
 
+def full_disk(monkeypatch, name: str) -> None:
+    """Make each write to the temporary file of the output `name` fail as on a full
+    disk. `phonaug.io` opens every output file; every other file opens as before."""
+    def open_on_a_full_disk(file, *args, **kwargs):
+        f = open(file, *args, **kwargs)
+        if os.path.basename(file).startswith(f".{name}."):
+            def write(data):
+                if data:  # writing nothing succeeds on a full disk too
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(file))
+            f.write = f.writelines = write
+        return f
+    monkeypatch.setattr(phonaug_io, "open", open_on_a_full_disk, raising=False)
+
+
+@pytest.mark.parametrize("command", [
+    "augment", "prepare-split", "prepare-remap", "evaluate", "synth"])
+def test_a_write_fault_on_the_last_output_leaves_every_output_as_it_was(
+        dirs, monkeypatch, command):
+    # once: each output but synth's was renamed into place on its own, so a failed
+    # write of stats.json left a new tm.jsonl beside the old stats
+    i, o = dirs
+    (i / "remap.json").write_text('{"remap": {"a": "e"}}', encoding="utf-8")  # a report entry
+    outputs = COMMANDS[command][1]
+    for name in outputs:
+        (o / name).write_text("OLD", encoding="utf-8")
+    full_disk(monkeypatch, outputs[-1])
+    result = run(command, i, o)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, OSError) and result.exception.errno == errno.ENOSPC
+    assert sorted(p.name for p in o.iterdir()) == sorted(outputs)  # no .*.tmp file left
+    assert [(o / name).read_text(encoding="utf-8") for name in outputs] == ["OLD"] * len(outputs)
+
+
 # each command's input arguments, by the name a usage error gives them: first the
 # positional ones, in the order of their files in COMMANDS, then the options
 INPUTS = {
@@ -231,6 +268,14 @@ def test_an_option_prefix_is_not_an_option(dirs, command, prefix):
     i, o = dirs
     args = [a.format(i=i, o=o) for a in COMMANDS[command][0]]
     usage_error(invoke([*args, prefix, str(o / "x")]), f"No such option: {prefix}")
+    assert list(o.iterdir()) == []
+
+
+def test_skip_missing_is_not_an_option(dirs):
+    # it only undid an earlier --fail-missing on the same line: skipping is the default
+    i, o = dirs
+    args = [a.format(i=i, o=o) for a in COMMANDS["augment"][0]]
+    usage_error(invoke([*args, "--skip-missing"]), "No such option: --skip-missing")
     assert list(o.iterdir()) == []
 
 
@@ -526,6 +571,68 @@ def test_an_unknown_config_field_is_named(dirs, config, change, field):
     result = run(CONFIG_READERS[config], i, o)
     assert result.exit_code == 1
     assert result.output == f"Error: {path}: unknown field {field!r}\n"
+    assert list(o.iterdir()) == []
+
+
+def scripted_g(obj):
+    next(phone for phone in obj["phones"] if phone["symbol"] == "ɡ").update(symbol="g")
+
+
+# per case: the command that reads the config file, a change to the file, and the
+# error after the file's name. The last case holds both an unknown key and a type
+# fault: a type fault anywhere is reported first.
+CONFIG_CHECKS = {
+    "window-offsets-empty": ("augment-mapping", "mapping.json",
+                             lambda o: o.update(window_offsets=[]),
+                             "window_offsets must be non-empty"),
+    "window-offsets-wide": ("augment-mapping", "mapping.json",
+                            lambda o: o.update(window_offsets=[3]),
+                            "window offsets beyond |2| are not supported"),
+    "latin-g": ("decode-inventory", "inventory.json", scripted_g,
+                "inventory must use script ɡ (U+0261), not Latin g"),
+    "unknown-place": ("decode-inventory", "inventory.json",
+                      lambda o: o["phones"][0].update(place="labial"),
+                      "bad place/manner for 'p'"),
+    "pair-missing-symbol": ("decode-inventory", "inventory.json",
+                            lambda o: o["voicing_pairs"].insert(0, ["p", "Q"]),
+                            "voicing pair (p, Q) not in inventory"),
+    "pair-other-place": ("decode-inventory", "inventory.json",
+                         lambda o: o["voicing_pairs"].insert(0, ["p", "d"]),
+                         "voicing pair (p, d) must link a voiceless and a voiced base "
+                         "with identical place and manner"),
+    "blank-not-a-token": ("prepare-clean-vocab", "vocab.json", lambda o: o.update(blank="#"),
+                          "blank must occur exactly once in the vocabulary"),
+    "type-fault-before-unknown-key": ("augment-mapping", "mapping.json",
+                                      lambda o: (o["entries"][0].update(window=[5]),
+                                                 o.update(window_offsets="01")),
+                                      "field 'window_offsets' has the wrong type: '01'"),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_CHECKS)
+def test_a_config_file_that_fails_its_checks_is_named(dirs, case):
+    i, o = dirs
+    command, config, change, message = CONFIG_CHECKS[case]
+    path = i / config
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    change(obj)
+    path.write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+    result = run(command, i, o)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"Error: {path}: {message}\n"
+    assert list(o.iterdir()) == []
+
+
+@pytest.mark.parametrize("fraction", ["0", "1"])
+def test_prepare_split_rejects_a_fraction_outside_0_to_1(dirs, fraction):
+    i, o = dirs
+    args = [a.format(i=i, o=o) for a in COMMANDS["prepare-split"][0]]
+    args[args.index("--fraction") + 1] = fraction
+    result = invoke(args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"Error: fraction must be in (0, 1), got {float(fraction)}\n"
     assert list(o.iterdir()) == []
 
 

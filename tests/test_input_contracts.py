@@ -18,9 +18,9 @@ from phonaug import (
     AugmentationStats, Inventory, MappingTable, PhoneTrack, ScenarioSpec, augment_corpus,
     augment_track, generate, match_phones, phonation_of, prefilter_by_aspiration,
 )
-from phonaug.ctc import read_tracks, track_to_obj, write_tracks
+from phonaug.ctc import read_tracks, track_to_obj
 from phonaug.errors import MissingCounterpart, PhonaugError
-from phonaug.io import dump_line, write_jsonl
+from phonaug.io import dump_line, replacing, write_jsonl
 
 INV = Inventory.default()
 
@@ -69,14 +69,15 @@ def test_write_jsonl_refuses_non_regular_target(tmp_path):
 def test_fail_missing_leaves_no_output(tmp_path):
     rm_tracks, hm_tracks, _ = generate(ScenarioSpec(seed=3, n_utterances=50), INV)
     rm, hm, out = tmp_path / "rm.jsonl", tmp_path / "hm.jsonl", tmp_path / "tm.jsonl"
-    write_tracks(rm, rm_tracks)
-    write_tracks(hm, hm_tracks[:45])
+    write_jsonl(rm, map(track_to_obj, rm_tracks))
+    write_jsonl(hm, map(track_to_obj, hm_tracks[:45]))
     result = invoke(["augment", str(rm), str(hm), str(out), "--fail-missing"])
     assert result.exit_code == 1
     assert "no HM counterpart for utterance 'synth-000045'" in result.output
     assert sorted(p.name for p in tmp_path.iterdir()) == ["hm.jsonl", "rm.jsonl"]
     with pytest.raises(MissingCounterpart, match="'synth-000045'"):
-        augment_corpus(rm, hm, MappingTable.default(INV), out, INV, skip_missing=False)
+        with replacing(out) as (f,):
+            augment_corpus(rm, hm, MappingTable.default(INV), f, INV, skip_missing=False)
     assert not out.exists()
 
 
@@ -113,8 +114,8 @@ def test_one_defect_fails_the_command_without_output(seed, data, defect, command
     with tempfile.TemporaryDirectory() as d:
         work = Path(d)
         rm, hm, out = work / "rm.jsonl", work / "hm.jsonl", work / "tm.jsonl"
-        write_tracks(rm, rm_tracks)
-        write_tracks(hm, hm_tracks)
+        write_jsonl(rm, map(track_to_obj, rm_tracks))
+        write_jsonl(hm, map(track_to_obj, hm_tracks))
         args = ["augment", str(rm), str(hm), str(out)] if command == "augment" \
             else ["prefilter-aspiration", str(rm), str(hm), "--out", str(out)]
         result = invoke(args)
@@ -131,7 +132,7 @@ def test_one_defect_fails_the_command_without_output(seed, data, defect, command
 def test_read_tracks_checks_the_order(tmp_path, order, problem):
     tracks, _, _ = generate(ScenarioSpec(seed=4, n_utterances=3), INV)
     path = tmp_path / "rm.jsonl"
-    write_tracks(path, [tracks[i] for i in order])
+    write_jsonl(path, map(track_to_obj, [tracks[i] for i in order]))
     with pytest.raises(PhonaugError) as failure:
         list(read_tracks(path, INV))
     assert str(failure.value) == f"{path}: {problem}"
@@ -178,11 +179,11 @@ def test_merge_join_equals_dict_join(seed, membership, skip_missing):
         work = Path(d)
         rm, hm, out, stats = (work / name for name in ("rm.jsonl", "hm.jsonl", "tm.jsonl",
                                                        "stats.json"))
-        write_tracks(rm, rm_tracks)
-        write_tracks(hm, hm_tracks)
+        write_jsonl(rm, map(track_to_obj, rm_tracks))
+        write_jsonl(hm, map(track_to_obj, hm_tracks))
         result = invoke([
             "augment", str(rm), str(hm), str(out), "--stats-file", str(stats),
-            "--skip-missing" if skip_missing else "--fail-missing"])
+            *([] if skip_missing else ["--fail-missing"])])
         if missing and not skip_missing:
             assert result.exit_code == 1
             assert f"no HM counterpart for utterance {missing[0]!r}" in result.output
@@ -214,8 +215,8 @@ def test_failed_join_closes_both_files(tmp_path, command, defect):
     elif defect != "no_phones":
         rm_tracks, hm_tracks = inject(defect, 2, rm_tracks, hm_tracks)
     rm, hm, out = tmp_path / "rm.jsonl", tmp_path / "hm.jsonl", tmp_path / "tm.jsonl"
-    write_tracks(rm, rm_tracks)
-    write_tracks(hm, hm_tracks)
+    write_jsonl(rm, map(track_to_obj, rm_tracks))
+    write_jsonl(hm, map(track_to_obj, hm_tracks))
     if defect == "no_phones":
         lines = hm.read_text(encoding="utf-8").splitlines(keepends=True)
         lines[2] = lines[2].replace('"phones"', '"no_phones"')
@@ -223,7 +224,8 @@ def test_failed_join_closes_both_files(tmp_path, command, defect):
     table = MappingTable.default(INV)
     with pytest.raises(PhonaugError, match="'synth-000002'") as failure:
         if command == "augment":
-            augment_corpus(rm, hm, table, out, INV, skip_missing=defect != "missing")
+            with replacing(out) as (f,):
+                augment_corpus(rm, hm, table, f, INV, skip_missing=defect != "missing")
         else:
             prefilter_by_aspiration(rm, hm, table, INV)
     # the failure keeps alive every frame it passed through, yet no file is open

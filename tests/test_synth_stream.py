@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phonaug import Inventory, ScenarioSpec, generate, io
-from phonaug.ctc import write_tracks
+from phonaug.ctc import track_to_obj
 from phonaug.errors import PhonaugError
 from phonaug.inventory import ASPIRATED, BREATHY_VOICED, TENUIS, VOICED, Phonation
 from phonaug.synth import GroundTruthMatch, truth_line, utterances
@@ -69,8 +69,8 @@ def test_streamed_files_equal_generate_and_the_list_writers(spec):
         assert result.exit_code == 0, result.output
         assert result.stderr == f"generated {spec.n_utterances} utterances\n"
         rm_tracks, hm_tracks, truth = generate(spec, INV)
-        write_tracks(d / "rm.ref", rm_tracks)
-        write_tracks(d / "hm.ref", hm_tracks)
+        io.write_jsonl(d / "rm.ref", map(track_to_obj, rm_tracks))
+        io.write_jsonl(d / "hm.ref", map(track_to_obj, hm_tracks))
         io.write_jsonl(d / "truth.ref", (t.to_obj() for t in truth))
         for name in ("rm", "hm", "truth"):
             assert (d / f"{name}.jsonl").read_bytes() == (d / f"{name}.ref").read_bytes()
