@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import closing
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, NamedTuple, TextIO
 
@@ -26,23 +25,16 @@ from .inventory import (ASPIRATED, BREATHY_VOICED, VOICED, Inventory, phonation_
                         with_phonation)
 
 
-@dataclass(frozen=True)
 class MappingTable:
-    entries: tuple[tuple[frozenset[str], frozenset[str]], ...]
-    window_offsets: frozenset[int]
-    # lookup sets derived from entries
-    _rm_bases: frozenset[str] = field(init=False, repr=False, compare=False)
-    _pairs: frozenset[tuple[str, str]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.window_offsets:
+    def __init__(self, entries: tuple[tuple[frozenset[str], frozenset[str]], ...],
+                 window_offsets: frozenset[int]):
+        if not window_offsets:
             raise PhonaugError("window_offsets must be non-empty")
-        if any(abs(d) > 2 for d in self.window_offsets):
+        if any(abs(d) > 2 for d in window_offsets):
             raise PhonaugError("window offsets beyond |2| are not supported")
-        object.__setattr__(self, "_rm_bases",
-                           frozenset(b for rm, _ in self.entries for b in rm))
-        object.__setattr__(self, "_pairs", frozenset(
-            (r, h) for rm, hm in self.entries for r in rm for h in hm))
+        self.entries, self.window_offsets = entries, window_offsets
+        self._rm_bases = frozenset(b for rm, _ in entries for b in rm)
+        self._pairs = frozenset((r, h) for rm, hm in entries for r in rm for h in hm)
 
     @classmethod
     def from_obj(cls, obj: dict, inventory: Inventory | None = None) -> "MappingTable":
@@ -89,13 +81,14 @@ class MatchPair(NamedTuple):
     hm_phone: TimedPhone
 
 
-@dataclass
 class AugmentationStats:
-    counts: Counter = field(default_factory=Counter)
-    matched: int = 0
-    unmatched_rm_plosives: int = 0
-    utterances: int = 0
-    missing_counterparts: list[str] = field(default_factory=list)
+    def __init__(self, counts: Counter | None = None, matched: int = 0,
+                 unmatched_rm_plosives: int = 0, utterances: int = 0,
+                 missing_counterparts: list[str] | None = None):
+        self.counts = Counter() if counts is None else counts
+        self.matched, self.unmatched_rm_plosives, self.utterances = (
+            matched, unmatched_rm_plosives, utterances)
+        self.missing_counterparts = [] if missing_counterparts is None else missing_counterparts
 
     def to_obj(self) -> dict:
         return {
@@ -172,10 +165,10 @@ def augment_track(rm: PhoneTrack, hm: PhoneTrack, matches: list[MatchPair],
 def _paired_tracks(rm_file: str | Path, hm_file: str | Path,
                    inventory: Inventory, skip_missing: bool,
                    stats: AugmentationStats) -> Iterator[tuple[PhoneTrack, PhoneTrack]]:
-    """RM/HM pairs joined on utt_id by a merge of the two utt_id-sorted track
-    files. A pair shares its frame_ms: the matcher compares raw frame indices."""
-    with closing(read_tracks(rm_file, inventory)) as rms, \
-            closing(read_tracks(hm_file, inventory)) as hms:
+    """RM/HM pairs, tagged RM and HM or OTHER, joined on utt_id by a merge of the two
+    sorted track files. A pair shares its frame_ms: the matcher compares frame indices."""
+    with closing(read_tracks(rm_file, inventory, "RM")) as rms, \
+            closing(read_tracks(hm_file, inventory, "HM")) as hms:
         hm = next(hms, None)
         for rm in rms:
             while hm is not None and hm.utt_id < rm.utt_id:
@@ -186,8 +179,9 @@ def _paired_tracks(rm_file: str | Path, hm_file: str | Path,
                 stats.missing_counterparts.append(rm.utt_id)
                 continue
             if rm.frame_ms != hm.frame_ms:
-                raise PhonaugError(f"utterance {rm.utt_id!r}: RM frame_ms {rm.frame_ms} "
-                                   f"differs from HM frame_ms {hm.frame_ms}")
+                raise PhonaugError(
+                    f"utterance {rm.utt_id!r}: RM frame_ms {rm.frame_ms} in {rm_file} differs "
+                    f"from HM frame_ms {hm.frame_ms} in {hm_file}")
             yield rm, hm
         for _ in hms:  # the rest of the HM file must keep the contract too
             pass

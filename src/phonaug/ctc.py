@@ -9,14 +9,13 @@ from __future__ import annotations
 import math
 import unicodedata
 from contextlib import closing
-from dataclasses import dataclass
 from itertools import groupby
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from . import io
-from .errors import PhonaugError, in_context
+from .errors import PhonaugError, checked_make, in_context
 from .inventory import Inventory, Phone, tokenize_ipa
 from .io import MODEL_TAGS
 
@@ -36,16 +35,21 @@ def check_frame_ms(utt_id: str, frame_ms: float) -> None:
         raise PhonaugError(f"{utt_id}: frame_ms must be positive and finite, got {frame_ms!r}")
 
 
-@dataclass(frozen=True)
-class FramePath:
-    """Per-frame best-path labels for one utterance."""
-
+class _FramePathFields(NamedTuple):
     utt_id: str
     frame_ms: float
     labels: tuple[str, ...]
 
-    def __post_init__(self):
-        check_frame_ms(self.utt_id, self.frame_ms)
+
+class FramePath(_FramePathFields):
+    """Per-frame best-path labels for one utterance."""
+
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, utt_id: str, frame_ms: float, labels: tuple[str, ...]) -> "FramePath":
+        check_frame_ms(utt_id, frame_ms)
+        return tuple.__new__(cls, (utt_id, frame_ms, labels))
 
 
 class TimedPhone(NamedTuple):
@@ -54,28 +58,33 @@ class TimedPhone(NamedTuple):
     end_frame: int
 
 
-@dataclass
-class PhoneTrack:
+class _TrackFields(NamedTuple):
     utt_id: str
     model_tag: str
     phones: list[TimedPhone]
     frame_ms: float
 
-    def __post_init__(self):
-        if not self.utt_id:
+
+class PhoneTrack(_TrackFields):
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, utt_id: str, model_tag: str, phones: list[TimedPhone],
+                frame_ms: float) -> "PhoneTrack":
+        if not utt_id:
             raise PhonaugError("utt_id must be non-empty")
-        if self.model_tag not in MODEL_TAGS:
-            raise PhonaugError(f"{self.utt_id}: unknown model tag {self.model_tag!r}")
-        check_frame_ms(self.utt_id, self.frame_ms)
+        if model_tag not in MODEL_TAGS:
+            raise PhonaugError(f"{utt_id}: unknown model tag {model_tag!r}")
+        check_frame_ms(utt_id, frame_ms)
         previous = 0
-        for i, (_, start, end) in enumerate(self.phones):
+        for i, (_, start, end) in enumerate(phones):
             if not 0 <= start <= end:
-                raise PhonaugError(
-                    f"{self.utt_id}: phones[{i}]: invalid frame span {start}..{end}")
+                raise PhonaugError(f"{utt_id}: phones[{i}]: invalid frame span {start}..{end}")
             if start < previous:
                 raise PhonaugError(
-                    f"{self.utt_id}: phones[{i}]: start frame {start} comes before {previous}")
+                    f"{utt_id}: phones[{i}]: start frame {start} comes before {previous}")
             previous = start
+        return tuple.__new__(cls, (utt_id, model_tag, phones, frame_ms))
 
 
 def greedy_collapse(path: FramePath, blank: str) -> list[tuple[str, int, int]]:
@@ -199,11 +208,17 @@ def in_utt_id_order(tracks: Iterable[PhoneTrack], source: str | Path) -> Iterato
         yield track
 
 
-def read_tracks(path: str | Path, inventory: Inventory | None = None) -> Iterator[PhoneTrack]:
+def read_tracks(path: str | Path, inventory: Inventory | None = None,
+                role: str | None = None) -> Iterator[PhoneTrack]:
+    """The tracks of a track file in utt_id order, each tagged `role` or OTHER if given."""
     inv = inventory or Inventory.default()
     with closing(io.parse_records(path, lambda obj: track_from_obj(obj, inv),
                                   _TRACK_HEAD)) as tracks:
-        yield from in_utt_id_order(tracks, path)
+        for track in in_utt_id_order(tracks, path):
+            if role and track.model_tag not in (role, "OTHER"):
+                raise PhonaugError(f"{path}: utterance {track.utt_id!r} is tagged "
+                                   f"{track.model_tag}, not {role} or OTHER")
+            yield track
 
 
 def write_tracks(out: TextIO, tracks: Iterable[PhoneTrack]) -> int:

@@ -1,10 +1,15 @@
-"""Exception hierarchy shared by all phonaug modules."""
+"""Exception hierarchy shared by all phonaug modules, and the checked records' `_make`."""
 
 from __future__ import annotations
 
 
 class PhonaugError(Exception):
     """Base class for all phonaug errors."""
+
+
+def checked_make(cls, iterable):
+    """`_make` for a NamedTuple whose `__new__` checks: namedtuple's skips __new__."""
+    return cls(*iterable)
 
 
 def in_context(error: PhonaugError, where: object) -> PhonaugError:

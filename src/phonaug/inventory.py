@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from . import io
 from .errors import (
@@ -40,8 +40,7 @@ MANNERS = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class Phonation:
+class Phonation(NamedTuple):
     """One cell of the 2x2 voicing x spread-glottis grid."""
 
     voiced: bool
@@ -64,20 +63,16 @@ _PHONATIONS = {(p.voiced, p.spread_glottis): p
                for p in (TENUIS, ASPIRATED, VOICED, BREATHY_VOICED)}
 
 
-@dataclass(frozen=True)
-class Phone:
-    """One IPA segment: base symbol (tie-bar affricates allowed), ordered
-    diacritics, and the place, manner and shared phonation derived from both."""
+class Phone(NamedTuple):
+    """One IPA segment, as `Inventory.make_phone` builds it: base symbol (tie-bar affricates
+    allowed), diacritics, the place, manner and phonation they give, and its NFC text."""
 
     base: str
     diacritics: tuple[str, ...]
     place: str
     manner: str
     phonation: Phonation
-
-    @cached_property
-    def text(self) -> str:
-        return unicodedata.normalize("NFC", self.base + "".join(self.diacritics))
+    text: str
 
 
 class Inventory:
@@ -211,8 +206,9 @@ class Inventory:
         key = (base, diacritics)
         phone = self._phones.get(key)
         if phone is None:
-            phone = self._phones[key] = Phone(base, diacritics,
-                                              *self.features_of(base, diacritics))
+            phone = self._phones[key] = Phone(
+                base, diacritics, *self.features_of(base, diacritics),
+                unicodedata.normalize("NFC", base + "".join(diacritics)))
         return phone
 
     def phone(self, symbol: str) -> Phone:

@@ -23,7 +23,8 @@ objects. `replacing` is the one writer: every output file, JSONL or not, is
 written to a temporary file beside its path and appears there only once it is
 written in full. A command writes all of its outputs, which must name distinct
 files, inside one `replacing`, so they are renamed into place only once all of
-them are written, and none is on a fault.
+them are written, and none is on a fault. An output path must name a file: ""
+and a path whose last part is empty, "." or ".." fail before any write.
 
 Each config file, the packaged tables under `DATA` too, is one JSON object,
 read whole by `read_json`. Both readers `check` each object against its schema
@@ -272,6 +273,8 @@ def check_outputs(*paths: str | Path | None) -> None:
     for path in paths:
         if path is None:
             continue
+        if os.path.basename(path) in ("", ".", ".."):  # "" would resolve to the working directory
+            raise PhonaugError(f"{str(path)!r}: output path names no file")
         if os.path.exists(path) and not os.path.isfile(path):
             raise PhonaugError(f"{path}: output must be a regular file")
         real = os.path.realpath(path)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import random
 import unicodedata
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import io
 from .errors import (
-    InsufficientInstances, InsufficientSegments, PhonaugError, RemoveInUse,
+    InsufficientInstances, InsufficientSegments, PhonaugError, RemoveInUse, checked_make,
 )
 from .inventory import Inventory, tokenize_ipa
 
@@ -29,8 +29,7 @@ SEGMENT_FIELDS = {"utt_id": io.STRING, "language": _TEXT, "sentence": _TEXT,
                   "split_tag": _TEXT, "analyzable": io.Optional(io.BOOLEAN), "phoneme": _TEXT}
 
 
-@dataclass
-class SegmentRecord:
+class SegmentRecord(NamedTuple):
     utt_id: str
     language: str = ""
     sentence: str = ""
@@ -47,7 +46,7 @@ class SegmentRecord:
 
     def to_obj(self) -> dict:
         """Every field but the ones that hold None."""
-        return {name: value for name, value in vars(self).items() if value is not None}
+        return {name: value for name, value in self._asdict().items() if value is not None}
 
 
 def _check_count(name: str, n: int) -> None:
@@ -125,21 +124,26 @@ def remap_invalid(records: list[SegmentRecord], remap_table: dict[str, str],
             report.append({"utt_id": rec.utt_id, "action": "drop",
                            "reason": f"not tokenizable: {e}"})
             continue
-        rec = SegmentRecord(**{**rec.__dict__, "transcription": text})
-        kept.append(rec)
+        kept.append(rec._replace(transcription=text))
     return kept, report
 
 
-@dataclass
-class VocabSpec:
+class _VocabFields(NamedTuple):
     tokens: list[str]
     blank: str = "_"
-    removed: set[str] = field(default_factory=set)
-    added: set[str] = field(default_factory=set)
+    removed: set[str] | frozenset[str] = frozenset()
+    added: set[str] | frozenset[str] = frozenset()
 
-    def __post_init__(self):
+
+class VocabSpec(_VocabFields):
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, *args, **kwargs) -> "VocabSpec":
+        self = super().__new__(cls, *args, **kwargs)
         if self.tokens.count(self.blank) != 1:
             raise PhonaugError("blank must occur exactly once in the vocabulary")
+        return self
 
     def to_obj(self) -> dict:
         return {"tokens": {tok: i for i, tok in enumerate(self.tokens)},
@@ -187,5 +191,5 @@ def build_onset_testset(records: list[SegmentRecord], per_phoneme_n: int, seed: 
         if len(pool) < per_phoneme_n:
             raise InsufficientInstances(phoneme, len(pool), per_phoneme_n)
         for rec in rng.sample(pool, per_phoneme_n):
-            picked.append(SegmentRecord(**{**rec.__dict__, "phoneme": phoneme}))
+            picked.append(rec._replace(phoneme=phoneme))
     return _by_id(picked)

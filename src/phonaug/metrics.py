@@ -16,12 +16,11 @@ import enum
 import math
 import unicodedata
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import io
-from .errors import EmptyDenominator, PhonaugError, ZeroBaseline
+from .errors import EmptyDenominator, PhonaugError, ZeroBaseline, checked_make
 from .inventory import ASPIRATION, PLACES, TENUIS, Inventory, Phone
 from .io import MODEL_TAGS, POA_GROUP_OF, POA_GROUPS
 
@@ -69,6 +68,7 @@ class EvalInstance(_InstanceFields):
     classifies and tallies it, and keeps none (what it keeps is `Evaluation`'s)."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, utt_id: str, target_phoneme: str, vot_ms: float, predicted_onset: str,
                 model_tag: str = "OTHER") -> "EvalInstance":
@@ -85,11 +85,6 @@ class EvalInstance(_InstanceFields):
         return tuple.__new__(cls, (utt_id, target_phoneme, vot_ms, predicted_onset, model_tag))
 
     @classmethod
-    def _make(cls, iterable) -> "EvalInstance":
-        # namedtuple's own _make, which _replace calls too, would skip the checks
-        return cls(*iterable)
-
-    @classmethod
     def from_obj(cls, obj: dict) -> "EvalInstance":
         return cls(obj["utt_id"], obj["phoneme"], float(obj["vot_ms"]),
                    obj["onset"], obj.get("model", "OTHER"))
@@ -100,8 +95,7 @@ class Classified(NamedTuple):
     realization: Realization
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
+class ClassifierConfig(NamedTuple):
     """Admissible places per target phoneme and homorganic voiceless
     continuants (both user-editable data, defaults packaged)."""
 
@@ -272,8 +266,7 @@ def mcnemar_exact(bm: Sequence[bool], tm: Sequence[bool]) -> float:
 # -- reporting ----------------------------------------------------------------
 
 
-@dataclass
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """One row of the results table; None marks an empty denominator (N/A)."""
 
     voicing_acc: float | None
@@ -287,7 +280,7 @@ class MetricsReport:
 
     def to_obj(self) -> dict:
         """Each field by its name, a percentage rounded to one decimal."""
-        return {k: round(v, 1) if type(v) is float else v for k, v in vars(self).items()}
+        return {k: round(v, 1) if type(v) is float else v for k, v in self._asdict().items()}
 
 
 def _pct(hits: int, pool: int) -> float | None:

@@ -12,14 +12,13 @@ each as it is made and holds no more than one in memory.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, get_type_hints
 
 from . import io
 from .ctc import PhoneTrack, TimedPhone
-from .errors import PhonaugError
+from .errors import PhonaugError, checked_make
 from .inventory import (
     ASPIRATED, BREATHY_VOICED, VOICED, Inventory, Phonation, phonation_of, with_phonation,
 )
@@ -30,8 +29,7 @@ FILLER_VOWELS = ("a", "e", "i", "o", "u")
 SPAN_FRAMES = 4
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class _SpecFields(NamedTuple):
     seed: int
     n_utterances: int
     plosive_rate: float = 0.5
@@ -41,7 +39,13 @@ class ScenarioSpec:
     jitter: int = 0
     drop_rate: float = 0.0
 
-    def __post_init__(self):
+
+class ScenarioSpec(_SpecFields):
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, *args, **kwargs) -> "ScenarioSpec":
+        self = super().__new__(cls, *args, **kwargs)
         rates = (self.plosive_rate, self.hm_aspiration_rate, self.hm_voicing_rate,
                  self.hm_breathy_rate, self.drop_rate)
         if any(not 0 <= r <= 1 for r in rates):
@@ -52,13 +56,14 @@ class ScenarioSpec:
             raise PhonaugError("jitter must be non-negative")
         if self.n_utterances < 0:
             raise PhonaugError("n_utterances must be non-negative")
+        return self
 
     @classmethod
     def load(cls, path: str | Path) -> "ScenarioSpec":
-        kinds = {f.name: io.INTEGER if f.type == "int" else io.NUMBER for f in fields(cls)}
+        kind = {int: io.INTEGER, float: io.NUMBER}  # a field with a default may be absent
         return io.read_json(path, lambda obj: cls(**obj), {
-            name: kind if name in ("seed", "n_utterances") else io.Optional(kind)
-            for name, kind in kinds.items()})
+            name: io.Optional(kind[t]) if name in cls._field_defaults else kind[t]
+            for name, t in get_type_hints(cls).items()})
 
 
 class GroundTruthMatch(NamedTuple):

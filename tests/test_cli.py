@@ -95,7 +95,8 @@ def test_decode_rejects_duplicate_utt_id(tmp_path):
 
 
 FRAME_PATH = {"utt_id": "u1", "frame_ms": 20.0, "labels": ["t"]}
-TRACK = {"utt_id": "u1", "model": "RM", "frame_ms": 20.0,
+# augment reads one file as both RM and HM here, which only the OTHER tag admits
+TRACK = {"utt_id": "u1", "model": "OTHER", "frame_ms": 20.0,
          "phones": [{"symbol": "t", "start": 0, "end": 1}]}
 INSTANCE = {"utt_id": "u1", "phoneme": "t", "vot_ms": 30.0, "onset": "t", "model": "BM"}
 

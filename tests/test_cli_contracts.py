@@ -6,7 +6,6 @@ malformed config file or a line that is not UTF-8 is named in the error."""
 
 from __future__ import annotations
 
-import dataclasses
 import errno
 import json
 import math
@@ -161,6 +160,48 @@ def test_two_outputs_that_name_one_file_fail_before_any_write(dirs, command, fir
     assert isinstance(result.exception, SystemExit)
     assert result.output == f"Error: {o / first}: output is the same file as {o / first}\n"
     assert list(o.iterdir()) == []
+
+
+# the options whose empty value means the output is not asked for
+NOT_ASKED_FOR = {("augment", "stats.json"), ("prefilter-aspiration", "selected.txt"),
+                 ("prepare-remap", "remap.jsonl")}
+
+
+@pytest.mark.parametrize("command, output, path", [
+    pytest.param(command, output, path, id=f"{command}-{output}-{path or 'empty'}")
+    for command, (_, outputs) in COMMANDS.items() if not command.startswith("evaluate")
+    for output in outputs for path in ("", "{o}/" + output + "/")
+    if path or (command, output) not in NOT_ASKED_FOR])
+def test_an_output_path_that_names_no_file_fails_before_any_write(
+        dirs, monkeypatch, command, output, path):
+    # once: `synth --truth-out ""` renamed its RM and HM tracks into place, then
+    # failed with an IsADirectoryError traceback, and `decode in.jsonl ""` failed so
+    i, o = dirs
+    path = path.format(o=o)
+    args, outputs = COMMANDS[command]
+    for name in outputs:
+        (o / name).write_text("OLD", encoding="utf-8")
+    monkeypatch.chdir(o)  # where "" would resolve
+    result = invoke([path if a == f"{{o}}/{output}" else a.format(i=i, o=o) for a in args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"Error: {path!r}: output path names no file\n"
+    assert sorted(p.name for p in o.iterdir()) == sorted(outputs)
+    assert [(o / name).read_text(encoding="utf-8") for name in outputs] == ["OLD"] * len(outputs)
+    assert not list(o.parent.rglob(".*.tmp"))
+
+
+def test_an_empty_optional_output_is_not_asked_for(dirs, monkeypatch):
+    i, o = dirs
+    monkeypatch.chdir(o)
+    result = invoke(["augment", str(i / "rm.jsonl"), str(i / "hm.jsonl"), "tm.jsonl",
+                     "--stats-file", ""])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["utterances"] == 4
+    result = invoke(["prepare", "remap", str(i / "manifest.jsonl"), "kept.jsonl",
+                     "--config", str(i / "remap.json"), "--report-file", ""])
+    assert result.exit_code == 0, result.output
+    assert sorted(p.name for p in o.iterdir()) == ["kept.jsonl", "tm.jsonl"]
 
 
 def full_disk(monkeypatch, name: str) -> None:
@@ -710,7 +751,7 @@ def in_range(field, value) -> bool:
 
 
 @settings(max_examples=200, deadline=None)
-@given(field=st.sampled_from([f.name for f in dataclasses.fields(ScenarioSpec)] + ["rate"]),
+@given(field=st.sampled_from(list(ScenarioSpec._fields) + ["rate"]),
        value=json_values)
 def test_scenario_spec_fields_take_only_their_json_types(field, value):
     obj = {"seed": 1, "n_utterances": 2, field: value}
@@ -725,8 +766,8 @@ def test_scenario_spec_fields_take_only_their_json_types(field, value):
             message = str(e)
         else:
             message = None
-            assert dataclasses.asdict(spec) == obj | {
-                k: v for k, v in dataclasses.asdict(ScenarioSpec(1, 2)).items() if k not in obj}
+            assert spec._asdict() == obj | {
+                k: v for k, v in ScenarioSpec(1, 2)._asdict().items() if k not in obj}
     if not well_typed:  # the type fault names the file and the field
         assert message is not None and message.startswith(f"{path}: ") and field in message
     else:

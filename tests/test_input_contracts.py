@@ -124,6 +124,79 @@ def test_one_defect_fails_the_command_without_output(seed, data, defect, command
         assert sorted(p.name for p in work.iterdir()) == ["hm.jsonl", "rm.jsonl"]
 
 
+def test_a_frame_rate_mismatch_names_both_files(tmp_path):
+    rm_tracks, hm_tracks, _ = generate(ScenarioSpec(seed=3, n_utterances=4), INV)
+    rm_tracks, hm_tracks = inject("frame_ms", 2, rm_tracks, hm_tracks)
+    rm, hm = tmp_path / "rm.jsonl", tmp_path / "hm.jsonl"
+    write_jsonl(rm, map(track_to_obj, rm_tracks))
+    write_jsonl(hm, map(track_to_obj, hm_tracks))
+    for args in (["augment", str(rm), str(hm), str(tmp_path / "tm.jsonl")],
+                 ["prefilter-aspiration", str(rm), str(hm)]):
+        result = invoke(args)
+        assert result.exit_code == 1
+        assert result.output == (f"Error: utterance 'synth-000002': RM frame_ms 20.0 in {rm} "
+                                 f"differs from HM frame_ms 10.0 in {hm}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hm.jsonl", "rm.jsonl"]
+
+
+@pytest.fixture
+def tagged(tmp_path):
+    """An RM, an HM and a TM track file of one synth corpus, and OTHER-tagged copies of
+    the first two, as decode tags its tracks by default."""
+    rm_tracks, hm_tracks, _ = generate(ScenarioSpec(seed=5, n_utterances=6, jitter=1), INV)
+    files = {name: tmp_path / f"{name}.jsonl" for name in ("rm", "hm", "tm", "rm_other",
+                                                           "hm_other")}
+    for name, tracks in (("rm", rm_tracks), ("hm", hm_tracks)):
+        write_jsonl(files[name], map(track_to_obj, tracks))
+        write_jsonl(files[f"{name}_other"],
+                    ({**track_to_obj(t), "model": "OTHER"} for t in tracks))
+    result = invoke(["augment", str(files["rm"]), str(files["hm"]), str(files["tm"]),
+                     "--stats-file", str(tmp_path / "stats.json")])
+    assert result.exit_code == 0, result.output
+    (tmp_path / "stats.json").unlink()
+    return files
+
+
+# (the file in the RM role, the file in the HM role, the file and tag refused, its role)
+ROLE_FAULTS = {
+    "hm-as-rm": ("hm", "hm", "hm", "HM", "RM"),
+    "tm-as-rm": ("tm", "hm", "tm", "TM", "RM"),
+    "rm-as-both": ("rm", "rm", "rm", "RM", "HM"),  # the join reads the HM side first
+    "swapped": ("hm", "rm", "rm", "RM", "HM"),
+    "tm-as-hm": ("rm", "tm", "tm", "TM", "HM"),
+}
+
+
+@pytest.mark.parametrize("command", ["augment", "prefilter-aspiration"])
+@pytest.mark.parametrize("rm, hm, refused, tag, role", ROLE_FAULTS.values(), ids=ROLE_FAULTS)
+def test_a_track_file_in_the_wrong_role_fails_without_output(
+        tagged, command, rm, hm, refused, tag, role):
+    # once: each of these exited 0 with a plausible TM file or selection
+    out = tagged["rm"].parent / "out"
+    out.mkdir()
+    args = [str(out / "tm.jsonl"), "--stats-file", str(out / "stats.json")] \
+        if command == "augment" else ["--out", str(out / "selected.txt")]
+    result = invoke([command, str(tagged[rm]), str(tagged[hm]), *args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == (f"Error: {tagged[refused]}: utterance 'synth-000000' is tagged "
+                             f"{tag}, not {role} or OTHER\n")
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("rm, hm", [("rm_other", "hm_other"), ("rm_other", "hm"),
+                                    ("rm", "hm_other")])
+def test_other_tagged_tracks_take_either_role(tagged, rm, hm):
+    out = tagged["rm"].parent / "other.jsonl"
+    result = invoke(["augment", str(tagged[rm]), str(tagged[hm]), str(out),
+                     "--stats-file", str(out.with_suffix(".json"))])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == tagged["tm"].read_bytes()
+    selected = [invoke(["prefilter-aspiration", str(tagged[r]), str(tagged[h])]).stdout
+                for r, h in ((rm, hm), ("rm", "hm"))]
+    assert selected[0] == selected[1] != ""
+
+
 @pytest.mark.parametrize("order, problem", [
     pytest.param([0, 2, 1], "utterance 'synth-000001' comes after 'synth-000002'",
                  id="unsorted"),

@@ -20,8 +20,9 @@ from phonaug.io import dump_line
 STR, INT, NUM, BOOL, LIST = (str,), (int,), (int, float), (bool,), (list,)
 
 # record kind -> (command, a valid record, {field: its JSON types}); a track
-# phone's fields are those of the track's first phone
-TRACK = {"utt_id": "u1", "model": "RM", "frame_ms": 20,
+# phone's fields are those of the track's first phone. augment reads the track
+# file as both RM and HM, which only the OTHER tag admits.
+TRACK = {"utt_id": "u1", "model": "OTHER", "frame_ms": 20,
          "phones": [{"symbol": "t", "start": 0, "end": 1}]}
 RECORD_KINDS = {
     "frame path": ("decode", {"utt_id": "u1", "frame_ms": 10, "labels": ["t", "a"]},

@@ -37,15 +37,17 @@ COMMANDS = {
                        RAN | {"inventory", "manifest"}),
 }
 
-# runs argv[1:] through phonaug.cli in this process, then prints the modules that ran
-# and whether click was imported
+# runs argv[1:] through phonaug.cli in this process, then prints the modules that ran,
+# whether click was imported, and which of dataclasses and inspect the command imported
 PROBE = f"""
 import json, sys, types
+before = set(sys.modules)
 from phonaug.cli import main
 main(sys.argv[1:], standalone_mode=False)
 print(json.dumps(sorted(m for m in {LIBRARY!r}
                         if type(sys.modules.get("phonaug." + m)) is types.ModuleType)))
 print(json.dumps("click" in sys.modules))
+print(json.dumps(sorted({{"dataclasses", "inspect"}} & set(sys.modules).difference(before))))
 """
 
 
@@ -77,9 +79,11 @@ def write_inputs(d: Path) -> None:
 def test_a_command_runs_only_the_modules_it_uses(tmp_path, command):
     args, expected = COMMANDS[command]
     write_inputs(tmp_path)
-    ran, click = map(json.loads, python(["-c", PROBE, *args], tmp_path).splitlines()[-2:])
+    ran, click, added = map(json.loads, python(["-c", PROBE, *args], tmp_path).splitlines()[-3:])
     assert ran == sorted(expected)
     assert click is False  # the CLI is built on argparse: click costs 25-30 ms to import
+    # the records are tuples: dataclasses, with the inspect it imports, costs 9-12 ms
+    assert added == []
 
 
 def test_importing_the_package_runs_no_library_module(tmp_path):

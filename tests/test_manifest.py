@@ -156,10 +156,8 @@ def test_onset_testset_excludes_non_plosive_initial():
 
 
 def test_onset_testset_requires_analyzable():
-    records = onset_manifest(n_per=40)
-    for r in records:
-        if r.sentence.lower().startswith("b"):
-            r.analyzable = False
+    records = [r._replace(analyzable=False) if r.sentence.lower().startswith("b") else r
+               for r in onset_manifest(n_per=40)]
     with pytest.raises(InsufficientInstances) as exc:
         build_onset_testset(records, per_phoneme_n=40, seed=0)
     assert exc.value.phoneme == "b"

@@ -61,7 +61,7 @@ specs = st.builds(
 def test_streamed_files_equal_generate_and_the_list_writers(spec):
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
-        (d / "spec.json").write_text(json.dumps(vars(spec)), encoding="utf-8")
+        (d / "spec.json").write_text(json.dumps(spec._asdict()), encoding="utf-8")
         result = invoke(["synth", str(d / "spec.json"),
                          "--rm-out", str(d / "rm.jsonl"),
                          "--hm-out", str(d / "hm.jsonl"),
@@ -118,7 +118,7 @@ def test_a_fault_after_lines_were_streamed_leaves_no_file(tmp_path):
     assert next(made)  # the first utterances are made, and their lines written ...
     with pytest.raises(PhonaugError, match="'ɡ' has no voicing counterpart"):
         list(made)  # ... before one needs the missing pair
-    (tmp_path / "spec.json").write_text(json.dumps(vars(spec)), encoding="utf-8")
+    (tmp_path / "spec.json").write_text(json.dumps(spec._asdict()), encoding="utf-8")
     before = sorted(tmp_path.iterdir())
     out = tmp_path / "out"
     out.mkdir()
