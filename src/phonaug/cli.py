@@ -20,7 +20,6 @@ import importlib.util
 import json
 import os
 import sys
-from contextlib import closing
 from pathlib import Path
 
 from . import io
@@ -387,18 +386,15 @@ def cmd_synth(spec_file, rm_out, hm_out, truth_out, inventory_path):
 def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
                  group_filter):
     """Classify predictions and emit metric tables, JSON and boxplot CSV."""
+    io.check_names_file(out_prefix)  # before the suffixes make it name one
     txt, json_file, csv_file = (f"{out_prefix}{suffix}"
                                 for suffix in (".txt", ".json", "_boxplot.csv"))
     Path(out_prefix).parent.mkdir(parents=True, exist_ok=True)
     with io.replacing(txt, json_file, csv_file) as (txt_out, json_out, csv_out):
         inv = _load(inventory.Inventory, inventory_path)
         cfg = _load(metrics.ClassifierConfig, continuants_path)
-        # one pass: read, check, classify and tally each instance as it arrives
-        evaluation = metrics.Evaluation()
-        with closing(io.parse_records(instances_file, metrics.EvalInstance.from_obj,
-                                      metrics.INSTANCE_FIELDS)) as instances:
-            evaluation.update(metrics.realizations(
-                evaluation.checked(instances, instances_file, group_filter), inv, cfg))
+        evaluation = metrics.Evaluation()  # one pass: each instance is tallied as it is read
+        evaluation.update(evaluation.read(instances_file, inv, cfg, group_filter))
         reports = evaluation.report()
 
         payload: dict = {

@@ -5,15 +5,16 @@ stripped of whitespace, is one JSON object, parsed as json.loads parses it.
 A line that is not UTF-8 fails with its file and line number.
 `augment` and `prefilter-aspiration` hold one RM and one HM track at a time, so
 they process corpora larger than memory in constant space (apart from the
-utt_ids they report). `evaluate` builds one checked tuple record per line
-(`metrics.EvalInstance`), classifies and tallies it as it is read, and keeps no
-instance. It reads the head of each distinct onset once, its first phone and the
-base of its second, by one regex match that builds no other phone. What grows
-with its input is one vot_ms per instance, one head per distinct onset, and one
-entry per instance in `metrics.Evaluation`'s per-model dict from utt_id to
-voicing flag (or None), which serves both the duplicate check and the paired
-test. `synth` makes and writes one utterance at a time, so nothing of it grows
-with n_utterances. `decode` holds its input in memory so that it can sort it.
+utt_ids they report). `evaluate` reads, checks, classifies and tallies each line
+in one loop (`metrics.Evaluation.read`), builds no record of a line that passes
+its checks, and keeps no instance. It reads the head of each distinct onset
+once, its first phone and the base of its second, by one regex match that builds
+no other phone. What grows with its input is one vot_ms per instance, one head
+per distinct onset, and one entry per instance in `metrics.Evaluation`'s
+per-model dict from utt_id to voicing flag (or None), which serves both the
+duplicate check and the paired test. `synth` makes and writes one utterance at
+a time, so nothing of it grows with n_utterances. `decode` holds its input in
+memory so that it can sort it.
 A string that escapes a lone surrogate ("\\ud800") fails at read with its file
 and line, since no UTF-8 output can hold it.
 Writers emit deterministic bytes (sorted keys, no trailing spaces) so re-runs
@@ -24,7 +25,8 @@ written to a temporary file beside its path and appears there only once it is
 written in full. A command writes all of its outputs, which must name distinct
 files, inside one `replacing`, so they are renamed into place only once all of
 them are written, and none is on a fault. An output path must name a file: ""
-and a path whose last part is empty, "." or ".." fail before any write.
+and a path whose last part is empty, "." or ".." fail before any write, as does
+such an `evaluate --out-prefix`, before its suffixes are added.
 
 Each config file, the packaged tables under `DATA` too, is one JSON object,
 read whole by `read_json`. Both readers `check` each object against its schema
@@ -220,20 +222,25 @@ def _read(obj: dict, schema: dict, from_obj: Callable[[dict], T], closed: bool =
 
 def parse_records(path: str | Path, from_obj: Callable[[dict], T],
                   schema: dict) -> Iterator[T]:
-    """Yield from_obj of each object in the file at `path` that `schema`
-    admits. A fault fails with the file, the record's utt_id (or its position)
-    and the field; a PhonaugError from from_obj gains the file as its context."""
+    """Yield parse_record of each object in the file at `path`."""
     with closing(read_jsonl(path)) as objs:
         for n, obj in enumerate(objs, start=1):
-            try:
-                record = _read(obj, schema, from_obj)
-            except FieldError as e:
-                utt_id = obj.get("utt_id")
-                where = f"utterance {utt_id!r}" if type(utt_id) is str else f"record {n}"
-                raise in_context(e, f"{path}: {where}") from None
-            except PhonaugError as e:
-                raise in_context(e, path) from None
-            yield record
+            yield parse_record(path, n, obj, from_obj, schema)
+
+
+def parse_record(path: str | Path, n: int, obj: dict, from_obj: Callable[[dict], T],
+                 schema: dict) -> T:
+    """from_obj of `obj`, the `n`th record of the file at `path`, once `schema` admits
+    it. A fault fails with the file, the record's utt_id (or its position) and the
+    field; a PhonaugError from from_obj gains the file as its context."""
+    try:
+        return _read(obj, schema, from_obj)
+    except FieldError as e:
+        utt_id = obj.get("utt_id")
+        where = f"utterance {utt_id!r}" if type(utt_id) is str else f"record {n}"
+        raise in_context(e, f"{path}: {where}") from None
+    except PhonaugError as e:
+        raise in_context(e, path) from None
 
 
 def read_json(path: str | Path, from_obj: Callable[[dict], T], schema: dict) -> T:
@@ -263,6 +270,13 @@ def dump_line(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
+def check_names_file(path: str | Path) -> None:
+    """Fail unless the last part of `path` names a file: "" would resolve to the
+    working directory."""
+    if os.path.basename(path) in ("", ".", ".."):
+        raise PhonaugError(f"{str(path)!r}: output path names no file")
+
+
 def check_outputs(*paths: str | Path | None) -> None:
     """Fail unless each output path (None for an output not asked for) names a
     regular file or nothing yet, in a directory that exists, and no two of them
@@ -273,8 +287,7 @@ def check_outputs(*paths: str | Path | None) -> None:
     for path in paths:
         if path is None:
             continue
-        if os.path.basename(path) in ("", ".", ".."):  # "" would resolve to the working directory
-            raise PhonaugError(f"{str(path)!r}: output path names no file")
+        check_names_file(path)
         if os.path.exists(path) and not os.path.isfile(path):
             raise PhonaugError(f"{path}: output must be a regular file")
         real = os.path.realpath(path)

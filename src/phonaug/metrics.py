@@ -16,6 +16,7 @@ import enum
 import math
 import unicodedata
 from collections import Counter, defaultdict
+from contextlib import closing
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -64,8 +65,8 @@ class _InstanceFields(NamedTuple):
 class EvalInstance(_InstanceFields):
     """One instance line, checked when it is built: a target phoneme of
     ALL_PHONEMES, a finite vot_ms and a model tag of MODEL_TAGS. An immutable
-    tuple record: `evaluate` builds one per line, at the cost of one tuple,
-    classifies and tallies it, and keeps none (what it keeps is `Evaluation`'s)."""
+    tuple record: `evaluate` builds one only for a line that fails these checks,
+    so that it raises their message (see `Evaluation.read`)."""
 
     __slots__ = ()
     _make = classmethod(checked_make)
@@ -167,25 +168,19 @@ def classify_prediction(inst: EvalInstance, inventory: Inventory | None = None,
     return _realize(_onset_head(inst.predicted_onset, inv), inst.target_phoneme, cfg)
 
 
-def realizations(instances: Iterable[EvalInstance], inventory: Inventory | None = None,
-                 config: ClassifierConfig | None = None,
-                 ) -> Iterator[tuple[EvalInstance, Realization]]:
-    """Each instance with its realization class, as classify_prediction gives
-    it, reading the head of each distinct onset once."""
+def classify_all(instances: Iterable[EvalInstance], inventory: Inventory | None = None,
+                 config: ClassifierConfig | None = None) -> list[Classified]:
+    """classify_prediction over many instances, reading each distinct onset once."""
     inv = inventory or Inventory.default()
     cfg = config or ClassifierConfig.default()
     heads: dict[str, _Head] = {}
+    out = []
     for i in instances:
         onset = i.predicted_onset
         if onset not in heads:
             heads[onset] = _onset_head(onset, inv)
-        yield i, _realize(heads[onset], i.target_phoneme, cfg)
-
-
-def classify_all(instances: Iterable[EvalInstance], inventory: Inventory | None = None,
-                 config: ClassifierConfig | None = None) -> list[Classified]:
-    """classify_prediction over many instances, reading each distinct onset once."""
-    return [Classified(i, r) for i, r in realizations(instances, inventory, config)]
+        out.append(Classified(i, _realize(heads[onset], i.target_phoneme, cfg)))
+    return out
 
 
 # -- metrics ------------------------------------------------------------------
@@ -320,8 +315,8 @@ class Evaluation:
     time. Of the instances it keeps only the counts behind the metrics, the
     vot_ms values per (model, PoA group, realization) for the boxplots, and
     one dict per model from each utt_id to the voicing-correct flag of a kept
-    non-Null /b d g/ instance, or None: `checked` refuses a second utt_id by
-    it, and `significance` pairs the models by it."""
+    non-Null /b d g/ instance, or None: `read` refuses a second utt_id by it,
+    and `significance` pairs the models by it."""
 
     def __init__(self, classified: Iterable[tuple[EvalInstance, Realization]] = ()):
         # (model, phoneme, realization) -> [count with vot_ms >= 0, count with
@@ -332,26 +327,43 @@ class Evaluation:
         # where -0.0 and 0.0 both occur, the order decides a zero's sign
         self._vots: dict[tuple[str, str, str], list[float]] = {}
         self._voicing: defaultdict[str, dict[str, bool | None]] = defaultdict(dict)
-        self.update(classified)
+        self.update((i.model_tag, i.utt_id, i.target_phoneme, i.vot_ms, r) for i, r in classified)
 
-    def checked(self, instances: Iterable[EvalInstance], source: str | Path,
-                group: str | None = None) -> Iterator[EvalInstance]:
-        """The instances of PoA `group` (all when None). Each instance read from `source`,
-        kept or not, must first be its model's only one with its utt_id: see `significance`."""
-        voicing = self._voicing
-        for inst in instances:
-            seen = voicing[inst.model_tag]
-            if inst.utt_id in seen:
-                raise PhonaugError(f"{source}: {inst.utt_id}: more than one "
-                                   f"{inst.model_tag} instance")
-            seen[inst.utt_id] = None
-            if group is None or POA_GROUP_OF[inst.target_phoneme] == group:
-                yield inst
+    def read(self, path: str | Path, inventory: Inventory, config: ClassifierConfig,
+             group: str | None = None) -> Iterator[tuple[str, str, str, float, Realization]]:
+        """Each instance of PoA `group` (all when None) in the file at `path`, as a
+        (model, utt_id, phoneme, vot_ms, realization) row for `update`. A line fails as
+        io.parse_records(path, EvalInstance.from_obj, INSTANCE_FIELDS) fails on it, but
+        no EvalInstance is built for a line that passes. Each instance, kept or not,
+        must first be its model's only one with its utt_id: see `significance`."""
+        check, isfinite, voicing, heads = io.check, math.isfinite, self._voicing, {}
+        with closing(io.read_jsonl(path)) as objs:
+            for n, obj in enumerate(objs, start=1):
+                try:
+                    check(obj, INSTANCE_FIELDS)
+                    utt_id, phoneme, onset = obj["utt_id"], obj["phoneme"], obj["onset"]
+                    vot, model = float(obj["vot_ms"]), obj.get("model", "OTHER")
+                    fault = (phoneme not in ALL_PHONEMES or not isfinite(vot)
+                             or model not in MODEL_TAGS)
+                except (io.FieldError, OverflowError):
+                    fault = True
+                if fault:  # parse_record raises it: a field's itself, any other by EvalInstance
+                    utt_id, phoneme, vot, onset, model = io.parse_record(
+                        path, n, obj, EvalInstance.from_obj, INSTANCE_FIELDS)
+                seen = voicing[model]
+                if utt_id in seen:
+                    raise PhonaugError(f"{path}: {utt_id}: more than one {model} instance")
+                seen[utt_id] = None
+                if group is not None and POA_GROUP_OF[phoneme] != group:
+                    continue
+                if onset not in heads:
+                    heads[onset] = _onset_head(onset, inventory)
+                yield model, utt_id, phoneme, vot, _realize(heads[onset], phoneme, config)
 
-    def update(self, classified: Iterable[tuple[EvalInstance, Realization]]) -> None:
+    def update(self, rows: Iterable[tuple[str, str, str, float, Realization]]) -> None:
+        """Tally each (model, utt_id, phoneme, vot_ms, realization) row."""
         cells, vots, voicing = self._cells, self._vots, self._voicing
-        for inst, realization in classified:
-            model, phoneme, vot = inst.model_tag, inst.target_phoneme, inst.vot_ms
+        for model, utt_id, phoneme, vot, realization in rows:
             lead = vot < 0
             cell = cells.get((model, phoneme, realization))
             if cell is None:
@@ -360,7 +372,7 @@ class Evaluation:
             cell[lead] += 1
             cell[2].append(vot)
             if realization is not _NULL and phoneme in VOICED_PHONEMES:
-                voicing[model][inst.utt_id] = _voicing_correct(realization, lead)
+                voicing[model][utt_id] = _voicing_correct(realization, lead)
 
     def row(self) -> MetricsReport:
         """One row over every instance, of all models together."""

@@ -169,13 +169,15 @@ NOT_ASKED_FOR = {("augment", "stats.json"), ("prefilter-aspiration", "selected.t
 
 @pytest.mark.parametrize("command, output, path", [
     pytest.param(command, output, path, id=f"{command}-{output}-{path or 'empty'}")
-    for command, (_, outputs) in COMMANDS.items() if not command.startswith("evaluate")
-    for output in outputs for path in ("", "{o}/" + output + "/")
-    if path or (command, output) not in NOT_ASKED_FOR])
+    for command, (_, outputs) in COMMANDS.items()
+    # evaluate's one output argument is the prefix of its three files
+    for output in (["report"] if command.startswith("evaluate") else outputs)
+    for path in ("", "{o}/" + output + "/") if path or (command, output) not in NOT_ASKED_FOR])
 def test_an_output_path_that_names_no_file_fails_before_any_write(
         dirs, monkeypatch, command, output, path):
     # once: `synth --truth-out ""` renamed its RM and HM tracks into place, then
-    # failed with an IsADirectoryError traceback, and `decode in.jsonl ""` failed so
+    # failed with an IsADirectoryError traceback, and `decode in.jsonl ""` failed so;
+    # `evaluate --out-prefix ""` wrote the hidden .txt, .json and _boxplot.csv
     i, o = dirs
     path = path.format(o=o)
     args, outputs = COMMANDS[command]

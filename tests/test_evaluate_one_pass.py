@@ -1,7 +1,8 @@
 """The one-pass evaluate path against list-based and numpy references: tallied
 metrics, per-onset classification memo, plain-Python quartiles, the paired
 significance predicate, the streamed command's outputs, the JSONL line parser,
-and the finite-VOT input contract."""
+the finite-VOT input contract, and each fault of an instance line, which the
+one-pass reader reports as parse_records of EvalInstance does."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -27,10 +29,10 @@ from phonaug import (
     voicing_acc,
 )
 from phonaug.errors import EmptyDenominator, PhonaugError
-from phonaug.io import MalformedLine, read_jsonl
+from phonaug.io import MalformedLine, parse_records, read_jsonl
 from phonaug.metrics import (
-    POA_GROUP_OF, POA_GROUPS, VOICED_PHONEMES, VOICELESS_PHONEMES, Evaluation, MetricsReport,
-    _realize, boxplot_csv, format_report, quartiles,
+    INSTANCE_FIELDS, POA_GROUP_OF, POA_GROUPS, VOICED_PHONEMES, VOICELESS_PHONEMES, Evaluation,
+    MetricsReport, _realize, boxplot_csv, format_report, quartiles,
 )
 
 INV = Inventory.default()
@@ -184,19 +186,25 @@ def test_paired_significance_equals_oracle(rows):
 @given(st.lists(st.tuples(st.sampled_from(["BM", "TM"]), st.integers(0, 5),
                           st.sampled_from(PHONEMES)), max_size=20),
        st.sampled_from([None, *POA_GROUPS]))
-def test_checked_refuses_a_second_utt_id_per_model_outside_the_group_too(rows, group):
-    xs = [EvalInstance(f"u{n}", phoneme, 5.0, "b", model) for model, n, phoneme in rows]
-    keys = [(x.model_tag, x.utt_id) for x in xs]
+def test_read_refuses_a_second_utt_id_per_model_outside_the_group_too(rows, group):
+    keys = [(model, f"u{n}") for model, n, _ in rows]
     repeated = next((k for j, k in enumerate(keys) if k in keys[:j]), None)
-    kept = Evaluation().checked(xs, "in.jsonl", group)
-    if repeated is None:
-        assert list(kept) == [x for x in xs
-                              if group is None or POA_GROUP_OF[x.target_phoneme] == group]
-    else:
-        with pytest.raises(PhonaugError) as failure:
-            list(kept)
-        model, utt_id = repeated
-        assert str(failure.value) == f"in.jsonl: {utt_id}: more than one {model} instance"
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "in.jsonl"
+        path.write_text("".join(json.dumps({"utt_id": utt_id, "phoneme": phoneme, "vot_ms": 5.0,
+                                            "onset": "b", "model": model}) + "\n"
+                                for (model, utt_id), (_, _, phoneme) in zip(keys, rows)),
+                        encoding="utf-8")
+        kept = Evaluation().read(path, INV, CFG, group)
+        if repeated is None:
+            assert [(m, u, p) for m, u, p, _, _ in kept] == [
+                (model, utt_id, phoneme) for (model, utt_id), (_, _, phoneme) in zip(keys, rows)
+                if group is None or POA_GROUP_OF[phoneme] == group]
+        else:
+            with pytest.raises(PhonaugError) as failure:
+                list(kept)
+            model, utt_id = repeated
+            assert str(failure.value) == f"{path}: {utt_id}: more than one {model} instance"
 
 
 # -- one classification per distinct onset -------------------------------------
@@ -272,6 +280,27 @@ def test_evaluate_reads_each_distinct_onset_once(monkeypatch, tmp_path):
                      str(tmp_path / "rep")])
     assert result.exit_code == 0, result.output
     assert sorted(calls) == sorted({"kʰa", "#", "ba"})
+
+
+def test_evaluate_builds_no_record_on_valid_input(monkeypatch, tmp_path):
+    built = []
+    original = EvalInstance.__new__
+
+    def counting(cls, *args):
+        built.append(args)
+        return original(cls, *args)
+
+    monkeypatch.setattr(EvalInstance, "__new__", counting)
+    path = tmp_path / "instances.jsonl"
+    path.write_text("".join(json.dumps({"utt_id": f"u{n}", "phoneme": p, "vot_ms": 5.0 - n,
+                                        "onset": o, "model": model}) + "\n"
+                            for n, (p, o) in enumerate(REPEATED) for model in ("BM", "TM")),
+                    encoding="utf-8")
+    result = invoke(["evaluate", str(path), "--out-prefix", str(tmp_path / "rep")])
+    assert result.exit_code == 0, result.output
+    assert built == []
+    EvalInstance.from_obj({"utt_id": "u1", "phoneme": "k", "vot_ms": 5, "onset": "k"})
+    assert len(built) == 1  # the count sees a record that is built
 
 
 # -- quartiles: bit-identical to numpy's default linear percentile -------------
@@ -498,6 +527,83 @@ def test_eval_instance_is_an_immutable_hashable_record():
     with pytest.raises(PhonaugError, match="u1: unknown model tag 'tm'"):
         x._replace(model_tag="tm")
     assert x._replace(vot_ms=-3.0) == EvalInstance("u1", "k", -3.0, "kʰ")
+
+
+# a value of each field whose JSON type the field does not take
+ILL_TYPED = {"utt_id": [None, 7, 2.5, True, ["u1"], {}],
+             "phoneme": [None, 1, False, ["k"], {"k": 1}],
+             "vot_ms": [None, "5", True, False, [5], {}],
+             "onset": [None, 0, -1.5, True, ["k"], {}],
+             "model": [None, 1, True, ["BM"], {}]}
+
+
+def ill_typed(obj, draw):
+    field = draw(st.sampled_from(sorted(ILL_TYPED)))
+    obj[field] = draw(st.sampled_from(ILL_TYPED[field]))
+
+
+# the faults of one line, each a function of the line's object and `draw`
+FAULTS = [
+    ill_typed,
+    lambda obj, draw: obj.pop(draw(st.sampled_from(["utt_id", "phoneme", "vot_ms", "onset"]))),
+    lambda obj, draw: obj.update(vot_ms=True),
+    lambda obj, draw: obj.update(vot_ms=draw(st.sampled_from([1, -1])) * 10 ** 399),  # 400 digits
+    lambda obj, draw: obj.update(vot_ms=draw(st.sampled_from([math.nan, math.inf, -math.inf]))),
+    lambda obj, draw: obj.update(phoneme=draw(st.sampled_from(["x", "B", "ph", "", "ɡ"]))),
+    lambda obj, draw: obj.update(model=draw(st.sampled_from(["tm", "", "BM "]))),
+]
+
+
+@st.composite
+def faulty_instance_files(draw):
+    """The objects of a valid instance file, some without a model, with one fault: a
+    fault of FAULTS in one line, or a line that repeats an earlier (model, utt_id)."""
+    objs = [{"utt_id": f"u{n}", "phoneme": draw(st.sampled_from(PHONEMES)),
+             "vot_ms": draw(st.sampled_from([-20, -0.0, 0, 4.5])),
+             "onset": draw(st.sampled_from(ONSETS)),
+             **({"model": model} if model else {})}
+            for n, model in enumerate(draw(st.lists(st.sampled_from(["BM", "TM", None]),
+                                                    min_size=1, max_size=8)))]
+    fault = draw(st.sampled_from([*FAULTS, None]))
+    k = draw(st.integers(0, len(objs) - 1))
+    if fault is None:  # a repeat, of any phoneme, so inside or outside --group
+        objs.insert(draw(st.integers(k + 1, len(objs))),
+                    {**objs[k], "phoneme": draw(st.sampled_from(PHONEMES))})
+    else:
+        fault(objs[k], draw)
+    return objs
+
+
+def layered_error(path: str) -> str | None:
+    """The error of the layered reader of an instance file: parse_records of
+    EvalInstance.from_obj, then each (model, utt_id) once."""
+    seen = set()
+    try:
+        with closing(parse_records(path, EvalInstance.from_obj, INSTANCE_FIELDS)) as instances:
+            for inst in instances:
+                if (inst.model_tag, inst.utt_id) in seen:
+                    raise PhonaugError(f"{path}: {inst.utt_id}: more than one "
+                                       f"{inst.model_tag} instance")
+                seen.add((inst.model_tag, inst.utt_id))
+    except PhonaugError as e:
+        return str(e)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_instance_files(), st.sampled_from([None, *POA_GROUPS]))
+def test_evaluate_fails_on_a_fault_as_the_layered_reader_does(objs, group):
+    with tempfile.TemporaryDirectory() as d:
+        path = f"{d}/instances.jsonl"
+        Path(path).write_text("".join(json.dumps(o, ensure_ascii=False) + "\n" for o in objs),
+                              encoding="utf-8")
+        expected = layered_error(path)
+        assert expected is not None
+        result = invoke(["evaluate", path, "--out-prefix", f"{d}/rep"]
+                        + (["--group", group] if group else []))
+        assert result.exit_code == 1
+        assert result.output == f"Error: {expected}\n"
+        assert os.listdir(d) == ["instances.jsonl"]
 
 
 @pytest.mark.parametrize("vot", ["NaN", "Infinity", "-Infinity"])
