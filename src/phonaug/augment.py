@@ -82,13 +82,10 @@ class MatchPair(NamedTuple):
 
 
 class AugmentationStats:
-    def __init__(self, counts: Counter | None = None, matched: int = 0,
-                 unmatched_rm_plosives: int = 0, utterances: int = 0,
-                 missing_counterparts: list[str] | None = None):
-        self.counts = Counter() if counts is None else counts
-        self.matched, self.unmatched_rm_plosives, self.utterances = (
-            matched, unmatched_rm_plosives, utterances)
-        self.missing_counterparts = [] if missing_counterparts is None else missing_counterparts
+    def __init__(self):
+        self.counts: Counter = Counter()
+        self.matched = self.unmatched_rm_plosives = self.utterances = 0
+        self.missing_counterparts: list[str] = []
 
     def to_obj(self) -> dict:
         return {
@@ -162,11 +159,13 @@ def augment_track(rm: PhoneTrack, hm: PhoneTrack, matches: list[MatchPair],
     return PhoneTrack(rm.utt_id, "TM", out, rm.frame_ms)
 
 
-def _paired_tracks(rm_file: str | Path, hm_file: str | Path,
-                   inventory: Inventory, skip_missing: bool,
-                   stats: AugmentationStats) -> Iterator[tuple[PhoneTrack, PhoneTrack]]:
+def _paired_tracks(rm_file: str | Path, hm_file: str | Path, table: MappingTable,
+                   inventory: Inventory, skip_missing: bool, stats: AugmentationStats
+                   ) -> Iterator[tuple[PhoneTrack, PhoneTrack, list[MatchPair]]]:
     """RM/HM pairs, tagged RM and HM or OTHER, joined on utt_id by a merge of the two
-    sorted track files. A pair shares its frame_ms: the matcher compares frame indices."""
+    sorted track files, each with its matches under `table` and counted in `stats`.
+    A pair shares its frame_ms: the matcher compares frame indices."""
+    table.check_voicing_pairs(inventory)
     with closing(read_tracks(rm_file, inventory, "RM")) as rms, \
             closing(read_tracks(hm_file, inventory, "HM")) as hms:
         hm = next(hms, None)
@@ -175,14 +174,16 @@ def _paired_tracks(rm_file: str | Path, hm_file: str | Path,
                 hm = next(hms, None)
             if hm is None or hm.utt_id != rm.utt_id:
                 if not skip_missing:
-                    raise MissingCounterpart(f"no HM counterpart for utterance {rm.utt_id!r}")
+                    raise MissingCounterpart(
+                        f"{hm_file}: no HM counterpart for utterance {rm.utt_id!r}")
                 stats.missing_counterparts.append(rm.utt_id)
                 continue
             if rm.frame_ms != hm.frame_ms:
                 raise PhonaugError(
                     f"utterance {rm.utt_id!r}: RM frame_ms {rm.frame_ms} in {rm_file} differs "
                     f"from HM frame_ms {hm.frame_ms} in {hm_file}")
-            yield rm, hm
+            stats.utterances += 1
+            yield rm, hm, match_phones(rm, hm, table)
         for _ in hms:  # the rest of the HM file must keep the contract too
             pass
 
@@ -193,11 +194,10 @@ def augment_corpus(rm_file: str | Path, hm_file: str | Path, table: MappingTable
     """Augment every joinable utterance pair and write the TM training tracks,
     ordered by utt_id, to `out`, an output that `io.replacing` opened."""
     inv = inventory or Inventory.default()
-    table.check_voicing_pairs(inv)
     stats = AugmentationStats()
-    stats.utterances = write_tracks(out, (
-        augment_track(rm, hm, match_phones(rm, hm, table), inv, breathy=breathy, stats=stats)
-        for rm, hm in _paired_tracks(rm_file, hm_file, inv, skip_missing, stats)))
+    write_tracks(out, (augment_track(rm, hm, matches, inv, breathy=breathy, stats=stats)
+                       for rm, hm, matches in _paired_tracks(rm_file, hm_file, table, inv,
+                                                             skip_missing, stats)))
     return stats
 
 
@@ -209,11 +209,7 @@ def prefilter_by_aspiration(rm_file: str | Path, hm_file: str | Path, table: Map
     phones decide and no TM track is built. `stats`, if given, counts the
     utterance pairs read and lists the RM utterances without an HM counterpart."""
     inv = inventory or Inventory.default()
-    table.check_voicing_pairs(inv)
     stats = AugmentationStats() if stats is None else stats
-    selected = []
-    for rm, hm in _paired_tracks(rm_file, hm_file, inv, skip_missing=True, stats=stats):
-        stats.utterances += 1
-        if any(phonation_of(p.hm_phone.phone) == ASPIRATED for p in match_phones(rm, hm, table)):
-            selected.append(rm.utt_id)
-    return selected
+    return [rm.utt_id
+            for rm, _, matches in _paired_tracks(rm_file, hm_file, table, inv, True, stats)
+            if any(phonation_of(p.hm_phone.phone) == ASPIRATED for p in matches)]

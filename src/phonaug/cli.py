@@ -10,7 +10,9 @@ argument. Options are matched by their full names only, never by a prefix.
 What is skipped is listed where a command skips it: `augment` names each RM
 utterance without an HM counterpart under `missing_counterparts` in its stats,
 and `prepare remap` writes each rewrite and drop to its `--report-file`;
-`prefilter-aspiration` skips such utterances and counts them on stderr.
+`prefilter-aspiration` skips such utterances and counts them on stderr. With
+`--fail-missing`, `augment` fails on the first one instead, naming the HM file:
+`Error: hm.jsonl: no HM counterpart for utterance 'u1'`.
 """
 
 from __future__ import annotations

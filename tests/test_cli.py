@@ -375,6 +375,7 @@ def test_prepare_filter_sample_split(tmp_path):
     manifest = manifest_file(tmp_path)
     filtered = tmp_path / "filtered.jsonl"
     assert invoke(["prepare", "filter", str(manifest), str(filtered)]).exit_code == 0
+    assert count_lines(filtered) == 225  # every fourth record is downvoted
     sampled = tmp_path / "sampled.jsonl"
     assert invoke(["prepare", "sample", str(filtered), str(sampled),
                    "--n", "200", "--seed", "4"]).exit_code == 0
@@ -513,6 +514,9 @@ def test_evaluate_group_filter(tmp_path):
     text = (tmp_path / "velar.txt").read_text(encoding="utf-8")
     assert "velar" in text
     assert "bilabial" not in text
+    payload = json.loads((tmp_path / "velar.json").read_text(encoding="utf-8"))
+    assert all(set(rows) == {"all", "velar"} for rows in payload["models"].values())
+    assert payload["significance"]["models"] == ["BM", "TM"]  # --group keeps the test
 
 
 def test_pipeline_determinism_across_reruns(tmp_path):

@@ -81,6 +81,18 @@ def test_fail_missing_leaves_no_output(tmp_path):
     assert not out.exists()
 
 
+def test_fail_missing_names_the_hm_file(tmp_path, monkeypatch):
+    # once: "Error: no HM counterpart for utterance 'synth-000004'", naming no file
+    rm_tracks, hm_tracks, _ = generate(ScenarioSpec(seed=3, n_utterances=5), INV)
+    write_jsonl(tmp_path / "rm.jsonl", map(track_to_obj, rm_tracks))
+    write_jsonl(tmp_path / "hm.jsonl", map(track_to_obj, hm_tracks[:4]))
+    monkeypatch.chdir(tmp_path)
+    result = invoke(["augment", "rm.jsonl", "hm.jsonl", "tm.jsonl", "--fail-missing"])
+    assert result.exit_code == 1
+    assert result.output == "Error: hm.jsonl: no HM counterpart for utterance 'synth-000004'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hm.jsonl", "rm.jsonl"]
+
+
 DEFECTS = ("duplicate_rm", "duplicate_hm", "frame_ms", "unsorted_rm", "unsorted_hm")
 
 

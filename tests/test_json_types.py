@@ -117,6 +117,12 @@ INSTANCE = {"utt_id": "u1", "phoneme": "b", "vot_ms": 10, "onset": "ba", "model"
                  "field 'phones[0].start' has the wrong type: 1.7", id="augment-start-float"),
     pytest.param("augment", [{**TRACK, "phones": [{"symbol": "t", "start": 0, "end": True}]}],
                  "field 'phones[0].end' has the wrong type: True", id="augment-end-true"),
+    # a type fault is reported before an unknown symbol earlier in the line
+    pytest.param("augment", [{**TRACK, "phones": [
+        {"symbol": "t7", "start": 0, "end": 0}, {"symbol": "a", "start": 1, "end": 1},
+        {"symbol": "t", "start": 2, "end": True}]}],
+                 "field 'phones[2].end' has the wrong type: True",
+                 id="augment-end-true-after-unknown-symbol"),
     pytest.param("augment", [{**TRACK, "frame_ms": "20"}],
                  "field 'frame_ms' has the wrong type: '20'", id="augment-frame_ms-string"),
     pytest.param("evaluate", [{**INSTANCE, "vot_ms": "-20"}],
