@@ -25,8 +25,8 @@ _EXPORTS = {
         "normalize_g", "phonation_of", "serialize", "tokenize_ipa", "with_phonation",
     ),
     "manifest": (
-        "SegmentRecord", "VocabSpec", "build_onset_testset", "clean_vocab", "filter_downvoted",
-        "remap_invalid", "sample_segments", "split_validation",
+        "build_onset_testset", "clean_vocab", "filter_downvoted", "remap_invalid",
+        "sample_segments", "split_validation",
     ),
     "metrics": (
         "ClassifierConfig", "Classified", "EvalInstance", "MetricsReport", "Realization",

@@ -22,7 +22,6 @@ import importlib.util
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import io
 from .errors import PhonaugError
@@ -229,16 +228,15 @@ _COMMANDS["prepare"] = (
     "Manifest operations: filter, sample, split, remap, onset-testset, clean-vocab.", _PREPARE)
 
 
-def _read_manifest(path) -> list[manifest.SegmentRecord]:
-    """The records of a manifest in file order, each utt_id once: a split or a
-    sample must not hold one utterance twice."""
-    records = list(io.parse_records(path, manifest.SegmentRecord.from_obj,
-                                    manifest.SEGMENT_FIELDS))
+def _read_manifest(path) -> list[dict]:
+    """The objects of a manifest's lines in file order, each utt_id once: a split
+    or a sample must not hold one utterance twice."""
+    records = list(io.parse_records(path, dict, manifest.SEGMENT_FIELDS))
     seen: set[str] = set()
     for record in records:
-        if record.utt_id in seen:
-            raise PhonaugError(f"{path}: utterance {record.utt_id!r} occurs twice")
-        seen.add(record.utt_id)
+        if record["utt_id"] in seen:
+            raise PhonaugError(f"{path}: utterance {record['utt_id']!r} occurs twice")
+        seen.add(record["utt_id"])
     return records
 
 
@@ -257,7 +255,7 @@ def prepare_filter(in_file, out_file, max_downvotes):
     """Drop downvoted segments."""
     records = manifest.filter_downvoted(_read_manifest(in_file), max_downvotes)
     with io.replacing(out_file) as (out,):
-        _write_jsonl(out, (r.to_obj() for r in records))
+        _write_jsonl(out, records)
     _echo(f"kept {len(records)} records", err=True)
 
 
@@ -271,7 +269,7 @@ def prepare_sample(in_file, out_file, n, seed):
     """Seeded uniform sample without replacement."""
     records = manifest.sample_segments(_read_manifest(in_file), n, seed)
     with io.replacing(out_file) as (out,):
-        _write_jsonl(out, (r.to_obj() for r in records))
+        _write_jsonl(out, records)
 
 
 @_command("split",
@@ -285,8 +283,8 @@ def prepare_split(in_file, fraction, seed, train_out, valid_out):
     """Seeded train/validation split."""
     with io.replacing(train_out, valid_out) as (train_file, valid_file):
         train, valid = manifest.split_validation(_read_manifest(in_file), fraction, seed)
-        _write_jsonl(train_file, (r.to_obj() for r in train))
-        _write_jsonl(valid_file, (r.to_obj() for r in valid))
+        _write_jsonl(train_file, train)
+        _write_jsonl(valid_file, valid)
     _echo(f"train {len(train)} / valid {len(valid)}", err=True)
 
 
@@ -306,7 +304,7 @@ def prepare_remap(in_file, out_file, config_path, report_file, inventory_path):
             "exclude": io.Optional(io.ListOf(io.STRING))})
         inv = _load(inventory.Inventory, inventory_path)
         kept, rep = manifest.remap_invalid(_read_manifest(in_file), remap, exclude, inv)
-        _write_jsonl(out, (r.to_obj() for r in kept))
+        _write_jsonl(out, kept)
         if report is not None:
             _write_jsonl(report, rep)
     _echo(f"kept {len(kept)} records, {len(rep)} report entries", err=True)
@@ -323,7 +321,7 @@ def prepare_onset_testset(in_file, out_file, per_phoneme_n, seed):
     """Absolute-onset test set: sentence-initial <b d g p t k>, sampled per phoneme."""
     records = manifest.build_onset_testset(_read_manifest(in_file), per_phoneme_n, seed)
     with io.replacing(out_file) as (out,):
-        _write_jsonl(out, (r.to_obj() for r in records))
+        _write_jsonl(out, records)
     _echo(f"wrote {len(records)} test records", err=True)
 
 
@@ -336,24 +334,16 @@ def prepare_onset_testset(in_file, out_file, per_phoneme_n, seed):
           group=_PREPARE)
 def prepare_clean_vocab(vocab_file, corpus_file, out_file, remove, add):
     """Remove unused tokens, add new ones, reassign dense ids."""
-    def from_obj(raw):
-        ids = raw["tokens"]
-        if len(set(ids.values())) < len(ids):
-            raise io.FieldError("field 'tokens' gives two tokens one id")
-        return manifest.VocabSpec(sorted(ids, key=ids.get),  # tokens in id order
-                                  raw.get("blank", "_"), set(remove), set(add)), ids
-
     # a vocabulary that clean-vocab wrote carries its id_map, which is not read
-    vocab, ids = io.read_json(vocab_file, from_obj, {"tokens": io.MapOf(io.INTEGER),
-                                                     "blank": io.Optional(io.STRING),
-                                                     "id_map": io.Optional(io.MapOf(io.INTEGER))})
-    cleaned, id_map = manifest.clean_vocab(vocab, _read_manifest(corpus_file))
-    out = cleaned.to_obj()
-    # clean_vocab numbers the tokens by position; the map is keyed by the file's ids
-    out["id_map"] = {str(ids[vocab.tokens[k]]): v for k, v in sorted(id_map.items())}
+    tokens, blank = io.read_json(vocab_file, manifest.vocab_config, {
+        "tokens": io.MapOf(io.INTEGER), "blank": io.Optional(io.STRING),
+        "id_map": io.Optional(io.MapOf(io.INTEGER))})
+    cleaned, id_map = manifest.clean_vocab(tokens, blank, set(remove), set(add),
+                                           _read_manifest(corpus_file))
+    out = {"tokens": cleaned, "blank": blank, "id_map": {str(k): v for k, v in id_map.items()}}
     with io.replacing(out_file) as (f,):
         f.write(json.dumps(out, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
-    _echo(f"vocabulary: {len(vocab.tokens)} -> {len(cleaned.tokens)} tokens", err=True)
+    _echo(f"vocabulary: {len(tokens)} -> {len(cleaned)} tokens", err=True)
 
 
 @_command("synth",
@@ -391,7 +381,6 @@ def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
     io.check_names_file(out_prefix)  # before the suffixes make it name one
     txt, json_file, csv_file = (f"{out_prefix}{suffix}"
                                 for suffix in (".txt", ".json", "_boxplot.csv"))
-    Path(out_prefix).parent.mkdir(parents=True, exist_ok=True)
     with io.replacing(txt, json_file, csv_file) as (txt_out, json_out, csv_out):
         inv = _load(inventory.Inventory, inventory_path)
         cfg = _load(metrics.ClassifierConfig, continuants_path)

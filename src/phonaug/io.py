@@ -34,7 +34,8 @@ of JSON types before its `from_obj` reads it: a fault names the file and the fie
 and any other error that `from_obj` raises names the file. A track line is checked
 so only up to its `phones` list; `ctc.track_from_obj` type-checks each phone as it
 builds it, and names a fault as `check` would.
-A config object must also name no key its schema does not (a record may).
+A config object must also name no key its schema does not. A record may, and
+`prepare` writes such keys back as it read them.
 """
 
 from __future__ import annotations
@@ -131,15 +132,16 @@ def _refuse_lone_surrogates(path: str | Path, text: str, lineno: int = 1) -> Non
 
 T = TypeVar("T")
 
-# The model tags a track or instance may carry, and the place-of-articulation group of
-# each target phoneme. They live here, in the one module every command runs, because
-# `decode --model-tag` and `evaluate --group` offer them as choices; `ctc` and `metrics`
-# re-export them.
+# The model tags a track or instance may carry, the six target phonemes, voiced then
+# voiceless, and the place-of-articulation group of each. They live here, in the one
+# module every command runs, because `decode --model-tag` and `evaluate --group` offer
+# them as choices and `prepare onset-testset` labels records with the phonemes that
+# `evaluate` reads; `ctc` and `metrics` re-export them.
 MODEL_TAGS = ("RM", "HM", "BM", "TM", "OTHER")
-POA_GROUP_OF = {"p": "bilabial", "b": "bilabial",
-                "t": "alveolar", "d": "alveolar",
-                "k": "velar", "g": "velar"}
+VOICED_PHONEMES, VOICELESS_PHONEMES = ("b", "d", "g"), ("p", "t", "k")
+TARGET_PHONEMES = VOICED_PHONEMES + VOICELESS_PHONEMES
 POA_GROUPS = ("bilabial", "alveolar", "velar")
+POA_GROUP_OF = dict(zip(TARGET_PHONEMES, POA_GROUPS * 2))
 
 # The JSON types of record and config fields. A kind is the tuple of the exact types a
 # value may have, tested with `type(value) in kind` (json gives only these), so a bool is

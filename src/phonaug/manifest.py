@@ -1,6 +1,14 @@
 """Corpus manifest operations: vote filtering, seeded sampling and splitting,
 transcription cleanup, vocabulary maintenance and onset test-set construction.
 
+A manifest record is the JSON object of its line, as `io.parse_records` checked
+it against SEGMENT_FIELDS. An operation reads only the fields it uses, an absent
+one as its default (`downvotes` 0, `sentence` and `transcription` "",
+`analyzable` unset), and returns the records it keeps as it read them, keys that
+SEGMENT_FIELDS does not name included: `remap_invalid` sets a `transcription`
+that a rule rewrote, and `build_onset_testset` sets `phoneme`; nothing else
+changes a record.
+
 Every sampling operation is a pure function of (input, parameters, seed). The
 generator is Python's Mersenne Twister via random.Random(seed), which is
 stable across platforms; outputs are additionally ordered by utt_id so files
@@ -11,42 +19,16 @@ from __future__ import annotations
 
 import random
 import unicodedata
-from typing import NamedTuple
 
 from . import io
-from .errors import (
-    InsufficientInstances, InsufficientSegments, PhonaugError, RemoveInUse, checked_make,
-)
+from .errors import InsufficientInstances, InsufficientSegments, PhonaugError, RemoveInUse
 from .inventory import Inventory, tokenize_ipa
 
-ONSET_PHONEMES = ("b", "d", "g", "p", "t", "k")
-
-
-# the fields of a manifest record, each read into the SegmentRecord field of its name
+# the JSON types of the fields a manifest record may carry; it may carry others too
 _TEXT, _COUNT = io.Optional(io.STRING), io.Optional(io.INTEGER)
 SEGMENT_FIELDS = {"utt_id": io.STRING, "language": _TEXT, "sentence": _TEXT,
                   "transcription": _TEXT, "upvotes": _COUNT, "downvotes": _COUNT,
                   "split_tag": _TEXT, "analyzable": io.Optional(io.BOOLEAN), "phoneme": _TEXT}
-
-
-class SegmentRecord(NamedTuple):
-    utt_id: str
-    language: str = ""
-    sentence: str = ""
-    transcription: str = ""
-    upvotes: int = 0
-    downvotes: int = 0
-    split_tag: str | None = None
-    analyzable: bool | None = None
-    phoneme: str | None = None
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "SegmentRecord":
-        return cls(**{name: obj[name] for name in SEGMENT_FIELDS if name in obj})
-
-    def to_obj(self) -> dict:
-        """Every field but the ones that hold None."""
-        return {name: value for name, value in self._asdict().items() if value is not None}
 
 
 def _check_count(name: str, n: int) -> None:
@@ -54,16 +36,16 @@ def _check_count(name: str, n: int) -> None:
         raise PhonaugError(f"{name} must be at least 0, got {n}")
 
 
-def _by_id(records: list[SegmentRecord]) -> list[SegmentRecord]:
-    return sorted(records, key=lambda r: r.utt_id)
+def _by_id(records: list[dict]) -> list[dict]:
+    return sorted(records, key=lambda r: r["utt_id"])
 
 
-def filter_downvoted(records: list[SegmentRecord], threshold: int = 0) -> list[SegmentRecord]:
+def filter_downvoted(records: list[dict], threshold: int = 0) -> list[dict]:
     """Drop records with downvotes above the threshold (default: any downvote)."""
-    return [r for r in records if r.downvotes <= threshold]
+    return [r for r in records if r.get("downvotes", 0) <= threshold]
 
 
-def sample_segments(records: list[SegmentRecord], n: int, seed: int) -> list[SegmentRecord]:
+def sample_segments(records: list[dict], n: int, seed: int) -> list[dict]:
     """Uniform sample without replacement, deterministic per seed, ordered by utt_id."""
     _check_count("sample size", n)
     if len(records) < n:
@@ -72,8 +54,8 @@ def sample_segments(records: list[SegmentRecord], n: int, seed: int) -> list[Seg
     return _by_id(rng.sample(records, n))
 
 
-def split_validation(records: list[SegmentRecord], fraction: float, seed: int,
-                     ) -> tuple[list[SegmentRecord], list[SegmentRecord]]:
+def split_validation(records: list[dict], fraction: float, seed: int,
+                     ) -> tuple[list[dict], list[dict]]:
     """Disjoint, exhaustive (train, valid) split with |valid| = round(fraction * n)."""
     if not 0 < fraction < 1:
         raise PhonaugError(f"fraction must be in (0, 1), got {fraction}")
@@ -95,101 +77,89 @@ def remap_config(obj: dict) -> tuple[dict[str, str], list[str]]:
     return remap, exclude
 
 
-def remap_invalid(records: list[SegmentRecord], remap_table: dict[str, str],
+def remap_invalid(records: list[dict], remap_table: dict[str, str],
                   exclude_patterns: list[str], inventory: Inventory | None = None,
-                  ) -> tuple[list[SegmentRecord], list[dict]]:
+                  ) -> tuple[list[dict], list[dict]]:
     """Rewrite transcriptions via the remap table and drop records that still
     contain an exclude pattern or fail IPA tokenization. Every rewrite and
     drop lands in the report; nothing is silently skipped."""
     inv = inventory or Inventory.default()
-    kept: list[SegmentRecord] = []
+    kept: list[dict] = []
     report: list[dict] = []
     # longest-first so overlapping patterns apply deterministically
     rules = sorted(remap_table.items(), key=lambda kv: (-len(kv[0]), kv[0]))
     for rec in records:
-        text = rec.transcription
+        text = original = rec.get("transcription", "")
         for src, dst in rules:
             if src in text:
                 text = text.replace(src, dst)
-                report.append({"utt_id": rec.utt_id, "action": "rewrite",
+                report.append({"utt_id": rec["utt_id"], "action": "rewrite",
                                "pattern": src, "replacement": dst})
         bad = next((p for p in exclude_patterns if p in text), None)
         if bad is not None:
-            report.append({"utt_id": rec.utt_id, "action": "drop",
+            report.append({"utt_id": rec["utt_id"], "action": "drop",
                            "reason": f"exclude pattern {bad!r}"})
             continue
         try:
             tokenize_ipa(text, inv)
         except PhonaugError as e:
-            report.append({"utt_id": rec.utt_id, "action": "drop",
+            report.append({"utt_id": rec["utt_id"], "action": "drop",
                            "reason": f"not tokenizable: {e}"})
             continue
-        kept.append(rec._replace(transcription=text))
+        kept.append(rec if text == original else {**rec, "transcription": text})
     return kept, report
 
 
-class _VocabFields(NamedTuple):
-    tokens: list[str]
-    blank: str = "_"
-    removed: set[str] | frozenset[str] = frozenset()
-    added: set[str] | frozenset[str] = frozenset()
+def vocab_config(obj: dict) -> tuple[dict[str, int], str]:
+    """The {token: id} map and the blank of a vocabulary file, {"tokens": {token:
+    id}, "blank": token}; the blank defaults to "_". No two tokens share an id."""
+    tokens, blank = obj["tokens"], obj.get("blank", "_")
+    if len(set(tokens.values())) < len(tokens):
+        raise io.FieldError("field 'tokens' gives two tokens one id")
+    _check_blank(tokens, blank)
+    return tokens, blank
 
 
-class VocabSpec(_VocabFields):
-    __slots__ = ()
-    _make = classmethod(checked_make)
-
-    def __new__(cls, *args, **kwargs) -> "VocabSpec":
-        self = super().__new__(cls, *args, **kwargs)
-        if self.tokens.count(self.blank) != 1:
-            raise PhonaugError("blank must occur exactly once in the vocabulary")
-        return self
-
-    def to_obj(self) -> dict:
-        return {"tokens": {tok: i for i, tok in enumerate(self.tokens)},
-                "blank": self.blank}
+def _check_blank(tokens: dict[str, int], blank: str) -> None:
+    if blank not in tokens:
+        raise PhonaugError("blank must occur exactly once in the vocabulary")
 
 
-def clean_vocab(vocab: VocabSpec, records: list[SegmentRecord],
-                ) -> tuple[VocabSpec, dict[int, int]]:
-    """Apply the requested removals and additions, keeping ids dense.
-
-    Returns the cleaned vocabulary and an old-id -> new-id map for surviving
-    tokens, a token's id being its position in `vocab.tokens`. Removing a
-    token that still occurs in the corpus is an error, not a warning.
-    """
+def clean_vocab(tokens: dict[str, int], blank: str, removed: set[str], added: set[str],
+                records: list[dict]) -> tuple[dict[str, int], dict[int, int]]:
+    """Remove the tokens `removed` from the {token: id} map `tokens` and add the
+    tokens `added`, keeping ids dense: the kept tokens in id order, then the new
+    ones in sorted order. Returns the cleaned map and an old-id -> new-id map for
+    the tokens of `tokens` that it holds. Removing a token that still occurs in a
+    record's transcription is an error, not a warning, and so is removing the
+    blank."""
     used: set[str] = set()
     for rec in records:
-        used.update(unicodedata.normalize("NFD", rec.transcription))
-    for tok in sorted(vocab.removed):
+        used.update(unicodedata.normalize("NFD", rec.get("transcription", "")))
+    for tok in sorted(removed):
         if tok in used:
             raise RemoveInUse(f"token {tok!r} marked for removal still occurs in the corpus")
-    new_tokens = [t for t in vocab.tokens if t not in vocab.removed]
-    for tok in sorted(vocab.added):
-        if tok not in new_tokens:
-            new_tokens.append(tok)
-    id_map = {vocab.tokens.index(t): i for i, t in enumerate(new_tokens) if t in vocab.tokens}
-    cleaned = VocabSpec(new_tokens, vocab.blank, set(), set(vocab.added))
-    return cleaned, id_map
+    kept = [t for t in sorted(tokens, key=tokens.get) if t not in removed]
+    cleaned = {t: i for i, t in enumerate(kept + sorted(set(added).difference(kept)))}
+    _check_blank(cleaned, blank)
+    return cleaned, {tokens[t]: i for t, i in cleaned.items() if t in tokens}
 
 
-def build_onset_testset(records: list[SegmentRecord], per_phoneme_n: int, seed: int,
-                        ) -> list[SegmentRecord]:
+def build_onset_testset(records: list[dict], per_phoneme_n: int, seed: int) -> list[dict]:
     """Absolute-onset test set: records whose lower-cased sentence starts with
     one of <b d g p t k>, labelled with the target phoneme, sampled
     per_phoneme_n per bucket among analyzable records."""
     _check_count("per-phoneme count", per_phoneme_n)
-    buckets: dict[str, list[SegmentRecord]] = {p: [] for p in ONSET_PHONEMES}
+    buckets: dict[str, list[dict]] = {p: [] for p in io.TARGET_PHONEMES}
     for rec in records:
-        sentence = rec.sentence.lstrip().lower()
-        if sentence and sentence[0] in buckets and rec.analyzable:
+        sentence = rec.get("sentence", "").lstrip().lower()
+        if sentence and sentence[0] in buckets and rec.get("analyzable"):
             buckets[sentence[0]].append(rec)
     rng = random.Random(seed)
-    picked: list[SegmentRecord] = []
-    for phoneme in ONSET_PHONEMES:
+    picked: list[dict] = []
+    for phoneme in io.TARGET_PHONEMES:  # the order of the draws from rng
         pool = buckets[phoneme]
         if len(pool) < per_phoneme_n:
             raise InsufficientInstances(phoneme, len(pool), per_phoneme_n)
-        for rec in rng.sample(pool, per_phoneme_n):
-            picked.append(rec._replace(phoneme=phoneme))
+        picked.extend({**rec, "phoneme": phoneme} for rec in rng.sample(pool, per_phoneme_n))
     return _by_id(picked)

@@ -23,11 +23,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from . import io
 from .errors import EmptyDenominator, PhonaugError, ZeroBaseline, checked_make
 from .inventory import ASPIRATION, PLACES, TENUIS, Inventory, Phone
-from .io import MODEL_TAGS, POA_GROUP_OF, POA_GROUPS
-
-VOICED_PHONEMES = ("b", "d", "g")
-VOICELESS_PHONEMES = ("p", "t", "k")
-ALL_PHONEMES = VOICED_PHONEMES + VOICELESS_PHONEMES
+from .io import (
+    MODEL_TAGS, POA_GROUP_OF, POA_GROUPS, TARGET_PHONEMES, VOICED_PHONEMES, VOICELESS_PHONEMES,
+)
 
 # the fields of an instance line
 INSTANCE_FIELDS = {"utt_id": io.STRING, "phoneme": io.STRING, "vot_ms": io.NUMBER,
@@ -64,7 +62,7 @@ class _InstanceFields(NamedTuple):
 
 class EvalInstance(_InstanceFields):
     """One instance line, checked when it is built: a target phoneme of
-    ALL_PHONEMES, a finite vot_ms and a model tag of MODEL_TAGS. An immutable
+    TARGET_PHONEMES, a finite vot_ms and a model tag of MODEL_TAGS. An immutable
     tuple record: `evaluate` builds one only for a line that fails these checks,
     so that it raises their message (see `Evaluation.read`)."""
 
@@ -73,8 +71,8 @@ class EvalInstance(_InstanceFields):
 
     def __new__(cls, utt_id: str, target_phoneme: str, vot_ms: float, predicted_onset: str,
                 model_tag: str = "OTHER") -> "EvalInstance":
-        if target_phoneme not in ALL_PHONEMES:
-            raise PhonaugError(f"{utt_id}: target phoneme must be one of {ALL_PHONEMES}, "
+        if target_phoneme not in TARGET_PHONEMES:
+            raise PhonaugError(f"{utt_id}: target phoneme must be one of {TARGET_PHONEMES}, "
                                f"got {target_phoneme!r}")
         if not math.isfinite(vot_ms):
             # NaN compares false with everything: it would score as voiceless
@@ -106,14 +104,14 @@ class ClassifierConfig(NamedTuple):
     @classmethod
     def load(cls, path: str | Path) -> "ClassifierConfig":
         names = ("poa_groups", "continuants")
-        rows = dict.fromkeys(ALL_PHONEMES, io.ListOf(io.STRING))
+        rows = dict.fromkeys(TARGET_PHONEMES, io.ListOf(io.STRING))
 
         def from_obj(obj):
-            for p in ALL_PHONEMES:  # a misspelt place would score every onset Null
+            for p in TARGET_PHONEMES:  # a misspelt place would score every onset Null
                 for place in obj["poa_groups"][p]:
                     if place not in PLACES:
                         raise io.FieldError(f"field 'poa_groups.{p}' names no place: {place!r}")
-            return cls(*({p: frozenset(obj[n][p]) for p in ALL_PHONEMES} for n in names))
+            return cls(*({p: frozenset(obj[n][p]) for p in TARGET_PHONEMES} for n in names))
 
         return io.read_json(path, from_obj, dict.fromkeys(names, rows))
 
@@ -343,7 +341,7 @@ class Evaluation:
                     check(obj, INSTANCE_FIELDS)
                     utt_id, phoneme, onset = obj["utt_id"], obj["phoneme"], obj["onset"]
                     vot, model = float(obj["vot_ms"]), obj.get("model", "OTHER")
-                    fault = (phoneme not in ALL_PHONEMES or not isfinite(vot)
+                    fault = (phoneme not in TARGET_PHONEMES or not isfinite(vot)
                              or model not in MODEL_TAGS)
                 except (io.FieldError, OverflowError):
                     fault = True

@@ -26,7 +26,7 @@ from phonaug import (
 from phonaug.augment import augment_track
 from phonaug.errors import EmptyDenominator
 from phonaug.io import dump_line
-from phonaug.manifest import SegmentRecord, build_onset_testset
+from phonaug.manifest import build_onset_testset
 
 from test_ctc import reference_collapse
 from test_inventory import random_inventory_string
@@ -178,19 +178,17 @@ def test_criterion_9_onset_testset_construction():
     i = 0
     for letter in "bdgptk":
         for _ in range(55):
-            records.append(SegmentRecord(utt_id=f"u{i:05d}",
-                                         sentence=f"{letter}eispiel satz",
-                                         analyzable=True))
+            records.append({"utt_id": f"u{i:05d}", "sentence": f"{letter}eispiel satz",
+                            "analyzable": True})
             i += 1
     a = build_onset_testset(records, per_phoneme_n=40, seed=99)
     b = build_onset_testset(records, per_phoneme_n=40, seed=99)
     assert len(a) == 240
     counts = {}
     for r in a:
-        counts[r.phoneme] = counts.get(r.phoneme, 0) + 1
+        counts[r["phoneme"]] = counts.get(r["phoneme"], 0) + 1
     assert counts == {p: 40 for p in "bdgptk"}
-    assert "".join(dump_line(r.to_obj()) for r in a) == \
-        "".join(dump_line(r.to_obj()) for r in b)
+    assert "".join(dump_line(r) for r in a) == "".join(dump_line(r) for r in b)
     report_line(9, "onset test set: 240 records, 40 per phoneme, byte-reproducible")
 
 

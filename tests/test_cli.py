@@ -486,6 +486,7 @@ def test_evaluate_outputs(tmp_path):
 
 def test_evaluate_dotted_out_prefix_keeps_every_output(tmp_path):
     instances = eval_instances(tmp_path)
+    (tmp_path / "runs").mkdir()
     for prefix in ("eval.a", "eval.b"):
         result = invoke(["evaluate", str(instances), "--out-prefix",
                          str(tmp_path / "runs" / prefix)])
@@ -507,16 +508,38 @@ def test_evaluate_single_model_omits_significance(tmp_path):
 
 
 def test_evaluate_group_filter(tmp_path):
-    instances = eval_instances(tmp_path)
-    result = invoke(["evaluate", str(instances), "--out-prefix",
-                     str(tmp_path / "velar"), "--group", "velar"])
-    assert result.exit_code == 0
+    velar = eval_instances(tmp_path)  # /k/ and /g/ targets only
+    # the same file with BM/TM pairs of bilabial and alveolar targets, voiced ones too
+    mixed = tmp_path / "mixed.jsonl"
+    objs = [json.loads(line) for line in velar.read_text(encoding="utf-8").splitlines()]
+    for i in range(30):
+        for voiced, voiceless in (("b", "p"), ("d", "t")):
+            tm_onset = voiced + "a" if i % 2 else voiceless + "ʰa"
+            for model, onset in (("BM", voiceless + "a"), ("TM", tm_onset)):
+                objs.append({"utt_id": f"{voiced}-{i:03d}", "phoneme": voiced,
+                             "vot_ms": -15.0, "onset": onset, "model": model})
+    write_lines(mixed, objs)
+
+    def evaluate(path, prefix, *extra):
+        result = invoke(["evaluate", str(path), "--out-prefix", str(tmp_path / prefix), *extra])
+        assert result.exit_code == 0, result.output
+        return json.loads((tmp_path / f"{prefix}.json").read_text(encoding="utf-8"))
+
+    unfiltered = evaluate(mixed, "mixed")
+    assert all(set(rows) == {"all", "bilabial", "alveolar", "velar"}
+               for rows in unfiltered["models"].values())
+    filtered = evaluate(mixed, "velar", "--group", "velar")
     text = (tmp_path / "velar.txt").read_text(encoding="utf-8")
     assert "velar" in text
-    assert "bilabial" not in text
-    payload = json.loads((tmp_path / "velar.json").read_text(encoding="utf-8"))
-    assert all(set(rows) == {"all", "velar"} for rows in payload["models"].values())
-    assert payload["significance"]["models"] == ["BM", "TM"]  # --group keeps the test
+    assert "bilabial" not in text and "alveolar" not in text
+    for rows in filtered["models"].values():
+        assert set(rows) == {"all", "velar"}
+        assert rows["all"] == rows["velar"]
+    assert filtered["significance"]["models"] == ["BM", "TM"]  # --group keeps the test
+    # the test pairs only the velar instances: those of the velar-only file
+    only_velar = evaluate(velar, "only_velar")
+    assert filtered == only_velar
+    assert filtered["significance"]["n_pairs"] < unfiltered["significance"]["n_pairs"]
 
 
 def test_pipeline_determinism_across_reruns(tmp_path):

@@ -128,16 +128,17 @@ def test_directory_at_an_output_path_fails_before_any_write(dirs, command, outpu
 
 @pytest.mark.parametrize("command, output", [
     pytest.param(command, output, id=f"{command}-{output}")
-    for command, (_, outputs) in COMMANDS.items() if not command.startswith("evaluate")
-    for output in outputs])
+    for command, (_, outputs) in COMMANDS.items()
+    # evaluate's three outputs share one --out-prefix, which moves them all
+    for output in (outputs[:1] if command.startswith("evaluate") else outputs)])
 def test_an_output_in_a_missing_directory_fails_before_any_write(dirs, command, output):
-    # once: a FileNotFoundError traceback, after the outputs before it were written
-    # (evaluate creates the directory of its --out-prefix)
+    # once: a FileNotFoundError traceback, after the outputs before it were written;
+    # and evaluate created the directory of its --out-prefix, which a fault left behind
     i, o = dirs
-    args, _ = COMMANDS[command]
+    args = [a.format(i=i, o=o) for a in COMMANDS[command][0]]
+    named = o / output if str(o / output) in args else o / "report"
     moved = o / "missing" / output
-    result = invoke([a.format(i=i, o=o).replace(str(o / output), str(moved))
-                     for a in args])
+    result = invoke([a.replace(str(named), str(o / "missing" / named.name)) for a in args])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.output == f"Error: {moved}: output directory does not exist\n"
@@ -685,6 +686,7 @@ def test_the_keys_of_a_map_and_of_a_record_are_open(dirs):
     (i / "remap.json").write_text('{"remap": {"any key": "x"}}', encoding="utf-8")
     write_lines(i / "manifest.jsonl", [{"utt_id": "u1", "transcription": "ta", "note": 1}])
     assert run("prepare-remap", i, o).exit_code == 0
+    assert json.loads((o / "remapped.jsonl").read_text(encoding="utf-8"))["note"] == 1
     write_lines(i / "paths.jsonl", [{"utt_id": "u1", "frame_ms": 10, "labels": ["t"], "x": 1}])
     assert run("decode", i, o).exit_code == 0
 

@@ -98,9 +98,7 @@ def test_every_field_takes_only_its_json_types(where, value):
                 if command == "augment" and field in ("start", "end"):
                     assert track["phones"][0][field] == value
             elif command == "prepare" and out.read_text("utf-8"):
-                default = {"language": "", "sentence": "", "transcription": "",
-                           "upvotes": 0, "downvotes": 0}
-                assert json.loads(out.read_text("utf-8")) == {**default, **record}
+                assert json.loads(out.read_text("utf-8")) == record
 
 
 INSTANCE = {"utt_id": "u1", "phoneme": "b", "vot_ms": 10, "onset": "ba", "model": "BM"}

@@ -12,7 +12,7 @@ import unicodedata
 import pytest
 
 from phonaug import (
-    ASPIRATED, FramePath, Inventory, MappingTable, PhoneTrack, ScenarioSpec, TimedPhone, VocabSpec,
+    ASPIRATED, FramePath, Inventory, MappingTable, PhoneTrack, ScenarioSpec, TimedPhone,
 )
 from phonaug.errors import PhonaugError
 
@@ -22,7 +22,6 @@ T, A = INV.phone("t"), INV.phone("a")
 PATH = FramePath("u1", 20.0, ("_", "t", "a"))
 TRACK = PhoneTrack("u1", "RM", [TimedPhone(T, 0, 1), TimedPhone(A, 2, 3)], 20.0)
 SPEC = ScenarioSpec(seed=1, n_utterances=2)
-VOCAB = VocabSpec(["_", "t", "a"])
 
 # (a valid record, a change of its fields, the message that refuses the change)
 CASES = {
@@ -49,9 +48,6 @@ CASES = {
     "spec-negative-jitter": (SPEC, {"jitter": -1}, "jitter must be non-negative"),
     "spec-negative-n_utterances": (SPEC, {"n_utterances": -1},
                                    "n_utterances must be non-negative"),
-    "vocab-no-blank": (VOCAB, {"blank": "|"}, "blank must occur exactly once in the vocabulary"),
-    "vocab-two-blanks": (VOCAB, {"tokens": ["_", "t", "_"]},
-                         "blank must occur exactly once in the vocabulary"),
 }
 
 
@@ -67,7 +63,7 @@ def test_a_checked_record_refuses_a_bad_value_however_it_is_built(record, change
         assert str(err.value) == message, how
 
 
-@pytest.mark.parametrize("record", [PATH, TRACK, SPEC, VOCAB], ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize("record", [PATH, TRACK, SPEC], ids=lambda r: type(r).__name__)
 def test_a_checked_record_is_an_immutable_tuple(record):
     cls = type(record)
     assert isinstance(record, tuple)
