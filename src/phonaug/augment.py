@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, TextIO
 
 from . import io
-from .ctc import PhoneTrack, TimedPhone, read_tracks, write_tracks
+from .ctc import PhoneTrack, TimedPhone, read_tracks, track_line
 from .errors import MissingCounterpart, PhonaugError, UtteranceMismatch
 from .inventory import (ASPIRATED, BREATHY_VOICED, VOICED, Inventory, phonation_of,
                         with_phonation)
@@ -195,9 +195,9 @@ def augment_corpus(rm_file: str | Path, hm_file: str | Path, table: MappingTable
     ordered by utt_id, to `out`, an output that `io.replacing` opened."""
     inv = inventory or Inventory.default()
     stats = AugmentationStats()
-    write_tracks(out, (augment_track(rm, hm, matches, inv, breathy=breathy, stats=stats)
-                       for rm, hm, matches in _paired_tracks(rm_file, hm_file, table, inv,
-                                                             skip_missing, stats)))
+    io.write_lines(out, (augment_track(rm, hm, matches, inv, breathy=breathy, stats=stats)
+                         for rm, hm, matches in _paired_tracks(rm_file, hm_file, table, inv,
+                                                               skip_missing, stats)), track_line)
     return stats
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import os
 import sys
 
@@ -156,22 +155,8 @@ main.main = main  # only for perfbench/run.py, which calls main.main(..., standa
 def decode(framepath_file, out_file, blank, frame_ms, model_tag, inventory_path):
     """Collapse per-frame CTC label paths into timestamped phone tracks."""
     inv = _load(inventory.Inventory, inventory_path)
-
-    def from_obj(obj):
-        if frame_ms is not None:
-            obj = {**obj, "frame_ms": frame_ms}
-        path = ctc.frame_path_from_obj(obj)
-        return ctc.decode_track(path, obj.get("blank", blank), inv, model_tag)
-
-    # under --frame-ms a line's own frame_ms is neither read nor checked
-    fields = {name: kind for name, kind in ctc.FRAME_PATH_FIELDS.items()
-              if name != "frame_ms" or frame_ms is None}
-    # frame paths come from outside phonaug, so they are sorted here, then
-    # checked like every track file: each utt_id once
-    tracks = sorted(io.parse_records(framepath_file, from_obj, fields), key=lambda t: t.utt_id)
     with io.replacing(out_file) as (out,):
-        n = ctc.write_tracks(out, ctc.in_utt_id_order(tracks, framepath_file))
-    empty = sum(not track.phones for track in tracks)  # all blank: no phone to match
+        n, empty = ctc.decode_file(framepath_file, out, blank, frame_ms, model_tag, inv)
     _echo(f"decoded {n} utterances ({empty} empty) -> {out_file}", err=True)
 
 
@@ -194,11 +179,11 @@ def cmd_augment(rm_file, hm_file, out_file, mapping_path, inventory_path,
         table = _load(aug.MappingTable, mapping_path, inv)
         stats = aug.augment_corpus(rm_file, hm_file, table, out, inv,
                                    breathy=not no_breathy, skip_missing=skip_missing)
-        payload = json.dumps(stats.to_obj(), ensure_ascii=False, sort_keys=True, indent=2)
+        payload = io.dump_json(stats.to_obj())
         if stats_out is not None:
-            stats_out.write(payload + "\n")
+            stats_out.write(payload)
     if stats_out is None:
-        _echo(payload)
+        _echo(payload, end="")
 
 
 @_command("prefilter-aspiration",
@@ -228,23 +213,6 @@ _COMMANDS["prepare"] = (
     "Manifest operations: filter, sample, split, remap, onset-testset, clean-vocab.", _PREPARE)
 
 
-def _read_manifest(path) -> list[dict]:
-    """The objects of a manifest's lines in file order, each utt_id once: a split
-    or a sample must not hold one utterance twice."""
-    records = list(io.parse_records(path, dict, manifest.SEGMENT_FIELDS))
-    seen: set[str] = set()
-    for record in records:
-        if record["utt_id"] in seen:
-            raise PhonaugError(f"{path}: utterance {record['utt_id']!r} occurs twice")
-        seen.add(record["utt_id"])
-    return records
-
-
-def _write_jsonl(out, objs) -> None:
-    """Write one JSON line per object to `out`, an output that `io.replacing` opened."""
-    out.writelines([io.dump_line(obj) + "\n" for obj in objs])
-
-
 @_command("filter",
           _arg("in_file", type=_input),
           _arg("out_file"),
@@ -253,9 +221,9 @@ def _write_jsonl(out, objs) -> None:
           group=_PREPARE)
 def prepare_filter(in_file, out_file, max_downvotes):
     """Drop downvoted segments."""
-    records = manifest.filter_downvoted(_read_manifest(in_file), max_downvotes)
+    records = manifest.filter_downvoted(manifest.read_records(in_file), max_downvotes)
     with io.replacing(out_file) as (out,):
-        _write_jsonl(out, records)
+        io.write_lines(out, records)
     _echo(f"kept {len(records)} records", err=True)
 
 
@@ -267,9 +235,9 @@ def prepare_filter(in_file, out_file, max_downvotes):
           group=_PREPARE)
 def prepare_sample(in_file, out_file, n, seed):
     """Seeded uniform sample without replacement."""
-    records = manifest.sample_segments(_read_manifest(in_file), n, seed)
+    records = manifest.sample_segments(manifest.read_records(in_file), n, seed)
     with io.replacing(out_file) as (out,):
-        _write_jsonl(out, records)
+        io.write_lines(out, records)
 
 
 @_command("split",
@@ -282,9 +250,9 @@ def prepare_sample(in_file, out_file, n, seed):
 def prepare_split(in_file, fraction, seed, train_out, valid_out):
     """Seeded train/validation split."""
     with io.replacing(train_out, valid_out) as (train_file, valid_file):
-        train, valid = manifest.split_validation(_read_manifest(in_file), fraction, seed)
-        _write_jsonl(train_file, train)
-        _write_jsonl(valid_file, valid)
+        train, valid = manifest.split_validation(manifest.read_records(in_file), fraction, seed)
+        io.write_lines(train_file, train)
+        io.write_lines(valid_file, valid)
     _echo(f"train {len(train)} / valid {len(valid)}", err=True)
 
 
@@ -299,14 +267,12 @@ def prepare_split(in_file, fraction, seed, train_out, valid_out):
 def prepare_remap(in_file, out_file, config_path, report_file, inventory_path):
     """Rewrite invalid transcriptions and drop the unfixable ones."""
     with io.replacing(out_file, report_file or None) as (out, report):
-        remap, exclude = io.read_json(config_path, manifest.remap_config, {
-            "remap": io.Optional(io.MapOf(io.STRING)),
-            "exclude": io.Optional(io.ListOf(io.STRING))})
+        remap, exclude = manifest.remap_config(config_path)
         inv = _load(inventory.Inventory, inventory_path)
-        kept, rep = manifest.remap_invalid(_read_manifest(in_file), remap, exclude, inv)
-        _write_jsonl(out, kept)
+        kept, rep = manifest.remap_invalid(manifest.read_records(in_file), remap, exclude, inv)
+        io.write_lines(out, kept)
         if report is not None:
-            _write_jsonl(report, rep)
+            io.write_lines(report, rep)
     _echo(f"kept {len(kept)} records, {len(rep)} report entries", err=True)
 
 
@@ -319,9 +285,9 @@ def prepare_remap(in_file, out_file, config_path, report_file, inventory_path):
           group=_PREPARE)
 def prepare_onset_testset(in_file, out_file, per_phoneme_n, seed):
     """Absolute-onset test set: sentence-initial <b d g p t k>, sampled per phoneme."""
-    records = manifest.build_onset_testset(_read_manifest(in_file), per_phoneme_n, seed)
+    records = manifest.build_onset_testset(manifest.read_records(in_file), per_phoneme_n, seed)
     with io.replacing(out_file) as (out,):
-        _write_jsonl(out, records)
+        io.write_lines(out, records)
     _echo(f"wrote {len(records)} test records", err=True)
 
 
@@ -334,15 +300,11 @@ def prepare_onset_testset(in_file, out_file, per_phoneme_n, seed):
           group=_PREPARE)
 def prepare_clean_vocab(vocab_file, corpus_file, out_file, remove, add):
     """Remove unused tokens, add new ones, reassign dense ids."""
-    # a vocabulary that clean-vocab wrote carries its id_map, which is not read
-    tokens, blank = io.read_json(vocab_file, manifest.vocab_config, {
-        "tokens": io.MapOf(io.INTEGER), "blank": io.Optional(io.STRING),
-        "id_map": io.Optional(io.MapOf(io.INTEGER))})
+    tokens, blank = manifest.vocab_config(vocab_file)
     cleaned, id_map = manifest.clean_vocab(tokens, blank, set(remove), set(add),
-                                           _read_manifest(corpus_file))
-    out = {"tokens": cleaned, "blank": blank, "id_map": {str(k): v for k, v in id_map.items()}}
-    with io.replacing(out_file) as (f,):
-        f.write(json.dumps(out, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+                                           manifest.read_records(corpus_file))
+    with io.replacing(out_file) as (out,):
+        manifest.write_vocab(out, cleaned, blank, id_map)
     _echo(f"vocabulary: {len(tokens)} -> {len(cleaned)} tokens", err=True)
 
 
@@ -354,16 +316,10 @@ def prepare_clean_vocab(vocab_file, corpus_file, out_file, remove, add):
           _arg("--inventory", dest="inventory_path", type=_input))
 def cmd_synth(spec_file, rm_out, hm_out, truth_out, inventory_path):
     """Generate synthetic paired RM/HM tracks with known ground truth."""
-    # each utterance's lines are written as it is made; the files are renamed into
-    # place once all of them are complete, and none is on a fault
-    with io.replacing(rm_out, hm_out, truth_out) as (rm_file, hm_file, truth_file):
+    with io.replacing(rm_out, hm_out, truth_out) as outs:
         inv = _load(inventory.Inventory, inventory_path)
         spec = synth.ScenarioSpec.load(spec_file)
-        for rm, hm, truths in synth.utterances(spec, inv):
-            rm_file.write(ctc.track_line(rm) + "\n")
-            hm_file.write(ctc.track_line(hm) + "\n")
-            if truth_file is not None:
-                truth_file.writelines([synth.truth_line(t) + "\n" for t in truths])
+        synth.write(spec, inv, *outs)
     _echo(f"generated {spec.n_utterances} utterances", err=True)
 
 
@@ -379,32 +335,15 @@ def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
                  group_filter):
     """Classify predictions and emit metric tables, JSON and boxplot CSV."""
     io.check_names_file(out_prefix)  # before the suffixes make it name one
-    txt, json_file, csv_file = (f"{out_prefix}{suffix}"
-                                for suffix in (".txt", ".json", "_boxplot.csv"))
-    with io.replacing(txt, json_file, csv_file) as (txt_out, json_out, csv_out):
+    with io.replacing(*(out_prefix + s for s in (".txt", ".json", "_boxplot.csv"))) as outs:
         inv = _load(inventory.Inventory, inventory_path)
         cfg = _load(metrics.ClassifierConfig, continuants_path)
         evaluation = metrics.Evaluation()  # one pass: each instance is tallied as it is read
         evaluation.update(evaluation.read(instances_file, inv, cfg, group_filter))
-        reports = evaluation.report()
-
-        payload: dict = {
-            "models": {m: {g: r.to_obj() for g, r in rows.items()}
-                       for m, rows in reports.items()},
-        }
-        models = sorted(reports)
-        if len(models) == 2:
-            payload["significance"] = evaluation.significance(models)
-
-        text = metrics.format_report(reports)
-        if "significance" in payload:
-            sig = payload["significance"]
-            text += (f"McNemar exact (voicing, {sig['models'][0]} vs {sig['models'][1]}): "
-                     f"p = {sig['p_value']:.6g} on {sig['n_pairs']} pairs\n")
-        txt_out.write(text)
-        json_out.write(json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
-        csv_out.write(metrics.boxplot_csv(evaluation.boxplot_rows()))
-    _echo(text)
+        texts = evaluation.texts()
+        for out, text in zip(outs, texts):
+            out.write(text)
+    _echo(texts[0])
 
 
 if __name__ == "__main__":

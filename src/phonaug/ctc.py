@@ -148,10 +148,6 @@ def decode_track(path: FramePath, blank: str, inventory: Inventory | None = None
 # -- JSONL formats ----------------------------------------------------------
 
 
-def frame_path_from_obj(obj: dict) -> FramePath:
-    return FramePath(obj["utt_id"], float(obj["frame_ms"]), tuple(obj["labels"]))
-
-
 def track_to_obj(track: PhoneTrack) -> dict:
     """The JSON object of `track`: the reference that `track_line` must match. No
     program path calls it; the tests and the benchmark's tracer do."""
@@ -221,11 +217,22 @@ def read_tracks(path: str | Path, inventory: Inventory | None = None,
             yield track
 
 
-def write_tracks(out: TextIO, tracks: Iterable[PhoneTrack]) -> int:
-    """Write the line of each track to `out`, an output that `io.replacing` opened,
-    and return the count."""
-    n = 0
-    for track in tracks:
-        out.write(track_line(track) + "\n")
-        n += 1
-    return n
+def decode_file(path: str | Path, out: TextIO, blank: str, frame_ms: float | None,
+                model_tag: str, inventory: Inventory) -> tuple[int, int]:
+    """Decode each frame path in the file at `path` into a `model_tag` track and write
+    the tracks in utt_id order to `out`, an output that `io.replacing` opened; return
+    the count of tracks and of empty ones (all blank: no phone to match). A line's
+    own `blank` overrides `blank`. A `frame_ms` that is not None overrides each
+    line's, which is then neither read nor checked."""
+    def from_obj(obj):
+        ms = float(obj["frame_ms"] if frame_ms is None else frame_ms)
+        frames = FramePath(obj["utt_id"], ms, tuple(obj["labels"]))
+        return decode_track(frames, obj.get("blank", blank), inventory, model_tag)
+
+    fields = {name: kind for name, kind in FRAME_PATH_FIELDS.items()
+              if name != "frame_ms" or frame_ms is None}
+    # frame paths come from outside phonaug, so they are sorted here, then
+    # checked like every track file: each utt_id once
+    tracks = sorted(io.parse_records(path, from_obj, fields), key=lambda t: t.utt_id)
+    n = io.write_lines(out, in_utt_id_order(tracks, path), track_line)
+    return n, sum(not track.phones for track in tracks)

@@ -18,15 +18,20 @@ memory so that it can sort it.
 A string that escapes a lone surrogate ("\\ud800") fails at read with its file
 and line, since no UTF-8 output can hold it.
 Writers emit deterministic bytes (sorted keys, no trailing spaces) so re-runs
-are byte-identical; track lines are formatted by `ctc.track_line` and truth
-lines by `synth.truth_line`, with the bytes that `dump_line` gives their
-objects. `replacing` is the one writer: every output file, JSONL or not, is
-written to a temporary file beside its path and appears there only once it is
-written in full. A command writes all of its outputs, which must name distinct
-files, inside one `replacing`, so they are renamed into place only once all of
-them are written, and none is on a fault. An output path must name a file: ""
-and a path whose last part is empty, "." or ".." fail before any write, as does
-such an `evaluate --out-prefix`, before its suffixes are added.
+are byte-identical. `dump_line` gives the line of a JSON object, and
+`write_lines` writes lines to an open output; track lines are formatted by
+`ctc.track_line` and truth lines by `synth.truth_line`, with the bytes that
+`dump_line` gives their objects. `dump_json` gives the text of every JSON
+document a command writes. `replacing` is the one writer: every output file,
+JSONL or not, is written to a temporary file beside its path and appears there
+only once it is written in full. A command writes all of its outputs, which
+must name distinct files, inside one `replacing`, and they are renamed into
+place one by one once all of them are written: a fault while writing leaves
+every output as it was, but a failed rename of the k-th output leaves outputs 1
+to k-1 replaced (ROADMAP item 7 would make the renames all or nothing). An
+output path must name a file: "" and a path whose last part is empty, "." or
+".." fail before any write, as does such an `evaluate --out-prefix`, before its
+suffixes are added.
 
 Each config file, the packaged tables under `DATA` too, is one JSON object,
 read whole by `read_json`. Both readers `check` each object against its schema
@@ -272,6 +277,12 @@ def dump_line(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
+def dump_json(obj: Any) -> str:
+    """The text of a JSON document that a command writes: `obj` indented by 2, keys
+    sorted, and a final newline."""
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+
+
 def check_names_file(path: str | Path) -> None:
     """Fail unless the last part of `path` names a file: "" would resolve to the
     working directory."""
@@ -305,7 +316,8 @@ def replacing(*paths: str | Path | None) -> Iterator[list[TextIO | None]]:
     """One text file to write in place of each path (None for a path that is
     None): temporary files beside them, open together, each of which replaces
     its path once the block ends, so only when all are complete. If the block
-    fails, every temporary file is removed and each path is left as it was."""
+    fails, every temporary file is removed and each path is left as it was; if
+    a rename fails, the paths renamed before it stay replaced."""
     check_outputs(*paths)
     # replace a symlink's target, not the link
     targets = [None if path is None else Path(path).resolve() for path in paths]
@@ -325,11 +337,16 @@ def replacing(*paths: str | Path | None) -> Iterator[list[TextIO | None]]:
         raise
 
 
+def write_lines(out: TextIO, items: Iterable[T], line: Callable[[T], str] = dump_line) -> int:
+    """Write the line of each item, `line(item)` and a newline, to `out`, an output
+    that `replacing` opened, and return the count."""
+    n = 0
+    for n, item in enumerate(items, start=1):
+        out.write(line(item) + "\n")
+    return n
+
+
 def write_jsonl(path: str | Path, objs: Iterable[dict]) -> int:
     """Write one line per object to `path`, all or nothing, and return the count."""
-    n = 0
     with replacing(path) as (f,):
-        for obj in objs:
-            f.write(dump_line(obj) + "\n")
-            n += 1
-    return n
+        return write_lines(f, objs)

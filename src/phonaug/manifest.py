@@ -1,13 +1,15 @@
 """Corpus manifest operations: vote filtering, seeded sampling and splitting,
 transcription cleanup, vocabulary maintenance and onset test-set construction.
 
-A manifest record is the JSON object of its line, as `io.parse_records` checked
-it against SEGMENT_FIELDS. An operation reads only the fields it uses, an absent
-one as its default (`downvotes` 0, `sentence` and `transcription` "",
-`analyzable` unset), and returns the records it keeps as it read them, keys that
-SEGMENT_FIELDS does not name included: `remap_invalid` sets a `transcription`
-that a rule rewrote, and `build_onset_testset` sets `phoneme`; nothing else
-changes a record.
+This module owns the manifest and its two config files: `read_records` reads a
+manifest, `remap_config` a `prepare remap` config and `vocab_config` a vocabulary
+file, which `write_vocab` writes. A manifest record is the JSON object of its
+line, as `read_records` checked it against SEGMENT_FIELDS. An operation reads
+only the fields it uses, an absent one as its default (`downvotes` 0, `sentence`
+and `transcription` "", `analyzable` unset), and returns the records it keeps as
+it read them, keys that SEGMENT_FIELDS does not name included: `remap_invalid`
+sets a `transcription` that a rule rewrote, and `build_onset_testset` sets
+`phoneme`; nothing else changes a record.
 
 Every sampling operation is a pure function of (input, parameters, seed). The
 generator is Python's Mersenne Twister via random.Random(seed), which is
@@ -17,8 +19,11 @@ are byte-reproducible.
 
 from __future__ import annotations
 
+import math
 import random
 import unicodedata
+from pathlib import Path
+from typing import Any, TextIO
 
 from . import io
 from .errors import InsufficientInstances, InsufficientSegments, PhonaugError, RemoveInUse
@@ -29,6 +34,31 @@ _TEXT, _COUNT = io.Optional(io.STRING), io.Optional(io.INTEGER)
 SEGMENT_FIELDS = {"utt_id": io.STRING, "language": _TEXT, "sentence": _TEXT,
                   "transcription": _TEXT, "upvotes": _COUNT, "downvotes": _COUNT,
                   "split_tag": _TEXT, "analyzable": io.Optional(io.BOOLEAN), "phoneme": _TEXT}
+
+
+def read_records(path: str | Path) -> list[dict]:
+    """The objects of a manifest's lines in file order, each utt_id once (a split
+    or a sample must not hold one utterance twice) and each number finite, at any
+    depth (see `_finite`)."""
+    records = list(io.parse_records(path, _finite, SEGMENT_FIELDS))
+    seen: set[str] = set()
+    for record in records:
+        if record["utt_id"] in seen:
+            raise PhonaugError(f"{path}: utterance {record['utt_id']!r} occurs twice")
+        seen.add(record["utt_id"])
+    return records
+
+
+def _finite(value: Any, path: str = "") -> Any:
+    """`value`, the value at `path` in a record, once it holds no NaN or infinity at
+    any depth: json reads the tokens NaN and Infinity, and 1e999 as infinity, but
+    `prepare` writes a record back as it read it, and no JSON output holds them."""
+    kind = type(value)
+    if kind is float and not math.isfinite(value):
+        raise io.FieldError(f"field {path[1:]!r} is not a finite number: {value!r}")
+    for key, v in value.items() if kind is dict else enumerate(value) if kind is list else ():
+        _finite(v, f"{path}.{key}" if kind is dict else f"{path}[{key}]")
+    return value
 
 
 def _check_count(name: str, n: int) -> None:
@@ -65,16 +95,20 @@ def split_validation(records: list[dict], fraction: float, seed: int,
     return _by_id(shuffled[k:]), _by_id(shuffled[:k])
 
 
-def remap_config(obj: dict) -> tuple[dict[str, str], list[str]]:
-    """The remap table and the exclude patterns of a `prepare remap` config,
-    {"remap": {pattern: replacement}, "exclude": [pattern]}; both are optional.
-    An empty pattern occurs everywhere, so it is refused."""
-    remap, exclude = obj.get("remap", {}), obj.get("exclude", [])
-    for name, patterns in (("remap", remap), ("exclude", exclude)):
-        if "" in patterns:
-            raise io.FieldError(f"field {name!r} holds the empty pattern, which occurs "
-                                "in every transcription")
-    return remap, exclude
+def remap_config(path: str | Path) -> tuple[dict[str, str], list[str]]:
+    """The remap table and the exclude patterns of the `prepare remap` config file
+    at `path`, {"remap": {pattern: replacement}, "exclude": [pattern]}; both are
+    optional. An empty pattern occurs everywhere, so it is refused."""
+    def from_obj(obj):
+        remap, exclude = obj.get("remap", {}), obj.get("exclude", [])
+        for name, patterns in (("remap", remap), ("exclude", exclude)):
+            if "" in patterns:
+                raise io.FieldError(f"field {name!r} holds the empty pattern, which occurs "
+                                    "in every transcription")
+        return remap, exclude
+
+    return io.read_json(path, from_obj, {"remap": io.Optional(io.MapOf(io.STRING)),
+                                         "exclude": io.Optional(io.ListOf(io.STRING))})
 
 
 def remap_invalid(records: list[dict], remap_table: dict[str, str],
@@ -110,14 +144,27 @@ def remap_invalid(records: list[dict], remap_table: dict[str, str],
     return kept, report
 
 
-def vocab_config(obj: dict) -> tuple[dict[str, int], str]:
-    """The {token: id} map and the blank of a vocabulary file, {"tokens": {token:
-    id}, "blank": token}; the blank defaults to "_". No two tokens share an id."""
-    tokens, blank = obj["tokens"], obj.get("blank", "_")
-    if len(set(tokens.values())) < len(tokens):
-        raise io.FieldError("field 'tokens' gives two tokens one id")
-    _check_blank(tokens, blank)
-    return tokens, blank
+def vocab_config(path: str | Path) -> tuple[dict[str, int], str]:
+    """The {token: id} map and the blank of the vocabulary file at `path`, {"tokens":
+    {token: id}, "blank": token}; the blank defaults to "_". No two tokens share an
+    id. The `id_map` of a vocabulary that `write_vocab` wrote is not read."""
+    def from_obj(obj):
+        tokens, blank = obj["tokens"], obj.get("blank", "_")
+        if len(set(tokens.values())) < len(tokens):
+            raise io.FieldError("field 'tokens' gives two tokens one id")
+        _check_blank(tokens, blank)
+        return tokens, blank
+
+    return io.read_json(path, from_obj, {"tokens": io.MapOf(io.INTEGER),
+                                         "blank": io.Optional(io.STRING),
+                                         "id_map": io.Optional(io.MapOf(io.INTEGER))})
+
+
+def write_vocab(out: TextIO, tokens: dict[str, int], blank: str, id_map: dict[int, int]) -> None:
+    """Write the vocabulary file of `tokens` and `blank` to `out`, an output that
+    `io.replacing` opened, with `clean_vocab`'s old-id -> new-id map `id_map`."""
+    out.write(io.dump_json({"tokens": tokens, "blank": blank,
+                            "id_map": {str(k): v for k, v in id_map.items()}}))
 
 
 def _check_blank(tokens: dict[str, int], blank: str) -> None:

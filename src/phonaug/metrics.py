@@ -188,12 +188,6 @@ def classify_all(instances: Iterable[EvalInstance], inventory: Inventory | None 
 # `_row` reads one table row off any set of cells, in one pass.
 
 
-def _voicing_correct(realization: Realization, voicing_lead: bool) -> bool:
-    """Predicted voicing agrees with the VOT sign (vot_ms < 0 means voiced;
-    0 counts as voiceless)."""
-    return (realization is _VOICED) == voicing_lead
-
-
 def _defined(share: float | None, what: str) -> float:
     if share is None:
         raise EmptyDenominator(f"no non-Null {what}instances")
@@ -292,7 +286,8 @@ def _row(cells: Iterable[tuple[str, Realization, list]]) -> MetricsReport:
         voiced = phoneme in VOICED_PHONEMES
         (bdg if voiced else ptk)[realization] += cell[0] + cell[1]
         if voiced and realization is not Realization.NULL:
-            bdg_correct += cell[realization is Realization.VOICED]  # see _voicing_correct
+            # predicted voicing agrees with the VOT sign: vot_ms < 0 means voiced
+            bdg_correct += cell[realization is Realization.VOICED]
     n_null = bdg.pop(Realization.NULL, 0) + ptk.pop(Realization.NULL, 0)
     pool = bdg + ptk
     n = pool.total() + n_null
@@ -370,7 +365,7 @@ class Evaluation:
             cell[lead] += 1
             cell[2].append(vot)
             if realization is not _NULL and phoneme in VOICED_PHONEMES:
-                voicing[model][utt_id] = _voicing_correct(realization, lead)
+                voicing[model][utt_id] = (realization is _VOICED) == lead  # as in _row
 
     def row(self) -> MetricsReport:
         """One row over every instance, of all models together."""
@@ -402,6 +397,19 @@ class Evaluation:
                 a.append(flag)
                 b.append(other)
         return {"models": list(models), "n_pairs": len(a), "p_value": mcnemar_exact(a, b)}
+
+    def texts(self) -> tuple[str, str, str]:
+        """The three outputs of `evaluate`: the text table, with a McNemar line when
+        there are two models, the JSON report and the boxplot CSV."""
+        reports = self.report()
+        payload: dict = {"models": {m: {g: r.to_obj() for g, r in rows.items()}
+                                    for m, rows in reports.items()}}
+        text = format_report(reports)
+        if len(reports) == 2:
+            sig = payload["significance"] = self.significance(sorted(reports))
+            text += (f"McNemar exact (voicing, {sig['models'][0]} vs {sig['models'][1]}): "
+                     f"p = {sig['p_value']:.6g} on {sig['n_pairs']} pairs\n")
+        return text, io.dump_json(payload), boxplot_csv(self.boxplot_rows())
 
     def boxplot_rows(self) -> list[dict]:
         """Tukey boxplot stats of vot_ms per (model, PoA group, realization class).
@@ -490,8 +498,7 @@ def boxplot_rows(items: Iterable[Classified]) -> list[dict]:
 def boxplot_csv(rows: list[dict]) -> str:
     lines = ["group,class,min,q1,median,q3,max,outliers"]
     for r in rows:
-        group = f"{r['model']}/{r['group']}" if r.get("model") else r["group"]
         outliers = ";".join(f"{v:g}" for v in r["outliers"])
-        lines.append(f"{group},{r['class']},{r['min']:g},{r['q1']:g},"
+        lines.append(f"{r['model']}/{r['group']},{r['class']},{r['min']:g},{r['q1']:g},"
                      f"{r['median']:g},{r['q3']:g},{r['max']:g},{outliers}")
     return "\n".join(lines) + "\n"

@@ -5,8 +5,8 @@ models. Filler vowels are drawn from a set that never appears in the mapping
 table, so fixtures isolate plosive behavior. Generation is a pure function of
 the scenario spec: each utterance gets its own child RNG seeded from
 (seed, index), so utterances could be generated in parallel without changing
-the output. `utterances` yields them one at a time, so `phonaug synth` writes
-each as it is made and holds no more than one in memory.
+the output. `utterances` yields them one at a time, so `write`, which `phonaug
+synth` calls, writes each as it is made and holds no more than one in memory.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from __future__ import annotations
 import random
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterator, NamedTuple, get_type_hints
+from typing import Iterator, NamedTuple, TextIO, get_type_hints
 
 from . import io
-from .ctc import PhoneTrack, TimedPhone
+from .ctc import PhoneTrack, TimedPhone, track_line
 from .errors import PhonaugError, checked_make
 from .inventory import (
     ASPIRATED, BREATHY_VOICED, VOICED, Inventory, Phonation, phonation_of, with_phonation,
@@ -120,6 +120,17 @@ def utterances(spec: ScenarioSpec, inventory: Inventory | None = None,
             hm_phones.append(new(TimedPhone, (hm_phone, hm_start, hm_start + SPAN_FRAMES - 1)))
         yield (PhoneTrack(utt_id, "RM", rm_phones, 20.0),
                PhoneTrack(utt_id, "HM", hm_phones, 20.0), truths)
+
+
+def write(spec: ScenarioSpec, inventory: Inventory, rm_out: TextIO, hm_out: TextIO,
+          truth_out: TextIO | None) -> None:
+    """Write each utterance's RM track line, HM track line and, unless `truth_out` is
+    None, truth lines to the outputs that `io.replacing` opened, as it is made."""
+    for rm, hm, truths in utterances(spec, inventory):
+        rm_out.write(track_line(rm) + "\n")
+        hm_out.write(track_line(hm) + "\n")
+        if truth_out is not None:
+            io.write_lines(truth_out, truths, truth_line)
 
 
 def generate(spec: ScenarioSpec, inventory: Inventory | None = None,

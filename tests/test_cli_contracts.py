@@ -10,6 +10,8 @@ import errno
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -330,6 +332,24 @@ def test_an_extra_argument_is_a_usage_error(dirs, extra, message):
     i, o = dirs
     usage_error(invoke([a.format(i=i, o=o) for a in COMMANDS["decode"][0]] + extra), message)
     assert list(o.iterdir()) == []
+
+
+def test_stdout_closed_early_exits_1_quietly(dirs):
+    # as in `phonaug augment ... | head -c 0`: the reader of stdout, where the stats
+    # go without --stats-file, is gone before they are printed
+    i, o = dirs
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(phonaug_io.__file__).resolve().parents[1])
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "phonaug.cli", "augment", str(i / "rm.jsonl"),
+             str(i / "hm.jsonl"), str(o / "tm.jsonl")], stdout=write_end, stderr=subprocess.PIPE,
+            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, "")  # no Error: line, no traceback
+    assert (o / "tm.jsonl").is_file()  # the stats are printed once the TM file is in place
 
 
 PREPARE =[c for c in COMMANDS if c.startswith("prepare-")]

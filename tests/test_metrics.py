@@ -17,7 +17,7 @@ from phonaug import (
     classify_prediction, mcnemar_exact, null_pct, relative_change,
     ten_pct, voicing_acc,
 )
-from phonaug.errors import EmptyDenominator, ZeroBaseline
+from phonaug.errors import EmptyDenominator, PhonaugError, ZeroBaseline
 from phonaug.metrics import boxplot_rows, format_report, report
 
 INV = Inventory.default()
@@ -211,6 +211,11 @@ def test_relative_change():
 def test_mcnemar_identical_vectors():
     flags = [True, False, True] * 10
     assert mcnemar_exact(flags, flags) == 1.0
+
+
+def test_mcnemar_refuses_vectors_of_unequal_length():
+    with pytest.raises(PhonaugError, match="paired outcome vectors must have equal length"):
+        mcnemar_exact([True, False], [True])
 
 
 def test_mcnemar_one_sided_discordance():

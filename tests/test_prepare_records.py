@@ -1,7 +1,8 @@
 """`prepare` writes each manifest line back as it read it: every key, those that
 no command reads too, with only the field the command owns set. And
 `clean-vocab` cleans the vocabulary file's own {token: id} map as the
-positional algorithm it replaced did, byte for byte."""
+positional algorithm it replaced did, byte for byte. A line that holds a NaN or an
+infinity, at any depth, fails every command that reads a manifest."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import tempfile
 import unicodedata
 from pathlib import Path
 
+import pytest
 from clirun import invoke
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,3 +154,31 @@ def test_clean_vocab_writes_what_the_positional_algorithm_wrote(ids, blank, remo
         else:
             assert result.exit_code == 0, result.output
             assert out.read_text(encoding="utf-8") == expected
+
+
+# json reads NaN, Infinity and -Infinity, and 1e999 as infinity; no JSON output holds them
+NON_FINITE = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf", "1e999": "inf"}
+# where the value sits in the line: (the JSON of key "x", the field path the error names)
+PLACES = {"top": ("{v}", "x"), "list": ('[1, {v}]', "x[1]"), "object": ('{{"y": {v}}}', "x.y")}
+READERS = {**COMMANDS, "clean-vocab": (["clean-vocab", "{o}/vocab.json", "{m}",
+                                        "{o}/vocab_out.json"], ["vocab_out.json"])}
+
+
+@pytest.mark.parametrize("place", PLACES)
+@pytest.mark.parametrize("token", NON_FINITE)
+@pytest.mark.parametrize("command", READERS)
+def test_prepare_refuses_a_non_finite_number_anywhere_in_a_line(tmp_path, command, token, place):
+    template, field = PLACES[place]
+    good = manifest([("b", 0, "ta", True, {})] * 6)
+    m = tmp_path / "manifest.jsonl"
+    m.write_text("".join(dump_line(r) + "\n" for r in good)
+                 + '{"utt_id": "u6", "x": ' + template.format(v=token) + "}\n", encoding="utf-8")
+    (tmp_path / "remap.json").write_text('{"remap": {"Q": "k"}}', encoding="utf-8")
+    (tmp_path / "vocab.json").write_text('{"tokens": {"_": 0, "t": 1}}', encoding="utf-8")
+    inputs = sorted(tmp_path.iterdir())
+    args, _ = READERS[command]
+    result = invoke(["prepare", *(a.format(m=m, o=tmp_path) for a in args)])
+    assert result.exit_code == 1
+    assert result.stderr == (f"Error: {m}: utterance 'u6': field {field!r} is not a finite "
+                             f"number: {NON_FINITE[token]}\n")
+    assert sorted(tmp_path.iterdir()) == inputs  # no output, no temporary file
