@@ -3,7 +3,7 @@
 The inventory ships as a JSON data file (see data/inventory.json) so new
 languages can extend it without touching code. All functions are pure. An
 Inventory's symbol tables never change after loading; its only mutable state is
-the tokenizer's patterns, compiled on first use, and memo tables (one shared
+its patterns, each built on first use, and memo tables (one shared
 Phone per (base, diacritics), per single-phone symbol and per phonation
 rewrite) whose contents never change a result. A Phone carries its place, its
 manner and its phonation, one of the four shared Phonation constants.
@@ -126,17 +126,21 @@ class Inventory:
             self.voicing_pairs[voiceless] = voiced
             self.voicing_pairs[voiced] = voiceless
 
+        # a phone's code points are its base's, its tie bar's and its diacritics':
+        # deleting the diacritics leaves its base, deleting the rest its diacritics
+        self._bare = str.maketrans("", "", "".join(self.diacritics))
+        self._marks = str.maketrans("", "", "".join({*"".join(self.base_features), *TIE_BARS}))
+
         # memo tables, filled on first use
         self._phones: dict[tuple[str, tuple[str, ...]], Phone] = {}
         self._by_symbol: dict[str, Phone] = {}  # also keyed by each matched phone's NFD text
         self._rephonated: dict[tuple[str, tuple[str, ...], bool, bool], Phone] = {}
 
     @cached_property
-    def _grammar(self) -> tuple[re.Pattern, re.Pattern]:
-        """The patterns of a phone and of a text (phones and whitespace). A
-        phone is B Dn* (S Dn* (T B Dn*)? | T B Dn* (S Dn*)?)?: a base B, the
-        longest first; diacritics Dn other than ʰ/ʱ; at most one ʰ/ʱ (S); at
-        most one tie bar T, joining a second base."""
+    def _phone_pattern(self) -> str:
+        """The pattern of a phone, B Dn* (S Dn* (T B Dn*)? | T B Dn* (S Dn*)?)?: a
+        base B, the longest first; diacritics Dn other than ʰ/ʱ; at most one ʰ/ʱ
+        (S); at most one tie bar T, joining a second base."""
         def one_of(chars) -> str:
             return "[" + "".join(map(re.escape, sorted(chars))) + "]" if chars else "(?!)"
 
@@ -146,22 +150,29 @@ class Inventory:
         dn = one_of([d for d, role in self.diacritics.items() if role not in SPREAD]) + "*"
         s = one_of([d for d, role in self.diacritics.items() if role in SPREAD])
         t = one_of(TIE_BARS)
-        phone = f"{base}{dn}(?:{s}{dn}(?:{t}{base}{dn})?|{t}{base}{dn}(?:{s}{dn})?)?"
+        return f"{base}{dn}(?:{s}{dn}(?:{t}{base}{dn})?|{t}{base}{dn}(?:{s}{dn})?)?"
+
+    @cached_property
+    def _grammar(self) -> tuple[re.Pattern, re.Pattern]:
+        """The patterns of a phone and of a text (phones and whitespace), which
+        tokenize_ipa compiles on its first call."""
+        phone = self._phone_pattern
         return re.compile(phone), re.compile(rf"(?:\s*(?:{phone}))*\s*")
 
     @cached_property
     def head_pattern(self) -> re.Pattern:
         """The text pattern of `_grammar` that also captures the first two
         phones, as tokenize_ipa segments them: one fullmatch checks a text and
-        finds its head."""
-        phone = self._grammar[0].pattern
+        finds its head. It compiles neither pattern of `_grammar`."""
+        phone = self._phone_pattern
         return re.compile(rf"\s*(?:({phone})(?:\s*({phone})(?:\s*(?:{phone}))*)?)?\s*")
 
     def _spelled(self, text: str) -> Phone:
-        """The shared Phone of one phone match, memoised by its NFD text."""
-        diacritics = tuple(ch for ch in text if ch in self.diacritics)
-        base = "".join(ch for ch in text if ch not in self.diacritics)
-        phone = self._by_symbol[text] = self.make_phone(base, diacritics)
+        """The shared Phone of one match of the phone pattern, memoised by its NFD
+        text. The match holds only base, tie-bar and diacritic code points, so one
+        `str.translate` leaves its base and another its diacritics, in order."""
+        phone = self._by_symbol[text] = self.make_phone(
+            text.translate(self._bare), tuple(text.translate(self._marks)))
         return phone
 
     @classmethod
@@ -206,9 +217,10 @@ class Inventory:
         key = (base, diacritics)
         phone = self._phones.get(key)
         if phone is None:
-            phone = self._phones[key] = Phone(
+            # tuple's __new__ builds what Phone's does, without its Python frame
+            phone = self._phones[key] = tuple.__new__(Phone, (
                 base, diacritics, *self.features_of(base, diacritics),
-                unicodedata.normalize("NFC", base + "".join(diacritics)))
+                unicodedata.normalize("NFC", base + "".join(diacritics))))
         return phone
 
     def phone(self, symbol: str) -> Phone:

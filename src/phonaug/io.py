@@ -2,19 +2,20 @@
 
 All corpus files are JSONL, read one record at a time; each non-blank line,
 stripped of whitespace, is one JSON object, parsed as json.loads parses it.
-A line that is not UTF-8 fails with its file and line number.
+A line that is not UTF-8, or that nests too deeply for json to read, fails with
+its file and line number.
 `augment` and `prefilter-aspiration` hold one RM and one HM track at a time, so
 they process corpora larger than memory in constant space (apart from the
 utt_ids they report). `evaluate` reads, checks, classifies and tallies each line
-in one loop (`metrics.Evaluation.read`), builds no record of a line that passes
-its checks, and keeps no instance. It reads the head of each distinct onset
-once, its first phone and the base of its second, by one regex match that builds
-no other phone. What grows with its input is one vot_ms per instance, one head
-per distinct onset, and one entry per instance in `metrics.Evaluation`'s
-per-model dict from utt_id to voicing flag (or None), which serves both the
-duplicate check and the paired test. `synth` makes and writes one utterance at
-a time, so nothing of it grows with n_utterances. `decode` holds its input in
-memory so that it can sort it.
+in one loop (`metrics.Evaluation.read`), tests each field inline, builds no record
+of a line that passes, and keeps no instance. It reads the head of each distinct
+onset once, its first phone and the base of its second, by one regex match that
+runs no tokenizer: a phone it captures comes from the inventory's memo. What
+grows with its input is one vot_ms per instance, one head per distinct onset,
+and one entry per instance in `metrics.Evaluation`'s per-model dict from utt_id
+to voicing flag (or None), which serves both the duplicate check and the paired
+test. `synth` makes and writes one utterance at a time, so nothing of it grows
+with n_utterances. `decode` holds its input in memory so that it can sort it.
 A string that escapes a lone surrogate ("\\ud800") fails at read with its file
 and line, since no UTF-8 output can hold it.
 Writers emit deterministic bytes (sorted keys, no trailing spaces) so re-runs
@@ -89,6 +90,9 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
                         raise json.JSONDecodeError("Extra data", line, end)
                 except json.JSONDecodeError as e:
                     raise MalformedLine(str(path), lineno, f"invalid JSON ({e.msg})") from e
+                except RecursionError:  # json reads one nesting level per stack frame
+                    raise MalformedLine(str(path), lineno,
+                                        "invalid JSON (nested too deeply)") from None
                 if not isinstance(obj, dict):
                     raise MalformedLine(str(path), lineno, "expected a JSON object")
                 # a search for one character: on non-ASCII text it runs several times
@@ -263,6 +267,8 @@ def read_json(path: str | Path, from_obj: Callable[[dict], T], schema: dict) -> 
         raise MalformedLine(str(path), data.count(b"\n", 0, e.start) + 1, "not UTF-8") from None
     except json.JSONDecodeError as e:
         raise MalformedLine(str(path), e.lineno, f"invalid JSON ({e.msg})") from None
+    except RecursionError:  # the document as a whole: it starts at line 1
+        raise MalformedLine(str(path), 1, "invalid JSON (nested too deeply)") from None
     if not isinstance(obj, dict):
         raise PhonaugError(f"{path}: expected a JSON object")
     if "\\" in text:

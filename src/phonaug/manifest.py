@@ -36,10 +36,17 @@ SEGMENT_FIELDS = {"utt_id": io.STRING, "language": _TEXT, "sentence": _TEXT,
                   "split_tag": _TEXT, "analyzable": io.Optional(io.BOOLEAN), "phoneme": _TEXT}
 
 
+# The deepest a manifest line may nest lists and objects, its own object counted:
+# Python's json reads and writes one level per stack frame and raises RecursionError
+# at about 1000 frames, and so does `_finite`, so a line that nests deeper than this
+# might be read and then fail as it is written back.
+_MAX_DEPTH = 500
+
+
 def read_records(path: str | Path) -> list[dict]:
     """The objects of a manifest's lines in file order, each utt_id once (a split
-    or a sample must not hold one utterance twice) and each number finite, at any
-    depth (see `_finite`)."""
+    or a sample must not hold one utterance twice), each number finite and no value
+    nested deeper than _MAX_DEPTH (see `_finite`)."""
     records = list(io.parse_records(path, _finite, SEGMENT_FIELDS))
     seen: set[str] = set()
     for record in records:
@@ -49,15 +56,21 @@ def read_records(path: str | Path) -> list[dict]:
     return records
 
 
-def _finite(value: Any, path: str = "") -> Any:
-    """`value`, the value at `path` in a record, once it holds no NaN or infinity at
-    any depth: json reads the tokens NaN and Infinity, and 1e999 as infinity, but
+def _finite(value: Any, path: str = "", depth: int = 1, field: str | None = None) -> Any:
+    """`value`, the value at `path` in a record, `depth` lists and objects deep in its
+    top-level `field`, once it holds no NaN or infinity and nests no deeper than
+    _MAX_DEPTH: json reads the tokens NaN and Infinity, and 1e999 as infinity, but
     `prepare` writes a record back as it read it, and no JSON output holds them."""
     kind = type(value)
     if kind is float and not math.isfinite(value):
         raise io.FieldError(f"field {path[1:]!r} is not a finite number: {value!r}")
-    for key, v in value.items() if kind is dict else enumerate(value) if kind is list else ():
-        _finite(v, f"{path}.{key}" if kind is dict else f"{path}[{key}]")
+    if kind is dict or kind is list:
+        if depth > _MAX_DEPTH:
+            raise io.FieldError(f"field {field!r} nests lists and objects more than "
+                                f"{_MAX_DEPTH} levels deep")
+        for key, v in value.items() if kind is dict else enumerate(value):
+            _finite(v, f"{path}.{key}" if kind is dict else f"{path}[{key}]", depth + 1,
+                    key if field is None else field)
     return value
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 import unicodedata
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from contextlib import closing
 from pathlib import Path
@@ -129,12 +130,15 @@ _Head = tuple[Phone, str | None] | None
 def _onset_head(onset: str, inv: Inventory) -> _Head:
     """The head of tokenize_ipa(onset), or None where it raises or finds no
     phone, read by one fullmatch: no Phone is built for the phones after the
-    second."""
+    second. Each group the match captures is one phone's NFD text, so its Phone
+    comes from the inventory's memo, as in tokenize_ipa, with no second parse."""
     m = inv.head_pattern.fullmatch(unicodedata.normalize("NFD", onset))
     if m is None or m[1] is None:
         return None
     first, second = m.groups()
-    return inv.phone(first), None if second is None else inv.phone(second).base
+    memo = inv._by_symbol
+    head = memo.get(first) or inv._spelled(first)
+    return head, None if second is None else (memo.get(second) or inv._spelled(second)).base
 
 
 def _realize(head: _Head, target_phoneme: str, cfg: ClassifierConfig) -> Realization:
@@ -329,16 +333,18 @@ class Evaluation:
         io.parse_records(path, EvalInstance.from_obj, INSTANCE_FIELDS) fails on it, but
         no EvalInstance is built for a line that passes. Each instance, kept or not,
         must first be its model's only one with its utt_id: see `significance`."""
-        check, isfinite, voicing, heads = io.check, math.isfinite, self._voicing, {}
+        isfinite, number, voicing, heads = math.isfinite, io.NUMBER, self._voicing, {}
         with closing(io.read_jsonl(path)) as objs:
             for n, obj in enumerate(objs, start=1):
+                # INSTANCE_FIELDS and EvalInstance's checks, inline: a phoneme of
+                # TARGET_PHONEMES and a tag of MODEL_TAGS are strings already
+                utt_id, phoneme, onset = obj.get("utt_id"), obj.get("phoneme"), obj.get("onset")
+                vot, model = obj.get("vot_ms"), obj.get("model", "OTHER")
                 try:
-                    check(obj, INSTANCE_FIELDS)
-                    utt_id, phoneme, onset = obj["utt_id"], obj["phoneme"], obj["onset"]
-                    vot, model = float(obj["vot_ms"]), obj.get("model", "OTHER")
-                    fault = (phoneme not in TARGET_PHONEMES or not isfinite(vot)
-                             or model not in MODEL_TAGS)
-                except (io.FieldError, OverflowError):
+                    fault = not (type(utt_id) is str and type(onset) is str
+                                 and type(vot) in number and isfinite(vot := float(vot))
+                                 and phoneme in TARGET_PHONEMES and model in MODEL_TAGS)
+                except OverflowError:  # an integer too large for a float
                     fault = True
                 if fault:  # parse_record raises it: a field's itself, any other by EvalInstance
                     utt_id, phoneme, vot, onset, model = io.parse_record(
@@ -419,15 +425,16 @@ class Evaluation:
         """
         rows = []
         for (model, group, cls), values in sorted(self._vots.items()):
-            q1, med, q3 = quartiles(values)
-            lo_fence = q1 - 1.5 * (q3 - q1)
-            hi_fence = q3 + 1.5 * (q3 - q1)
-            inside = [v for v in values if lo_fence <= v <= hi_fence]
-            outliers = sorted(v for v in values if v < lo_fence or v > hi_fence)
+            # one stable sort: equal values keep their arrival order, so where -0.0 and
+            # 0.0 tie, each end below is the zero that min() and max() would return
+            xs = sorted(values)
+            q1, med, q3 = _sorted_quartiles(xs)
+            lo = bisect_left(xs, q1 - 1.5 * (q3 - q1))
+            hi = bisect_right(xs, q3 + 1.5 * (q3 - q1))
             rows.append({
                 "model": model, "group": group, "class": cls,
-                "min": min(inside), "q1": float(q1), "median": float(med),
-                "q3": float(q3), "max": max(inside), "outliers": outliers,
+                "min": xs[lo], "q1": float(q1), "median": float(med), "q3": float(q3),
+                "max": xs[bisect_left(xs, xs[hi - 1], lo, hi)], "outliers": xs[:lo] + xs[hi:],
             })
         return rows
 
@@ -474,7 +481,11 @@ def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
     sign from a stable sort, while numpy's partition leaves equal values in no
     defined order.
     """
-    xs = sorted(values)
+    return _sorted_quartiles(sorted(values))
+
+
+def _sorted_quartiles(xs: list[float]) -> tuple[float, float, float]:
+    """quartiles of the values `xs`, sorted in ascending order."""
     n = len(xs)
     if n == 1:
         # numpy takes the last value with weight 1 here: x - 0.0 * 0.0 keeps -0.0

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phonaug
+import phonaug.inventory as inventory_module
 import phonaug.metrics as metrics_module
 from phonaug import (
     ClassifierConfig, Classified, EvalInstance, Inventory, Realization, asp_pct,
@@ -29,7 +30,7 @@ from phonaug import (
     voicing_acc,
 )
 from phonaug.errors import EmptyDenominator, PhonaugError
-from phonaug.io import MalformedLine, parse_records, read_jsonl
+from phonaug.io import DATA, MalformedLine, parse_records, read_jsonl
 from phonaug.metrics import (
     INSTANCE_FIELDS, POA_GROUP_OF, POA_GROUPS, VOICED_PHONEMES, VOICELESS_PHONEMES, Evaluation,
     MetricsReport, _realize, boxplot_csv, format_report, quartiles,
@@ -282,6 +283,27 @@ def test_evaluate_reads_each_distinct_onset_once(monkeypatch, tmp_path):
     assert sorted(calls) == sorted({"kʰa", "#", "ba"})
 
 
+def test_evaluate_reads_heads_without_the_tokenizer(monkeypatch, tmp_path):
+    calls = []
+    original = inventory_module.tokenize_ipa
+    monkeypatch.setattr(inventory_module, "tokenize_ipa",
+                        lambda *args: calls.append(args) or original(*args))
+    # a copy of the packaged inventory loads as a new Inventory, with no phone memoised
+    inventory = tmp_path / "inventory.json"
+    inventory.write_text(DATA.joinpath("inventory.json").read_text("utf-8"), encoding="utf-8")
+    path = tmp_path / "instances.jsonl"
+    path.write_text("".join(json.dumps({"utt_id": f"u{n}", "phoneme": p, "vot_ms": 5.0,
+                                        "onset": o, "model": model}) + "\n"
+                            for n, (p, o) in enumerate(REPEATED) for model in ("BM", "TM")),
+                    encoding="utf-8")
+    result = invoke(["evaluate", str(path), "--out-prefix", str(tmp_path / "rep"),
+                     "--inventory", str(inventory)])
+    assert result.exit_code == 0, result.output
+    assert calls == []
+    assert result.stdout == invoke(["evaluate", str(path), "--out-prefix",
+                                    str(tmp_path / "packaged")]).stdout
+
+
 def test_evaluate_builds_no_record_on_valid_input(monkeypatch, tmp_path):
     built = []
     original = EvalInstance.__new__
@@ -383,6 +405,31 @@ def oracle_boxplot_rows(items):
             "q3": float(q3), "max": max(inside), "outliers": outliers,
         })
     return rows
+
+
+# vot_ms pools for one boxplot bucket: few distinct values, so that whisker ends repeat;
+# zeros of both signs, which fall at the min, at the max, or on a fence (q1 = 3 and q3 =
+# 5 put the low fence at 0.0, q1 = -5 and q3 = -3 the high one); and outliers both sides
+BOX_POOLS = [[-0.0, 0.0, 1.0, 2.0], [-2.0, -1.0, -0.0, 0.0], [-0.0, 0.0, 3.0, 5.0, 40.0],
+             [-40.0, -5.0, -3.0, -0.0, 0.0], [-60.0, -0.0, 0.0, 0.5, 60.0], [-0.0, 0.0]]
+bucket_values = st.one_of(
+    st.sampled_from(BOX_POOLS).flatmap(lambda pool: st.lists(st.sampled_from(pool),
+                                                             min_size=1, max_size=40)),
+    st.builds(lambda v, n: [v] * n, st.sampled_from([-0.0, 0.0, 12.5]), st.integers(1, 4)),
+    st.lists(st.floats(-100, 100), min_size=1, max_size=40))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(bucket_values, min_size=1, max_size=4))
+@example([[-5.0, -0.0, 0.0]])
+@example([[0.0, -0.0, 3.0, 3.0, 5.0, 5.0]])
+def test_boxplot_rows_equal_the_two_pass_oracle(buckets):
+    # one bucket per value list: a (model, PoA group, realization) of its own
+    keys = [(m, p, r) for m in ("BM", "TM") for p in "bgt" for r in (Realization.VOICED, NULL)]
+    items = [Classified(EvalInstance(f"u{n}", phoneme, v, "k", model), realization)
+             for (model, phoneme, realization), values in zip(keys, buckets)
+             for n, v in enumerate(values)]
+    assert boxplot_csv(Evaluation(items).boxplot_rows()) == boxplot_csv(oracle_boxplot_rows(items))
 
 
 def oracle_outputs(objs, group):

@@ -221,3 +221,37 @@ def test_a_command_that_never_tokenizes_never_compiles():
     assert "_grammar" not in vars(inv)
     tokenize_ipa("t", inv)
     assert "_grammar" in vars(inv)
+
+
+# SMALL with a diacritic of every role that the packaged inventory gives one; its ç is
+# two NFD code points, c and U+0327
+EVERY_ROLE = Inventory({
+    "phones": [{"symbol": s, "place": place, "manner": manner, "voiced": voiced}
+               for s, (place, manner, voiced) in SMALL.base_features.items()],
+    "voicing_pairs": [["p", "b"], ["t", "d"]],
+    "diacritics": {**SMALL.diacritics, "̪": "dental", "̩": "syllabic",
+                   "̃": "nasalized", "ʲ": "other", "̚": "other"},
+})
+
+
+def code_point_split(text: str, inv: Inventory) -> tuple[str, tuple[str, ...]]:
+    """The base and diacritics of a phone's NFD text, split code point by code point."""
+    return ("".join(ch for ch in text if ch not in inv.diacritics),
+            tuple(ch for ch in text if ch in inv.diacritics))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_a_phone_match_splits_as_its_code_points_do(data):
+    assert set(EVERY_ROLE.diacritics.values()) >= set(INV.diacritics.values())
+    assert "ç" in EVERY_ROLE.base_features
+    text = unicodedata.normalize("NFD", data.draw(ipa_strings(EVERY_ROLE)))
+    for m in EVERY_ROLE._grammar[0].finditer(text):
+        phone = EVERY_ROLE._spelled(m[0])
+        assert (phone.base, phone.diacritics) == code_point_split(m[0], EVERY_ROLE)
+
+
+def test_the_head_pattern_compiles_no_tokenizer_pattern():
+    inv = Inventory(DEFAULT_RAW)
+    assert inv.head_pattern.fullmatch("tʰa")[1] == "tʰ"
+    assert "_grammar" not in vars(inv)
