@@ -74,7 +74,7 @@ class PhoneTrack(_TrackFields):
         if not utt_id:
             raise PhonaugError("utt_id must be non-empty")
         if model_tag not in MODEL_TAGS:
-            raise PhonaugError(f"{utt_id}: unknown model tag {model_tag!r}")
+            raise PhonaugError(f"{utt_id}: unknown model tag {io.shown(model_tag)}")
         check_frame_ms(utt_id, frame_ms)
         previous = 0
         for i, (_, start, end) in enumerate(phones):
@@ -120,7 +120,8 @@ def decode_track(path: FramePath, blank: str, inventory: Inventory | None = None
     ends: list[int] = []
     for label, start, end in greedy_collapse(path, blank):
         if type(label) is not str:
-            raise io.FieldError(f"field 'labels[{start}]' has the wrong type: {label!r}")
+            raise io.FieldError(
+                f"field 'labels[{start}]' has the wrong type: {io.shown(label)}")
         chars = unicodedata.normalize("NFD", label)
         pieces.append(chars)
         for ch in chars:
@@ -132,14 +133,13 @@ def decode_track(path: FramePath, blank: str, inventory: Inventory | None = None
     except PhonaugError as e:
         raise in_context(e, path.utt_id) from None
 
-    # runs are in frame order: a phone spans from its first code point's start
-    # to its last code point's end
+    # the phones hold exactly the code points that keep frames, in order, and runs
+    # are in frame order: a phone spans from its first code point's start to its
+    # last code point's end
     timed: list[TimedPhone] = []
     first = 0
     for phone in phones:
         last = first + len(phone.base) + len(phone.diacritics) - 1
-        if last >= len(ends):
-            raise PhonaugError(f"{path.utt_id}: run/phone bookkeeping mismatch")
         timed.append(TimedPhone(phone, starts[first], ends[last]))
         first = last + 1
     return PhoneTrack(path.utt_id, model_tag, timed, path.frame_ms)

@@ -41,8 +41,10 @@ class NotSinglePhone(PhonaugError):
     """A symbol that must spell exactly one phone spells none or several."""
 
     def __init__(self, symbol: str):
+        from .io import shown  # io imports this module
+
         self.symbol = symbol
-        super().__init__(f"{symbol!r} is not a single phone")
+        super().__init__(f"{shown(symbol)} is not a single phone")
 
 
 class NoVoicingCounterpart(PhonaugError):

@@ -3,9 +3,11 @@
 The inventory ships as a JSON data file (see data/inventory.json) so new
 languages can extend it without touching code. All functions are pure. An
 Inventory's symbol tables never change after loading; its only mutable state is
-its patterns, each built on first use, and memo tables (one shared
+its phone pattern, compiled on first use, and memo tables (one shared
 Phone per (base, diacritics), per single-phone symbol and per phonation
-rewrite) whose contents never change a result. A Phone carries its place, its
+rewrite) whose contents never change a result. Every IPA text is read with the
+phone pattern alone: a text is valid exactly when the phones it finds hold
+every code point that is not whitespace. A Phone carries its place, its
 manner and its phonation, one of the four shared Phonation constants.
 """
 
@@ -81,7 +83,7 @@ class Inventory:
 
     def __init__(self, raw: dict):
         # bases, diacritics, tie bars and whitespace share no code point, so the
-        # tokenizer's patterns need no lookahead and a phone splits into base
+        # phone pattern needs no lookahead and a phone splits into base
         # and diacritics code point by code point
         self.diacritics: dict[str, str] = {
             unicodedata.normalize("NFD", k): v for k, v in raw["diacritics"].items()
@@ -136,7 +138,7 @@ class Inventory:
         self._by_symbol: dict[str, Phone] = {}  # also keyed by each matched phone's NFD text
         self._rephonated: dict[tuple[str, tuple[str, ...], bool, bool], Phone] = {}
 
-    @cached_property
+    @property
     def _phone_pattern(self) -> str:
         """The pattern of a phone, B Dn* (S Dn* (T B Dn*)? | T B Dn* (S Dn*)?)?: a
         base B, the longest first; diacritics Dn other than ʰ/ʱ; at most one ʰ/ʱ
@@ -153,19 +155,11 @@ class Inventory:
         return f"{base}{dn}(?:{s}{dn}(?:{t}{base}{dn})?|{t}{base}{dn}(?:{s}{dn})?)?"
 
     @cached_property
-    def _grammar(self) -> tuple[re.Pattern, re.Pattern]:
-        """The patterns of a phone and of a text (phones and whitespace), which
-        tokenize_ipa compiles on its first call."""
-        phone = self._phone_pattern
-        return re.compile(phone), re.compile(rf"(?:\s*(?:{phone}))*\s*")
-
-    @cached_property
-    def head_pattern(self) -> re.Pattern:
-        """The text pattern of `_grammar` that also captures the first two
-        phones, as tokenize_ipa segments them: one fullmatch checks a text and
-        finds its head. It compiles neither pattern of `_grammar`."""
-        phone = self._phone_pattern
-        return re.compile(rf"\s*(?:({phone})(?:\s*({phone})(?:\s*(?:{phone}))*)?)?\s*")
+    def _phone_re(self) -> re.Pattern:
+        """The phone pattern, compiled on the first read of a text. Since no base
+        also reads as a shorter base followed by another, each phone it finds is
+        the only reading of its code points."""
+        return re.compile(self._phone_pattern)
 
     def _spelled(self, text: str) -> Phone:
         """The shared Phone of one match of the phone pattern, memoised by its NFD
@@ -234,6 +228,20 @@ class Inventory:
             phone = self._by_symbol[symbol] = phones[0]
         return phone
 
+    def head(self, text: str) -> tuple[Phone, str | None] | None:
+        """The first phone of tokenize_ipa(text) and the base of its second (None
+        when there is none), or None where it raises or finds no phone; only these
+        two phones are taken from the memo, or built."""
+        text = unicodedata.normalize("NFD", text)
+        found = self._phone_re.findall(text)
+        if not found or "".join(found) != "".join(text.split()):
+            return None
+        memo = self._by_symbol
+        first = memo.get(found[0]) or self._spelled(found[0])
+        if len(found) == 1:
+            return first, None
+        return first, (memo.get(found[1]) or self._spelled(found[1])).base
+
 
 def normalize_g(s: str) -> str:
     """Replace every Latin small g (U+0067) with script g (U+0261)."""
@@ -241,22 +249,23 @@ def normalize_g(s: str) -> str:
 
 
 def tokenize_ipa(s: str, inventory: Inventory | None = None) -> list[Phone]:
-    """Segment an IPA string into phones, by the grammar of Inventory._grammar
-    over NFD code points; whitespace splits phones. A fault (unknown code point,
+    """Segment an IPA string into the phones that Inventory._phone_re finds in its
+    NFD code points, which must hold all but whitespace. A fault (unknown code point,
     leading or doubled mark, chained tie bar) is a hard error, never skipped."""
     inv = inventory or Inventory.default()
     text = unicodedata.normalize("NFD", s)
-    phone_re, text_re = inv._grammar
-    if text_re.fullmatch(text) is None:
+    found = inv._phone_re.findall(text)
+    if "".join(found) != "".join(text.split()):
         raise _first_fault(text, inv)
     memo = inv._by_symbol
-    return [memo.get(p) or inv._spelled(p) for p in phone_re.findall(text)]
+    return [memo.get(p) or inv._spelled(p) for p in found]
 
 
 def _first_fault(text: str, inv: Inventory) -> PhonaugError:
-    """The error at the first offset that the text pattern does not consume."""
-    phone_re, text_re = inv._grammar
-    i = text_re.match(text).end()
+    """The error at the first code point, not whitespace, that no phone holds."""
+    phone_re = inv._phone_re
+    blanked = phone_re.sub(lambda m: " " * len(m[0]), text)
+    i = len(blanked) - len(blanked.lstrip())
     ch = text[i]
     if ch not in inv.diacritics and ch not in TIE_BARS:
         return UnknownSymbol(ch, i)

@@ -9,15 +9,18 @@ they process corpora larger than memory in constant space (apart from the
 utt_ids they report). `evaluate` reads, checks, classifies and tallies each line
 in one loop (`metrics.Evaluation.read`), tests each field inline, builds no record
 of a line that passes, and keeps no instance. It reads the head of each distinct
-onset once, its first phone and the base of its second, by one regex match that
-runs no tokenizer: a phone it captures comes from the inventory's memo. What
-grows with its input is one vot_ms per instance, one head per distinct onset,
-and one entry per instance in `metrics.Evaluation`'s per-model dict from utt_id
-to voicing flag (or None), which serves both the duplicate check and the paired
-test. `synth` makes and writes one utterance at a time, so nothing of it grows
-with n_utterances. `decode` holds its input in memory so that it can sort it.
+onset once, its first phone and the base of its second, by `Inventory.head`, which
+finds the onset's phones with the one phone pattern, as the tokenizer does, and
+takes only the first two from the inventory's memo. What grows with its input is
+one vot_ms per instance, one head per distinct onset, and one entry per instance
+in `metrics.Evaluation`'s per-model dict from utt_id to voicing flag (or None),
+which serves both the duplicate check and the paired test. `synth` makes and
+writes one utterance at a time, so nothing of it grows with n_utterances.
+`decode` holds its input in memory so that it can sort it.
 A string that escapes a lone surrogate ("\\ud800") fails at read with its file
 and line, since no UTF-8 output can hold it.
+An error message shows a rejected value by `shown`, its repr cut to a fixed
+length, so a huge value still fails with one short `Error:` line.
 Writers emit deterministic bytes (sorted keys, no trailing spaces) so re-runs
 are byte-identical. `dump_line` gives the line of a JSON object, and
 `write_lines` writes lines to an open output; track lines are formatted by
@@ -136,7 +139,7 @@ def _refuse_lone_surrogates(path: str | Path, text: str, lineno: int = 1) -> Non
                 value.encode("utf-8")
             except UnicodeEncodeError:
                 raise MalformedLine(str(path), lineno + text.count("\n", 0, m.start()),
-                                    f"string {value!r} holds a lone surrogate") from None
+                                    f"string {shown(value)} holds a lone surrogate") from None
 
 
 T = TypeVar("T")
@@ -172,6 +175,17 @@ class FieldError(PhonaugError):
     """A field of a record or config object is missing or cannot be read."""
 
 
+# the most characters of a rejected value's repr that an error message holds
+SHOWN_CHARS = 60
+
+
+def shown(value: Any) -> str:
+    """The repr of a rejected input value, for an error message, cut to SHOWN_CHARS
+    characters and "..." when longer: a value read from a file may be of any size."""
+    text = repr(value)
+    return text if len(text) <= SHOWN_CHARS else text[:SHOWN_CHARS] + "..."
+
+
 def check(obj: dict, schema: dict, closed: bool = False) -> None:
     """Raise FieldError naming the field by its path (`phones[0].start`) unless `obj` fits,
     and, if `closed`, unless its schema names every key; a type fault anywhere comes first."""
@@ -187,7 +201,7 @@ def check(obj: dict, schema: dict, closed: bool = False) -> None:
         path, value = fault[0][1:], fault[1]  # the path without its leading "."
         raise FieldError(f"missing field {path!r}" if value is _ABSENT else
                          f"unknown field {path!r}" if value is _UNKNOWN else
-                         f"field {path!r} has the wrong type: {value!r}")
+                         f"field {path!r} has the wrong type: {shown(value)}")
 
 
 def _fault(value: Any, kind: Any, closed: bool = False) -> tuple[str, Any] | None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-import unicodedata
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from contextlib import closing
@@ -31,6 +30,10 @@ from .io import (
 # the fields of an instance line
 INSTANCE_FIELDS = {"utt_id": io.STRING, "phoneme": io.STRING, "vot_ms": io.NUMBER,
                    "onset": io.STRING, "model": io.Optional(io.STRING)}
+# No VOT lasts 1000 s. Below this bound on |vot_ms| every quartile, fence and
+# whisker of a boxplot is finite; NaN, which compares false with everything, and
+# infinity fail it too.
+MAX_ABS_VOT_MS = 1e6
 
 
 class Realization(enum.Enum):
@@ -63,9 +66,10 @@ class _InstanceFields(NamedTuple):
 
 class EvalInstance(_InstanceFields):
     """One instance line, checked when it is built: a target phoneme of
-    TARGET_PHONEMES, a finite vot_ms and a model tag of MODEL_TAGS. An immutable
-    tuple record: `evaluate` builds one only for a line that fails these checks,
-    so that it raises their message (see `Evaluation.read`)."""
+    TARGET_PHONEMES, a vot_ms of magnitude under MAX_ABS_VOT_MS and a model tag of
+    MODEL_TAGS. An immutable tuple record: `evaluate` builds one only for a line
+    that fails these checks, so that it raises their message (see
+    `Evaluation.read`)."""
 
     __slots__ = ()
     _make = classmethod(checked_make)
@@ -74,14 +78,13 @@ class EvalInstance(_InstanceFields):
                 model_tag: str = "OTHER") -> "EvalInstance":
         if target_phoneme not in TARGET_PHONEMES:
             raise PhonaugError(f"{utt_id}: target phoneme must be one of {TARGET_PHONEMES}, "
-                               f"got {target_phoneme!r}")
-        if not math.isfinite(vot_ms):
-            # NaN compares false with everything: it would score as voiceless
-            # and leave the boxplot quartiles undefined
-            raise PhonaugError(f"{utt_id}: vot_ms must be finite, got {vot_ms!r}")
+                               f"got {io.shown(target_phoneme)}")
+        if not -MAX_ABS_VOT_MS < vot_ms < MAX_ABS_VOT_MS:
+            raise PhonaugError(f"{utt_id}: vot_ms must be finite and under {MAX_ABS_VOT_MS:.0f} "
+                               f"ms in magnitude, got {io.shown(vot_ms)}")
         if model_tag not in MODEL_TAGS:
             # a mistyped tag would be reported as a model of its own
-            raise PhonaugError(f"{utt_id}: unknown model tag {model_tag!r}")
+            raise PhonaugError(f"{utt_id}: unknown model tag {io.shown(model_tag)}")
         return tuple.__new__(cls, (utt_id, target_phoneme, vot_ms, predicted_onset, model_tag))
 
     @classmethod
@@ -121,28 +124,10 @@ class ClassifierConfig(NamedTuple):
         return cls.load(io.DATA / "continuants.json")
 
 
-# The part of a tokenized onset that decides its realization: the first phone
-# and the base of the second (None when there is none), or None when the onset
-# does not tokenize or is empty.
-_Head = tuple[Phone, str | None] | None
-
-
-def _onset_head(onset: str, inv: Inventory) -> _Head:
-    """The head of tokenize_ipa(onset), or None where it raises or finds no
-    phone, read by one fullmatch: no Phone is built for the phones after the
-    second. Each group the match captures is one phone's NFD text, so its Phone
-    comes from the inventory's memo, as in tokenize_ipa, with no second parse."""
-    m = inv.head_pattern.fullmatch(unicodedata.normalize("NFD", onset))
-    if m is None or m[1] is None:
-        return None
-    first, second = m.groups()
-    memo = inv._by_symbol
-    head = memo.get(first) or inv._spelled(first)
-    return head, None if second is None else (memo.get(second) or inv._spelled(second)).base
-
-
-def _realize(head: _Head, target_phoneme: str, cfg: ClassifierConfig) -> Realization:
-    """The realization class of an onset head for one target phoneme."""
+def _realize(head: tuple[Phone, str | None] | None, target_phoneme: str,
+             cfg: ClassifierConfig) -> Realization:
+    """The realization class of an onset head, as `Inventory.head` reads it, for one
+    target phoneme: None (no phone) is Null."""
     if head is None:
         return _NULL
     first, next_base = head
@@ -167,7 +152,7 @@ def classify_prediction(inst: EvalInstance, inventory: Inventory | None = None,
     """Assign exactly one realization class to a predicted onset."""
     inv = inventory or Inventory.default()
     cfg = config or ClassifierConfig.default()
-    return _realize(_onset_head(inst.predicted_onset, inv), inst.target_phoneme, cfg)
+    return _realize(inv.head(inst.predicted_onset), inst.target_phoneme, cfg)
 
 
 def classify_all(instances: Iterable[EvalInstance], inventory: Inventory | None = None,
@@ -175,12 +160,12 @@ def classify_all(instances: Iterable[EvalInstance], inventory: Inventory | None 
     """classify_prediction over many instances, reading each distinct onset once."""
     inv = inventory or Inventory.default()
     cfg = config or ClassifierConfig.default()
-    heads: dict[str, _Head] = {}
+    heads = {}
     out = []
     for i in instances:
         onset = i.predicted_onset
         if onset not in heads:
-            heads[onset] = _onset_head(onset, inv)
+            heads[onset] = inv.head(onset)
         out.append(Classified(i, _realize(heads[onset], i.target_phoneme, cfg)))
     return out
 
@@ -333,7 +318,8 @@ class Evaluation:
         io.parse_records(path, EvalInstance.from_obj, INSTANCE_FIELDS) fails on it, but
         no EvalInstance is built for a line that passes. Each instance, kept or not,
         must first be its model's only one with its utt_id: see `significance`."""
-        isfinite, number, voicing, heads = math.isfinite, io.NUMBER, self._voicing, {}
+        number, limit, voicing, heads = io.NUMBER, MAX_ABS_VOT_MS, self._voicing, {}
+        head = inventory.head
         with closing(io.read_jsonl(path)) as objs:
             for n, obj in enumerate(objs, start=1):
                 # INSTANCE_FIELDS and EvalInstance's checks, inline: a phoneme of
@@ -342,7 +328,7 @@ class Evaluation:
                 vot, model = obj.get("vot_ms"), obj.get("model", "OTHER")
                 try:
                     fault = not (type(utt_id) is str and type(onset) is str
-                                 and type(vot) in number and isfinite(vot := float(vot))
+                                 and type(vot) in number and -limit < (vot := float(vot)) < limit
                                  and phoneme in TARGET_PHONEMES and model in MODEL_TAGS)
                 except OverflowError:  # an integer too large for a float
                     fault = True
@@ -356,7 +342,7 @@ class Evaluation:
                 if group is not None and POA_GROUP_OF[phoneme] != group:
                     continue
                 if onset not in heads:
-                    heads[onset] = _onset_head(onset, inventory)
+                    heads[onset] = head(onset)
                 yield model, utt_id, phoneme, vot, _realize(heads[onset], phoneme, config)
 
     def update(self, rows: Iterable[tuple[str, str, str, float, Realization]]) -> None:

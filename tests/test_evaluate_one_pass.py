@@ -1,7 +1,7 @@
 """The one-pass evaluate path against list-based and numpy references: tallied
 metrics, per-onset classification memo, plain-Python quartiles, the paired
 significance predicate, the streamed command's outputs, the JSONL line parser,
-the finite-VOT input contract, and each fault of an instance line, which the
+the VOT bound of the input contract, and each fault of an instance line, which the
 one-pass reader reports as parse_records of EvalInstance does."""
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 import phonaug
 import phonaug.inventory as inventory_module
-import phonaug.metrics as metrics_module
 from phonaug import (
     ClassifierConfig, Classified, EvalInstance, Inventory, Realization, asp_pct,
     classify_all, classify_prediction, mcnemar_exact, null_pct, report, ten_pct, tokenize_ipa,
@@ -236,7 +235,7 @@ def oracle_head(onset):
 @example(" \t")
 @example("t͡sʰ͡x")
 def test_onset_head_equals_tokenizer_head(onset):
-    assert metrics_module._onset_head(onset, INV) == oracle_head(onset)
+    assert INV.head(onset) == oracle_head(onset)
 
 
 @settings(max_examples=300, deadline=None)
@@ -250,13 +249,13 @@ def test_classify_all_equals_per_instance_classification(pairs):
 def counting_heads(monkeypatch) -> list[str]:
     """The onsets that metrics reads heads of from now on, one entry per read."""
     calls = []
-    original = metrics_module._onset_head
+    original = Inventory.head
 
-    def counting(onset, inv):
+    def counting(inv, onset):
         calls.append(onset)
-        return original(onset, inv)
+        return original(inv, onset)
 
-    monkeypatch.setattr(metrics_module, "_onset_head", counting)
+    monkeypatch.setattr(Inventory, "head", counting)
     return calls
 
 
@@ -540,17 +539,20 @@ def test_read_jsonl_equals_json_loads_of_stripped_line(line):
                    else f"{path}:1: expected a JSON object")
 
 
-# -- finite VOT contract ---------------------------------------------------------
+# -- VOT bound contract ----------------------------------------------------------
 
 
-@given(st.text(min_size=1, max_size=12), st.sampled_from(PHONEMES), st.floats())
-def test_eval_instance_accepts_exactly_finite_vot(utt_id, phoneme, vot):
-    if math.isfinite(vot):
+@given(st.text(min_size=1, max_size=12), st.sampled_from(PHONEMES),
+       st.one_of(st.floats(), st.sampled_from([1e6, -1e6, math.nextafter(1e6, 0),
+                                               math.nextafter(-1e6, 0)])))
+def test_eval_instance_accepts_exactly_vot_under_a_million_ms(utt_id, phoneme, vot):
+    if math.isfinite(vot) and abs(vot) < 1e6:
         assert EvalInstance(utt_id, phoneme, vot, "k").vot_ms == vot
         return
     with pytest.raises(PhonaugError) as err:
         EvalInstance(utt_id, phoneme, vot, "k")
-    assert str(err.value).startswith(f"{utt_id}: ")
+    assert str(err.value) == (f"{utt_id}: vot_ms must be finite and under 1000000 ms in "
+                              f"magnitude, got {vot!r}")
 
 
 @pytest.mark.parametrize("model", ["tm", "", "BM ", "RM\u0301"])
@@ -596,6 +598,7 @@ FAULTS = [
     lambda obj, draw: obj.update(vot_ms=True),
     lambda obj, draw: obj.update(vot_ms=draw(st.sampled_from([1, -1])) * 10 ** 399),  # 400 digits
     lambda obj, draw: obj.update(vot_ms=draw(st.sampled_from([math.nan, math.inf, -math.inf]))),
+    lambda obj, draw: obj.update(vot_ms=draw(st.sampled_from([1e6, -1e6, 10 ** 6, 1e308]))),
     lambda obj, draw: obj.update(phoneme=draw(st.sampled_from(["x", "B", "ph", "", "ɡ"]))),
     lambda obj, draw: obj.update(model=draw(st.sampled_from(["tm", "", "BM "]))),
 ]

@@ -82,7 +82,7 @@ def test_every_field_takes_only_its_json_types(where, value):
             where = f"utterance {record['utt_id']!r}" if field != "utt_id" else "record 1"
             assert result.exit_code == 1
             assert result.output == (f"Error: {source}: {where}: field {path!r} has the "
-                                     f"wrong type: {value!r}\n")
+                                     f"wrong type: {io.shown(value)}\n")
             assert sorted(p.name for p in Path(d).iterdir()) == ["in.jsonl"]
         elif result.exit_code == 1:  # a value check: one line naming the utterance
             assert result.output.startswith(f"Error: {source}: ")

@@ -1,10 +1,12 @@
 """The compiled tokenizer against the code-point scan it replaced, the
-inventory checks its patterns rely on, and inputs long enough to expose
-backtracking."""
+inventory checks its pattern relies on, inputs long enough to expose
+backtracking, and the coverage rule against the text and head grammars it
+replaced."""
 
 from __future__ import annotations
 
 import json
+import re
 import unicodedata
 from importlib import resources
 
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from phonaug import Inventory, tokenize_ipa
 from phonaug.errors import OrphanDiacritic, PhonaugError, UnknownSymbol
-from phonaug.inventory import TIE_BARS
+from phonaug.inventory import SPREAD, TIE_BARS
 
 DEFAULT_RAW = json.loads(
     resources.files("phonaug.data").joinpath("inventory.json").read_text("utf-8"))
@@ -218,9 +220,9 @@ def test_inventory_accepts_a_base_whose_rest_starts_no_base():
 def test_a_command_that_never_tokenizes_never_compiles():
     inv = Inventory(DEFAULT_RAW)
     inv.make_phone("t", ("ʰ",))
-    assert "_grammar" not in vars(inv)
+    assert "_phone_re" not in vars(inv)
     tokenize_ipa("t", inv)
-    assert "_grammar" in vars(inv)
+    assert "_phone_re" in vars(inv)
 
 
 # SMALL with a diacritic of every role that the packaged inventory gives one; its ç is
@@ -246,12 +248,110 @@ def test_a_phone_match_splits_as_its_code_points_do(data):
     assert set(EVERY_ROLE.diacritics.values()) >= set(INV.diacritics.values())
     assert "ç" in EVERY_ROLE.base_features
     text = unicodedata.normalize("NFD", data.draw(ipa_strings(EVERY_ROLE)))
-    for m in EVERY_ROLE._grammar[0].finditer(text):
+    for m in EVERY_ROLE._phone_re.finditer(text):
         phone = EVERY_ROLE._spelled(m[0])
         assert (phone.base, phone.diacritics) == code_point_split(m[0], EVERY_ROLE)
 
 
-def test_the_head_pattern_compiles_no_tokenizer_pattern():
+def test_the_head_and_the_tokenizer_compile_one_pattern():
     inv = Inventory(DEFAULT_RAW)
-    assert inv.head_pattern.fullmatch("tʰa")[1] == "tʰ"
-    assert "_grammar" not in vars(inv)
+    assert inv.head("tʰa") == (inv.make_phone("t", ("ʰ",)), "a")
+    compiled = vars(inv)["_phone_re"]
+    tokenize_ipa("tʰa", inv)
+    assert vars(inv)["_phone_re"] is compiled
+    assert [name for name, value in vars(inv).items() if isinstance(value, re.Pattern)] == [
+        "_phone_re"]
+
+
+# -- the coverage rule against the text and head grammars it replaced -----------
+
+
+class GrammarOracle:
+    """The readings of a text by the grammars that tokenize_ipa and the onset head
+    read with before the coverage rule: a text pattern, (?:\\s*P)*\\s*, and a head
+    pattern that also captures its first two phones, both built on the phone
+    pattern P; and the fault at the end of the longest prefix of phones and
+    whitespace that the text pattern reads."""
+
+    def __init__(self, inv: Inventory):
+        phone = inv._phone_pattern
+        self.inv = inv
+        self.phone = re.compile(phone)
+        self.text = re.compile(rf"(?:\s*(?:{phone}))*\s*")
+        self.head = re.compile(rf"\s*(?:({phone})(?:\s*({phone})(?:\s*(?:{phone}))*)?)?\s*")
+
+    def tokenize(self, s: str):
+        """The phones, or the fault's class and message."""
+        text = unicodedata.normalize("NFD", s)
+        if self.text.fullmatch(text) is not None:
+            return [self.inv.make_phone(*code_point_split(m, self.inv))
+                    for m in self.phone.findall(text)]
+        i = self.text.match(text).end()
+        ch = text[i]
+        if ch not in self.inv.diacritics and ch not in TIE_BARS:
+            error = UnknownSymbol(ch, i)
+        elif i == 0 or text[i - 1].isspace():
+            error = OrphanDiacritic(ch, i)
+        elif ch not in TIE_BARS:
+            error = PhonaugError(f"phone carries more than one of ʰ/ʱ at offset {i}")
+        elif (any(tie in self.phone.findall(text, 0, i)[-1] for tie in TIE_BARS)
+              and self.phone.match(text, i + 1)):
+            error = PhonaugError(f"phone carries more than one tie bar at offset {i}")
+        else:
+            error = OrphanDiacritic(ch, i)
+        return type(error), str(error)
+
+    def onset_head(self, s: str):
+        m = self.head.fullmatch(unicodedata.normalize("NFD", s))
+        if m is None or m[1] is None:
+            return None
+        first = self.inv.make_phone(*code_point_split(m[1], self.inv))
+        return first, None if m[2] is None else code_point_split(m[2], self.inv)[0]
+
+
+ORACLES = {"default": GrammarOracle(INV), "every-role": GrammarOracle(EVERY_ROLE)}
+
+
+def phone_texts(inv: Inventory):
+    """The text of one phone the pattern reads: a base, diacritics, at most one
+    ʰ/ʱ and at most one tie bar joining a second base."""
+    bases = sorted(inv.base_features)
+    others = sorted(d for d, role in inv.diacritics.items() if role not in SPREAD)
+    spread = sorted(d for d, role in inv.diacritics.items() if role in SPREAD)
+    return st.tuples(
+        st.sampled_from(bases), st.lists(st.sampled_from(others), max_size=2),
+        st.sampled_from(["", *spread]),
+        st.sampled_from(["", *TIE_BARS]).flatmap(
+            lambda tie: st.just("") if not tie else st.sampled_from(bases).map(tie.__add__)),
+    ).map(lambda t: t[0] + "".join(t[1]) + t[2] + t[3])
+
+
+def hostile_strings(inv: Inventory):
+    """Phones and whitespace, with now and then what a reader must refuse or skip:
+    unknown code points, orphan marks at the start and after whitespace, doubled
+    ʰ/ʱ, and chained or dangling tie bars; NFC or NFD."""
+    spread = sorted(d for d, role in inv.diacritics.items() if role in SPREAD)
+    hostile = st.sampled_from([
+        *UNKNOWN, *(a + b for a in spread for b in spread), *(" " + m for m in spread),
+        *spread, *TIE_BARS, "͡͡", "͡ ", " ͡", "͜͡"])
+    # a phone three times as often as anything else
+    pieces = st.one_of(phone_texts(inv), phone_texts(inv), phone_texts(inv),
+                       st.sampled_from(WHITESPACE + ["  "]), hostile)
+    return st.tuples(st.lists(pieces, max_size=6), st.booleans()).map(
+        lambda t: unicodedata.normalize("NFC", "".join(t[0])) if t[1] else "".join(t[0]))
+
+
+# faults of each kind, and texts with no phone
+NAMED = ["", " \t", "tʰʰa", "ʰt", "t ʰ", "t͡s͡ʃ", "t͡s͡", "t ͡s", "k͡x ʰ", "t͡sʰ͡x", "ç7"]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_coverage_reads_as_the_text_and_head_grammars_did(name, data):
+    oracle = ORACLES[name]
+    s = data.draw(st.one_of(st.sampled_from(NAMED), ipa_strings(oracle.inv),
+                            hostile_strings(oracle.inv)))
+    # the same phones, or the same error class and message
+    assert outcome(tokenize_ipa, s, oracle.inv) == oracle.tokenize(s)
+    assert oracle.inv.head(s) == oracle.onset_head(s)
