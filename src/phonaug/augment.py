@@ -108,28 +108,32 @@ def match_phones(rm: PhoneTrack, hm: PhoneTrack, table: MappingTable) -> list[Ma
     """Greedy left-to-right one-to-one matching under the mapping table, the
     index-offset window and the timestamp-proximity predicate."""
     if rm.utt_id != hm.utt_id:
-        raise UtteranceMismatch(f"{rm.utt_id!r} vs {hm.utt_id!r}")
+        raise UtteranceMismatch(f"{io.shown_id(rm.utt_id)!r} vs {io.shown_id(hm.utt_id)!r}")
+    rm_bases, admitted, offsets = table._rm_bases, table._pairs, table.window_offsets
+    hm_phones = hm.phones
+    n_hm = len(hm_phones)
     pairs: list[MatchPair] = []
     used_hm: set[int] = set()
     for i, rm_tp in enumerate(rm.phones):
         rm_base = rm_tp.phone.base
-        if not table.rm_covered(rm_base):
+        if rm_base not in rm_bases:
             continue
-        candidates = []
-        for d in table.window_offsets:
+        # the least (d != 0, |start difference|, j) of the candidates, as min() of
+        # them would give; j is unique, so the window's order does not matter
+        best = None
+        for d in offsets:
             j = i + d
-            if j < 0 or j >= len(hm.phones) or j in used_hm:
+            if j < 0 or j >= n_hm or j in used_hm:
                 continue
-            hm_tp = hm.phones[j]
-            if not table.admits(rm_base, hm_tp.phone.base):
+            hm_tp = hm_phones[j]
+            if (rm_base, hm_tp.phone.base) not in admitted or not default_proximity(rm_tp, hm_tp):
                 continue
-            if not default_proximity(rm_tp, hm_tp):
-                continue
-            candidates.append((d != 0, abs(rm_tp.start_frame - hm_tp.start_frame), j, hm_tp))
-        if candidates:  # j is unique, so the window's order does not matter
-            _, _, j, hm_tp = min(candidates)
-            used_hm.add(j)
-            pairs.append(MatchPair(i, j, rm_tp, hm_tp))
+            key = (d != 0, abs(rm_tp.start_frame - hm_tp.start_frame), j)
+            if best is None or key < best:
+                best, best_tp = key, hm_tp
+        if best is not None:
+            used_hm.add(best[2])
+            pairs.append(tuple.__new__(MatchPair, (i, best[2], rm_tp, best_tp)))
     return pairs
 
 
@@ -175,13 +179,13 @@ def _paired_tracks(rm_file: str | Path, hm_file: str | Path, table: MappingTable
             if hm is None or hm.utt_id != rm.utt_id:
                 if not skip_missing:
                     raise MissingCounterpart(
-                        f"{hm_file}: no HM counterpart for utterance {rm.utt_id!r}")
+                        f"{hm_file}: no HM counterpart for utterance {io.shown_id(rm.utt_id)!r}")
                 stats.missing_counterparts.append(rm.utt_id)
                 continue
             if rm.frame_ms != hm.frame_ms:
                 raise PhonaugError(
-                    f"utterance {rm.utt_id!r}: RM frame_ms {rm.frame_ms} in {rm_file} differs "
-                    f"from HM frame_ms {hm.frame_ms} in {hm_file}")
+                    f"utterance {io.shown_id(rm.utt_id)!r}: RM frame_ms {rm.frame_ms} in "
+                    f"{rm_file} differs from HM frame_ms {hm.frame_ms} in {hm_file}")
             stats.utterances += 1
             yield rm, hm, match_phones(rm, hm, table)
         for _ in hms:  # the rest of the HM file must keep the contract too

@@ -20,7 +20,8 @@ from .inventory import Inventory, Phone, tokenize_ipa
 from .io import MODEL_TAGS
 
 # the fields of a frame-path line and a track line; labels are checked per run, in
-# decode_track, and phones per entry, in track_from_obj, against TRACK_FIELDS
+# decode_track. read_tracks tests a track line inline; a line it refuses is checked
+# against _TRACK_HEAD, then each phone, in track_from_obj, against TRACK_FIELDS
 FRAME_PATH_FIELDS = {"utt_id": io.STRING, "labels": io.LIST, "frame_ms": io.NUMBER,
                      "blank": io.Optional(io.STRING)}
 TRACK_FIELDS = {"utt_id": io.STRING, "model": io.Optional(io.STRING), "frame_ms": io.NUMBER,
@@ -32,7 +33,8 @@ def check_frame_ms(utt_id: str, frame_ms: float) -> None:
     """A frame length must be positive and finite: NaN and infinity are not
     JSON, and no frame index scales to milliseconds by them."""
     if not 0 < frame_ms < math.inf:
-        raise PhonaugError(f"{utt_id}: frame_ms must be positive and finite, got {frame_ms!r}")
+        raise PhonaugError(
+            f"{io.shown_id(utt_id)}: frame_ms must be positive and finite, got {frame_ms!r}")
 
 
 class _FramePathFields(NamedTuple):
@@ -74,15 +76,16 @@ class PhoneTrack(_TrackFields):
         if not utt_id:
             raise PhonaugError("utt_id must be non-empty")
         if model_tag not in MODEL_TAGS:
-            raise PhonaugError(f"{utt_id}: unknown model tag {io.shown(model_tag)}")
+            raise PhonaugError(f"{io.shown_id(utt_id)}: unknown model tag {io.shown(model_tag)}")
         check_frame_ms(utt_id, frame_ms)
         previous = 0
         for i, (_, start, end) in enumerate(phones):
             if not 0 <= start <= end:
-                raise PhonaugError(f"{utt_id}: phones[{i}]: invalid frame span {start}..{end}")
+                raise PhonaugError(f"{io.shown_id(utt_id)}: phones[{i}]: invalid frame span "
+                                   f"{start}..{end}")
             if start < previous:
-                raise PhonaugError(
-                    f"{utt_id}: phones[{i}]: start frame {start} comes before {previous}")
+                raise PhonaugError(f"{io.shown_id(utt_id)}: phones[{i}]: start frame {start} "
+                                   f"comes before {previous}")
             previous = start
         return tuple.__new__(cls, (utt_id, model_tag, phones, frame_ms))
 
@@ -131,7 +134,7 @@ def decode_track(path: FramePath, blank: str, inventory: Inventory | None = None
     try:
         phones = tokenize_ipa("".join(pieces), inv)
     except PhonaugError as e:
-        raise in_context(e, path.utt_id) from None
+        raise in_context(e, io.shown_id(path.utt_id)) from None
 
     # the phones hold exactly the code points that keep frames, in order, and runs
     # are in frame order: a phone spans from its first code point's start to its
@@ -176,7 +179,8 @@ def track_line(track: PhoneTrack) -> str:
 def track_from_obj(obj: dict, inventory: Inventory | None = None) -> PhoneTrack:
     """The track of a line whose head `_TRACK_HEAD` admits. Each phone's field types
     are tested as it is built; on a fault, or a symbol that spells no one phone,
-    `io.check` against TRACK_FIELDS first names the line's first ill-typed field."""
+    `io.check` against TRACK_FIELDS first names the line's first ill-typed field.
+    `read_tracks` calls it only on a line that its own inline test refuses."""
     phone = (inventory or Inventory.default()).phone
     phones = []
     for entry in obj["phones"]:
@@ -189,7 +193,7 @@ def track_from_obj(obj: dict, inventory: Inventory | None = None) -> PhoneTrack:
             phones.append(tuple.__new__(TimedPhone, (phone(symbol), start, end)))
         except PhonaugError as e:
             io.check(obj, TRACK_FIELDS)
-            raise in_context(e, obj["utt_id"]) from None
+            raise in_context(e, io.shown_id(obj["utt_id"])) from None
     return PhoneTrack(obj["utt_id"], obj.get("model", "OTHER"), phones, float(obj["frame_ms"]))
 
 
@@ -198,23 +202,59 @@ def in_utt_id_order(tracks: Iterable[PhoneTrack], source: str | Path) -> Iterato
     previous = None
     for track in tracks:
         if previous is not None and track.utt_id <= previous:
-            problem = "occurs twice" if track.utt_id == previous else f"comes after {previous!r}"
-            raise PhonaugError(f"{source}: utterance {track.utt_id!r} {problem}")
+            problem = ("occurs twice" if track.utt_id == previous
+                       else f"comes after {io.shown_id(previous)!r}")
+            raise PhonaugError(f"{source}: utterance {io.shown_id(track.utt_id)!r} {problem}")
         previous = track.utt_id
         yield track
 
 
 def read_tracks(path: str | Path, inventory: Inventory | None = None,
                 role: str | None = None) -> Iterator[PhoneTrack]:
-    """The tracks of a track file in utt_id order, each tagged `role` or OTHER if given."""
+    """The tracks of a track file in utt_id order, each tagged `role` or OTHER if given.
+    Each line is read, checked and built in one loop (`_built`)."""
     inv = inventory or Inventory.default()
-    with closing(io.parse_records(path, lambda obj: track_from_obj(obj, inv),
-                                  _TRACK_HEAD)) as tracks:
-        for track in in_utt_id_order(tracks, path):
+    with closing(io.read_jsonl(path)) as objs:
+        for track in in_utt_id_order(_built(path, objs, inv), path):
             if role and track.model_tag not in (role, "OTHER"):
-                raise PhonaugError(f"{path}: utterance {track.utt_id!r} is tagged "
-                                   f"{track.model_tag}, not {role} or OTHER")
+                raise PhonaugError(f"{path}: utterance {io.shown_id(track.utt_id)!r} is "
+                                   f"tagged {track.model_tag}, not {role} or OTHER")
             yield track
+
+
+def _built(path: str | Path, objs: Iterable[dict], inv: Inventory) -> Iterator[PhoneTrack]:
+    """The track of each object of the file at `path`, as
+    io.parse_record(path, n, obj, track_from_obj, _TRACK_HEAD) gives it. The checks of
+    _TRACK_HEAD, track_from_obj and PhoneTrack run inline, with exact types, and each
+    phone comes from the inventory's memo; a line that misses any of them, or whose
+    symbol the memo lacks, goes to parse_record, which builds it or raises its error."""
+    memo, number, tags, new = inv._by_symbol, io.NUMBER, MODEL_TAGS, tuple.__new__
+    for n, obj in enumerate(objs, start=1):
+        utt_id, model = obj.get("utt_id"), obj.get("model", "OTHER")
+        frame_ms, entries = obj.get("frame_ms"), obj.get("phones")
+        try:
+            clean = (type(utt_id) is str and utt_id and model in tags
+                     and type(frame_ms) in number and 0 < (frame_ms := float(frame_ms)) < math.inf
+                     and type(entries) is list)
+        except OverflowError:  # an integer too large for a float
+            clean = False
+        if clean:
+            phones, previous = [], 0
+            for entry in entries:
+                if type(entry) is not dict:
+                    break
+                symbol, start, end = entry.get("symbol"), entry.get("start"), entry.get("end")
+                if (type(symbol) is not str or (phone := memo.get(symbol)) is None
+                        or type(start) is not int or type(end) is not int
+                        or not previous <= start <= end):
+                    break
+                # tuple's __new__ builds what TimedPhone's does, without its Python frame
+                phones.append(new(TimedPhone, (phone, start, end)))
+                previous = start
+            else:
+                yield new(PhoneTrack, (utt_id, model, phones, frame_ms))
+                continue
+        yield io.parse_record(path, n, obj, lambda o: track_from_obj(o, inv), _TRACK_HEAD)
 
 
 def decode_file(path: str | Path, out: TextIO, blank: str, frame_ms: float | None,

@@ -40,9 +40,11 @@ suffixes are added.
 Each config file, the packaged tables under `DATA` too, is one JSON object,
 read whole by `read_json`. Both readers `check` each object against its schema
 of JSON types before its `from_obj` reads it: a fault names the file and the field,
-and any other error that `from_obj` raises names the file. A track line is checked
-so only up to its `phones` list; `ctc.track_from_obj` type-checks each phone as it
-builds it, and names a fault as `check` would.
+and any other error that `from_obj` raises names the file. `ctc.read_tracks` tests
+each track line inline, with exact types, and builds it in the same loop; a line
+that fails a test is checked so only up to its `phones` list, and
+`ctc.track_from_obj` type-checks each phone as it builds it, and names a fault as
+`check` would. An error names an utt_id by `shown_id`, cut as `shown` cuts a value.
 A config object must also name no key its schema does not. A record may, and
 `prepare` writes such keys back as it read them.
 """
@@ -186,6 +188,15 @@ def shown(value: Any) -> str:
     return text if len(text) <= SHOWN_CHARS else text[:SHOWN_CHARS] + "..."
 
 
+def shown_id(utt_id: str) -> str:
+    """An utt_id for an error message, cut to SHOWN_CHARS characters and "..." when
+    longer, as `shown` cuts a value; a site that quotes it quotes what this gives.
+    Anything else, which only a record built in code can hold, is given back as it is."""
+    if type(utt_id) is not str or len(utt_id) <= SHOWN_CHARS:
+        return utt_id
+    return utt_id[:SHOWN_CHARS] + "..."
+
+
 def check(obj: dict, schema: dict, closed: bool = False) -> None:
     """Raise FieldError naming the field by its path (`phones[0].start`) unless `obj` fits,
     and, if `closed`, unless its schema names every key; a type fault anywhere comes first."""
@@ -262,7 +273,7 @@ def parse_record(path: str | Path, n: int, obj: dict, from_obj: Callable[[dict],
         return _read(obj, schema, from_obj)
     except FieldError as e:
         utt_id = obj.get("utt_id")
-        where = f"utterance {utt_id!r}" if type(utt_id) is str else f"record {n}"
+        where = f"utterance {shown_id(utt_id)!r}" if type(utt_id) is str else f"record {n}"
         raise in_context(e, f"{path}: {where}") from None
     except PhonaugError as e:
         raise in_context(e, path) from None

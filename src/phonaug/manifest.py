@@ -51,7 +51,8 @@ def read_records(path: str | Path) -> list[dict]:
     seen: set[str] = set()
     for record in records:
         if record["utt_id"] in seen:
-            raise PhonaugError(f"{path}: utterance {record['utt_id']!r} occurs twice")
+            raise PhonaugError(
+                f"{path}: utterance {io.shown_id(record['utt_id'])!r} occurs twice")
         seen.add(record["utt_id"])
     return records
 

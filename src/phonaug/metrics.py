@@ -77,14 +77,14 @@ class EvalInstance(_InstanceFields):
     def __new__(cls, utt_id: str, target_phoneme: str, vot_ms: float, predicted_onset: str,
                 model_tag: str = "OTHER") -> "EvalInstance":
         if target_phoneme not in TARGET_PHONEMES:
-            raise PhonaugError(f"{utt_id}: target phoneme must be one of {TARGET_PHONEMES}, "
-                               f"got {io.shown(target_phoneme)}")
+            raise PhonaugError(f"{io.shown_id(utt_id)}: target phoneme must be one of "
+                               f"{TARGET_PHONEMES}, got {io.shown(target_phoneme)}")
         if not -MAX_ABS_VOT_MS < vot_ms < MAX_ABS_VOT_MS:
-            raise PhonaugError(f"{utt_id}: vot_ms must be finite and under {MAX_ABS_VOT_MS:.0f} "
-                               f"ms in magnitude, got {io.shown(vot_ms)}")
+            raise PhonaugError(f"{io.shown_id(utt_id)}: vot_ms must be finite and under "
+                               f"{MAX_ABS_VOT_MS:.0f} ms in magnitude, got {io.shown(vot_ms)}")
         if model_tag not in MODEL_TAGS:
             # a mistyped tag would be reported as a model of its own
-            raise PhonaugError(f"{utt_id}: unknown model tag {io.shown(model_tag)}")
+            raise PhonaugError(f"{io.shown_id(utt_id)}: unknown model tag {io.shown(model_tag)}")
         return tuple.__new__(cls, (utt_id, target_phoneme, vot_ms, predicted_onset, model_tag))
 
     @classmethod
@@ -337,7 +337,8 @@ class Evaluation:
                         path, n, obj, EvalInstance.from_obj, INSTANCE_FIELDS)
                 seen = voicing[model]
                 if utt_id in seen:
-                    raise PhonaugError(f"{path}: {utt_id}: more than one {model} instance")
+                    raise PhonaugError(
+                        f"{path}: {io.shown_id(utt_id)}: more than one {model} instance")
                 seen[utt_id] = None
                 if group is not None and POA_GROUP_OF[phoneme] != group:
                     continue

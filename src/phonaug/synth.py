@@ -3,10 +3,11 @@
 Lets the matcher, augmenter and metrics be exercised without audio or trained
 models. Filler vowels are drawn from a set that never appears in the mapping
 table, so fixtures isolate plosive behavior. Generation is a pure function of
-the scenario spec: each utterance gets its own child RNG seeded from
-(seed, index), so utterances could be generated in parallel without changing
-the output. `utterances` yields them one at a time, so `write`, which `phonaug
-synth` calls, writes each as it is made and holds no more than one in memory.
+the scenario spec: each utterance draws from its own child RNG state, seeded
+from (seed, index) by reseeding one Random, so utterances could be generated in
+parallel without changing the output. `utterances` yields them one at a time,
+so `write`, which `phonaug synth` calls, writes each as it is made and holds no
+more than one in memory.
 """
 
 from __future__ import annotations
@@ -93,10 +94,15 @@ def utterances(spec: ScenarioSpec, inventory: Inventory | None = None,
     inv = inventory or Inventory.default()
     pitch = SPAN_FRAMES + 2 * spec.jitter  # slot spacing keeps jittered starts ordered
     new = tuple.__new__  # builds what a NamedTuple's __new__ does, without its Python frame
+    # choice reads only a sequence's length, so it draws from these lists what it
+    # draws from the symbol tuples
+    plosives = [inv.make_phone(s) for s in RM_PLOSIVES]
+    vowels = [inv.make_phone(s) for s in FILLER_VOWELS]
+    rng = random.Random()  # reseeded per utterance: seed() sets what Random() would
 
     for u in range(spec.n_utterances):
         utt_id = f"synth-{u:06d}"
-        rng = random.Random(f"{spec.seed}:{u}")
+        rng.seed(f"{spec.seed}:{u}")
         n_phones = rng.randint(3, 8)
         rm_phones: list[TimedPhone] = []
         hm_phones: list[TimedPhone] = []
@@ -105,15 +111,15 @@ def utterances(spec: ScenarioSpec, inventory: Inventory | None = None,
             start = i * pitch
             end = start + SPAN_FRAMES - 1
             if rng.random() < spec.plosive_rate:
-                rm_phone = inv.make_phone(rng.choice(RM_PLOSIVES))
+                rm_phone = rng.choice(plosives)
                 if rng.random() < spec.drop_rate:
-                    hm_phone = inv.make_phone(rng.choice(FILLER_VOWELS))
+                    hm_phone = rng.choice(vowels)
                 else:
                     target = _draw_phonation(rng, spec, phonation_of(rm_phone))
                     hm_phone = with_phonation(rm_phone, target, inv)
                     truths.append(new(GroundTruthMatch, (utt_id, i, i, target)))
             else:
-                rm_phone = hm_phone = inv.make_phone(rng.choice(FILLER_VOWELS))
+                rm_phone = hm_phone = rng.choice(vowels)
             rm_phones.append(new(TimedPhone, (rm_phone, start, end)))
             shift = rng.randint(-spec.jitter, spec.jitter) if spec.jitter else 0
             hm_start = max(0, start + shift)

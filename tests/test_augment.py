@@ -10,14 +10,14 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phonaug import (
     Inventory, MappingTable, PhoneTrack, TimedPhone, augment_corpus,
     augment_track, match_phones, prefilter_by_aspiration, serialize, tokenize_ipa,
 )
-from phonaug.augment import default_proximity
+from phonaug.augment import MatchPair, default_proximity
 from phonaug.ctc import track_to_obj
 from phonaug.errors import PhonaugError, UtteranceMismatch
 from phonaug.io import replacing, write_jsonl
@@ -320,3 +320,63 @@ def test_prefilter_equals_the_selection_read_off_augment_track(pairs):
         write_jsonl(rm_file, map(track_to_obj, [rm for rm, _ in pairs]))
         write_jsonl(hm_file, map(track_to_obj, [hm for _, hm in pairs]))
         assert prefilter_by_aspiration(rm_file, hm_file, TABLE, INV) == expected
+
+
+def oracle_match_phones(rm, hm, table):
+    """match_phones as it was: each RM phone's candidates in a list, then min() of it."""
+    pairs, used_hm = [], set()
+    for i, rm_tp in enumerate(rm.phones):
+        rm_base = rm_tp.phone.base
+        if not table.rm_covered(rm_base):
+            continue
+        candidates = []
+        for d in table.window_offsets:
+            j = i + d
+            if j < 0 or j >= len(hm.phones) or j in used_hm:
+                continue
+            hm_tp = hm.phones[j]
+            if not table.admits(rm_base, hm_tp.phone.base):
+                continue
+            if not default_proximity(rm_tp, hm_tp):
+                continue
+            candidates.append((d != 0, abs(rm_tp.start_frame - hm_tp.start_frame), j, hm_tp))
+        if candidates:
+            _, _, j, hm_tp = min(candidates)
+            used_hm.add(j)
+            pairs.append(MatchPair(i, j, rm_tp, hm_tp))
+    return pairs
+
+
+MATCH_BASES = ["p", "b", "t", "d", "k", "ɡ"]
+MATCH_SYMBOLS = MATCH_BASES + ["pʰ", "dʱ", "kʰ", "a"]
+
+
+@st.composite
+def matcher_cases(draw):
+    """RM and HM tracks whose starts crowd 0-9, so equal |start differences| tie,
+    a window of offsets drawn from -2..2, and a mapping table of 1-3 entries."""
+    def one(tag):
+        n = draw(st.integers(0, 7))
+        starts = sorted(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
+        return PhoneTrack("u1", tag, [TimedPhone(INV.phone(draw(st.sampled_from(MATCH_SYMBOLS))),
+                                                 s, s + draw(st.integers(0, 3))) for s in starts],
+                          10.0)
+
+    bases = st.frozensets(st.sampled_from(MATCH_BASES), min_size=1)
+    entries = tuple((draw(bases), draw(bases)) for _ in range(draw(st.integers(1, 3))))
+    table = MappingTable(entries, draw(st.frozensets(st.integers(-2, 2), min_size=1)))
+    return one("RM"), one("HM"), table
+
+
+@settings(max_examples=500, deadline=None)
+@given(matcher_cases())
+# RM phone 1 at start 4 between HM phones at 2 and 6: offsets -1 and +1 tie on
+# |start difference|, and the lower HM index wins
+@example((track(["a", "t"], spans=[(0, 0), (4, 5)]),
+          track(["t", "a", "t"], tag="HM", spans=[(2, 3), (5, 5), (6, 7)]),
+          MappingTable(((frozenset({"t"}), frozenset({"t"})),), frozenset({-1, 1}))))
+def test_match_phones_equals_the_candidate_list_oracle(case):
+    rm, hm, table = case
+    got = match_phones(rm, hm, table)
+    assert got == oracle_match_phones(rm, hm, table)
+    assert all(type(pair) is MatchPair for pair in got)

@@ -9,9 +9,9 @@ import json
 import pytest
 from clirun import invoke
 
-from phonaug import EvalInstance, Inventory
-from phonaug.ctc import PhoneTrack
-from phonaug.errors import NotSinglePhone, PhonaugError
+from phonaug import EvalInstance, Inventory, MappingTable, match_phones
+from phonaug.ctc import PhoneTrack, TimedPhone
+from phonaug.errors import NotSinglePhone, PhonaugError, UtteranceMismatch
 from phonaug.io import SHOWN_CHARS, shown
 
 BIG = ["k"] * 20_000  # its repr alone is 100,000 characters
@@ -114,3 +114,115 @@ def test_evaluate_takes_a_vot_exactly_under_a_million_ms(tmp_path, vot, ok):
     assert result.exit_code == (0 if ok else 1), result.output
     if ok:
         assert "nan" not in (tmp_path / "rep_boxplot.csv").read_text("utf-8")
+
+
+# -- utt_ids ------------------------------------------------------------------
+# Every message that names an utterance shows its utt_id cut to SHOWN_CHARS
+# characters and "...", quoted where the message quotes it; an utt_id of
+# SHOWN_CHARS characters or fewer is shown whole, as it always was.
+
+NAME = "uttX"  # the utt_id each site's message is spelled with, then swapped
+
+
+def track_obj(utt_id, model="OTHER", frame_ms=10, symbol="t", start=0, end=1):
+    return {"utt_id": utt_id, "model": model, "frame_ms": frame_ms,
+            "phones": [{"symbol": symbol, "start": start, "end": end}]}
+
+
+def augment_run(rm, hm, *flags):
+    def run(d, utt_id):
+        write_jsonl(d / "rm.jsonl", rm(utt_id))
+        write_jsonl(d / "hm.jsonl", hm(utt_id))
+        return invoke(["augment", str(d / "rm.jsonl"), str(d / "hm.jsonl"),
+                       str(d / "tm.jsonl"), *flags])
+    return run
+
+
+def evaluate_run(lines):
+    def run(d, utt_id):
+        write_jsonl(d / "in.jsonl", lines(utt_id))
+        return invoke(["evaluate", str(d / "in.jsonl"), "--out-prefix", str(d / "rep")])
+    return run
+
+
+def decode_run(d, utt_id):
+    write_jsonl(d / "paths.jsonl", [{"utt_id": utt_id, "frame_ms": 10, "labels": ["t", "Q"]}])
+    return invoke(["decode", str(d / "paths.jsonl"), str(d / "tracks.jsonl")])
+
+
+def prepare_run(d, utt_id):
+    write_jsonl(d / "m.jsonl", [{"utt_id": utt_id}, {"utt_id": utt_id}])
+    return invoke(["prepare", "filter", str(d / "m.jsonl"), str(d / "out.jsonl")])
+
+
+def one(obj):
+    return lambda utt_id: [obj(utt_id)]
+
+
+INSTANCE = {"phoneme": "k", "vot_ms": 40, "onset": "ka"}
+SITES = {
+    # io.parse_record: a field fault
+    "evaluate, string vot_ms": evaluate_run(
+        lambda u: [{**INSTANCE, "utt_id": u, "vot_ms": "40"}]),
+    # PhoneTrack and check_frame_ms prefixes
+    "augment, span fault": augment_run(one(lambda u: track_obj(u, start=2, end=1)),
+                                       one(track_obj)),
+    "augment, frame_ms 0": augment_run(one(lambda u: track_obj(u, frame_ms=0)),
+                                       one(track_obj)),
+    # ctc.track_from_obj: a symbol that spells no phone
+    "augment, symbol Q": augment_run(one(lambda u: track_obj(u, symbol="Q")), one(track_obj)),
+    # ctc.in_utt_id_order and the role check
+    "augment, utt_id twice": augment_run(lambda u: [track_obj(u), track_obj(u)],
+                                         one(track_obj)),
+    "augment, utt_id out of order": augment_run(lambda u: [track_obj(u), track_obj("a")],
+                                                one(track_obj)),
+    "augment, RM file tagged HM": augment_run(one(lambda u: track_obj(u, model="HM")),
+                                              one(track_obj)),
+    # augment: the missing counterpart and frame-ms messages
+    "augment --fail-missing": augment_run(one(track_obj), lambda u: [], "--fail-missing"),
+    "augment, frame_ms differs": augment_run(one(track_obj),
+                                             one(lambda u: track_obj(u, frame_ms=20))),
+    # ctc.decode_track: a label that spells no phone
+    "decode, label Q": decode_run,
+    # metrics: a model's second instance of an utt_id; EvalInstance's prefixes
+    "evaluate, utt_id twice": evaluate_run(
+        lambda u: [{**INSTANCE, "utt_id": u}, {**INSTANCE, "utt_id": u}]),
+    "evaluate, vot_ms 1e6": evaluate_run(lambda u: [{**INSTANCE, "utt_id": u, "vot_ms": 1e6}]),
+    # manifest: an utt_id twice
+    "prepare filter, utt_id twice": prepare_run,
+}
+
+
+@pytest.mark.parametrize("site", sorted(SITES))
+def test_a_message_shows_a_long_utt_id_cut(tmp_path, site):
+    def message(name, utt_id):
+        d = tmp_path / name
+        d.mkdir()
+        result = SITES[site](d, utt_id)
+        assert result.exit_code == 1 and result.stdout == ""
+        return result.stderr.replace(str(d), "DIR")
+
+    spelled = message("spelled", NAME)
+    assert spelled.startswith("Error: ") and spelled.count(NAME) == 1
+    whole = "k" * SHOWN_CHARS
+    assert message("whole", whole) == spelled.replace(NAME, whole)
+    cut = message("cut", "k" * 20_000)
+    assert cut == spelled.replace(NAME, whole + "...")
+    assert len(cut) < 300
+
+
+def test_the_matcher_shows_long_utt_ids_cut():
+    t = Inventory.default().phone("t")
+    rm = PhoneTrack("k" * 20_000, "RM", [], 10.0)
+    hm = PhoneTrack("k" * (SHOWN_CHARS + 1), "HM", [], 10.0)
+    with pytest.raises(UtteranceMismatch) as err:
+        match_phones(rm, hm, MappingTable.default())
+    whole = "k" * SHOWN_CHARS
+    assert str(err.value) == f"'{whole}...' vs '{whole}...'"
+    with pytest.raises(UtteranceMismatch) as err:
+        match_phones(PhoneTrack(whole, "RM", [TimedPhone(t, 0, 1)], 10.0), hm,
+                     MappingTable.default())
+    assert str(err.value) == f"'{whole}' vs '{whole}...'"
+    with pytest.raises(PhonaugError) as err:
+        EvalInstance("k" * 20_000, "x", 5.0, "k")
+    assert str(err.value).startswith(f"{whole}...: target phoneme must be one of ")

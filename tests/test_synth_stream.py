@@ -8,19 +8,24 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import tempfile
+from io import StringIO
 from pathlib import Path
 
 import pytest
 from clirun import invoke
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from phonaug import Inventory, ScenarioSpec, generate, io
-from phonaug.ctc import track_to_obj
+from phonaug.ctc import PhoneTrack, TimedPhone, track_line, track_to_obj
 from phonaug.errors import PhonaugError
-from phonaug.inventory import ASPIRATED, BREATHY_VOICED, TENUIS, VOICED, Phonation
-from phonaug.synth import GroundTruthMatch, truth_line, utterances
+from phonaug.inventory import (ASPIRATED, BREATHY_VOICED, TENUIS, VOICED, Phonation,
+                               phonation_of, with_phonation)
+from phonaug.synth import (FILLER_VOWELS, RM_PLOSIVES, SPAN_FRAMES, GroundTruthMatch,
+                           _draw_phonation, truth_line, utterances)
+from phonaug.synth import write as synth_write
 
 INV = Inventory.default()
 
@@ -162,3 +167,65 @@ def test_check_outputs_refuses_two_paths_to_one_file(tmp_path):
             io.check_outputs(first, None, second)
         assert str(failure.value) == f"{second}: output is the same file as {first}"
     io.check_outputs(target, None, None, tmp_path / "y.jsonl")
+
+
+def oracle_utterances(spec, inv):
+    """synth.utterances as it was: a new Random per utterance, seeded from (seed,
+    index), and each phone built from the symbol drawn."""
+    pitch = SPAN_FRAMES + 2 * spec.jitter
+    for u in range(spec.n_utterances):
+        utt_id = f"synth-{u:06d}"
+        rng = random.Random(f"{spec.seed}:{u}")
+        rm_phones, hm_phones, truths = [], [], []
+        for i in range(rng.randint(3, 8)):
+            start = i * pitch
+            end = start + SPAN_FRAMES - 1
+            if rng.random() < spec.plosive_rate:
+                rm_phone = inv.make_phone(rng.choice(RM_PLOSIVES))
+                if rng.random() < spec.drop_rate:
+                    hm_phone = inv.make_phone(rng.choice(FILLER_VOWELS))
+                else:
+                    target = _draw_phonation(rng, spec, phonation_of(rm_phone))
+                    hm_phone = with_phonation(rm_phone, target, inv)
+                    truths.append(GroundTruthMatch(utt_id, i, i, target))
+            else:
+                rm_phone = hm_phone = inv.make_phone(rng.choice(FILLER_VOWELS))
+            rm_phones.append(TimedPhone(rm_phone, start, end))
+            shift = rng.randint(-spec.jitter, spec.jitter) if spec.jitter else 0
+            hm_start = max(0, start + shift)
+            hm_phones.append(TimedPhone(hm_phone, hm_start, hm_start + SPAN_FRAMES - 1))
+        yield (PhoneTrack(utt_id, "RM", rm_phones, 20.0),
+               PhoneTrack(utt_id, "HM", hm_phones, 20.0), truths)
+
+
+RATE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+
+
+@st.composite
+def rate_specs(draw):
+    """Specs whose every rate is 0, 1 or in between, with jitter 0-2; the HM
+    phonation rates are cut so that they sum to at most 1."""
+    aspiration = draw(RATE)
+    voicing = min(draw(RATE), 1 - aspiration)
+    breathy = min(draw(RATE), 1 - aspiration - voicing)
+    try:
+        return ScenarioSpec(seed=draw(st.integers(0, 2**31)),
+                            n_utterances=draw(st.integers(0, 30)),
+                            plosive_rate=draw(RATE), hm_aspiration_rate=aspiration,
+                            hm_voicing_rate=voicing, hm_breathy_rate=breathy,
+                            jitter=draw(st.integers(0, 2)), drop_rate=draw(RATE))
+    except PhonaugError:  # the three rates summed past 1 by a rounding
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rate_specs())
+def test_synth_writes_what_a_new_rng_per_utterance_draws(spec):
+    outs = [StringIO() for _ in range(3)]
+    synth_write(spec, INV, *outs)
+    expected = [StringIO() for _ in range(3)]
+    for rm, hm, truths in oracle_utterances(spec, INV):
+        expected[0].write(track_line(rm) + "\n")
+        expected[1].write(track_line(hm) + "\n")
+        io.write_lines(expected[2], truths, truth_line)
+    assert [out.getvalue() for out in outs] == [out.getvalue() for out in expected]

@@ -7,6 +7,7 @@ symbol or a span fault earlier in it."""
 from __future__ import annotations
 
 import tempfile
+from contextlib import closing
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from phonaug import Inventory, io
 from phonaug.augment import MatchPair
-from phonaug.ctc import (TRACK_FIELDS, PhoneTrack, TimedPhone, read_tracks, track_line,
-                         track_to_obj)
+from phonaug.ctc import (_TRACK_HEAD, TRACK_FIELDS, PhoneTrack, TimedPhone, in_utt_id_order,
+                         read_tracks, track_from_obj, track_line, track_to_obj)
 from phonaug.errors import PhonaugError, in_context
 
 INV = Inventory.default()
@@ -123,3 +124,105 @@ def test_timed_phone_and_match_pair_keep_their_fields_in_order():
     rm_index, hm_index, rm_phone, hm_phone = pair
     assert (rm_index, hm_index, rm_phone, hm_phone) == (0, 1, (t, 1, 2), (k, 1, 3))
     assert pair.hm_phone.phone is k
+
+
+# -- whole files --------------------------------------------------------------
+# `read_tracks` reads, checks and builds a clean line in one loop and sends any
+# other line to io.parse_record. Over files of several lines it must give what
+# the layered reader below gives: the same tracks, or the same error.
+
+
+def layered_read_tracks(path, inv, role):
+    """read_tracks as it was: parse_records, then the order check, then the role check."""
+    with closing(io.parse_records(path, lambda obj: track_from_obj(obj, inv),
+                                  _TRACK_HEAD)) as tracks:
+        for track in in_utt_id_order(tracks, path):
+            if role and track.model_tag not in (role, "OTHER"):
+                raise PhonaugError(f"{path}: utterance {track.utt_id!r} is tagged "
+                                   f"{track.model_tag}, not {role} or OTHER")
+            yield track
+
+
+@st.composite
+def clean_tracks(draw):
+    obj = draw(well_typed_tracks())
+    for entry in obj["phones"]:
+        entry["end"] = entry["start"] + draw(st.integers(0, 3))  # undo any span fault
+    return obj
+
+
+# json reads NaN and Infinity, and 10 ** 400 overflows a float
+BAD_FRAME_MS = [0, 0.0, -20.0, float("nan"), float("inf"), 10 ** 400]
+
+
+@st.composite
+def track_files(draw):
+    """1-6 track objects, clean or faulty, under rising utt_ids, some of them put
+    out of order (a duplicate or an earlier utt_id), tagged RM, HM, BM or OTHER, or
+    untagged, some with a frame_ms that is not positive and finite, some with a
+    phone that starts before the one ahead of it; the role
+    they are read in; and whether the inventory has met every symbol before."""
+    lines = []
+    for k in range(draw(st.integers(1, 6))):
+        obj = draw(st.one_of(clean_tracks(), clean_tracks(), faulty_tracks()))
+        if obj["utt_id"] == "u1":  # no head fault in utt_id: give it its place
+            order = draw(st.sampled_from(["rising"] * 4 + ["duplicate", "earlier"]))
+            obj["utt_id"] = (f"u{k}" if order == "rising" or k == 0
+                             else f"u{k - 1}" if order == "duplicate" else f"u{k - 1}a")
+        if type(obj.get("model")) is str:  # no head fault in model
+            model = draw(st.sampled_from(["RM", "HM", "BM", "OTHER", None]))
+            if model is None:
+                del obj["model"]
+            else:
+                obj["model"] = model
+        if type(obj["frame_ms"]) is not str and draw(st.integers(0, 5)) == 0:
+            obj["frame_ms"] = draw(st.sampled_from(BAD_FRAME_MS))
+        phones = obj["phones"]
+        if type(phones) is list and len(phones) > 1 and draw(st.booleans()):
+            i = draw(st.integers(1, len(phones) - 1))
+            if type(phones[i]) is dict and type(phones[i - 1]) is dict \
+                    and type(phones[i - 1].get("start")) is int and phones[i - 1]["start"] > 0:
+                phones[i]["start"] = phones[i - 1]["start"] - 1  # before the one ahead
+        lines.append(obj)
+    return lines, draw(st.sampled_from([None, "RM", "HM"])), draw(st.booleans())
+
+
+def fresh_inventory(warm=False):
+    """The packaged inventory with an empty memo, so each symbol is first met in the
+    file, or, if `warm`, with every valid symbol of these tests met."""
+    inv = Inventory.load(io.DATA / "inventory.json")
+    for symbol in SYMBOLS if warm else ():
+        inv.phone(symbol)
+    return inv
+
+
+@settings(max_examples=400, deadline=None)
+@given(track_files())
+# "kʰ" is first met on line 2, and "t" again on line 3
+@example(([{"utt_id": "u0", "model": "RM", "frame_ms": 20.0,
+            "phones": [{"symbol": "t", "start": 0, "end": 1}]},
+           {"utt_id": "u1", "frame_ms": 10, "phones": [{"symbol": "kʰ", "start": 0, "end": 2},
+                                                        {"symbol": "a", "start": 2, "end": 3}]},
+           {"utt_id": "u2", "model": "OTHER", "frame_ms": 12.5,
+            "phones": [{"symbol": "t", "start": 0, "end": 0}]}], "RM", False))
+# an HM line read as RM after an out-of-order one: the order check comes first
+@example(([{"utt_id": "u1", "model": "RM", "frame_ms": 20.0, "phones": []},
+           {"utt_id": "u0", "model": "HM", "frame_ms": 20.0, "phones": []}], "RM", True))
+@example(([{"utt_id": "u0", "model": "HM", "frame_ms": 20.0, "phones": []}], "RM", True))
+@example(([{"utt_id": "u0", "frame_ms": 10 ** 400, "phones": []}], None, True))
+@example(([{"utt_id": "", "model": "RM", "frame_ms": 20.0, "phones": []}], "RM", True))
+@example(([{"utt_id": "u0", "model": "BM", "frame_ms": 20.0, "phones": []}], None, True))
+def test_read_tracks_reads_files_as_the_layered_reader_does(case):
+    lines, role, warm = case
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "tracks.jsonl"
+        path.write_text("".join(io.dump_line(obj) + "\n" for obj in lines), encoding="utf-8")
+        expected = outcome(lambda p: layered_read_tracks(p, fresh_inventory(warm), role), path)
+        inv = fresh_inventory(warm)
+        read = outcome(lambda p: read_tracks(p, inv, role), path)
+        assert read == expected
+        if type(read) is list:  # the same bytes, and frame_ms a float
+            assert list(map(track_line, read)) == list(map(track_line, expected))
+            assert all(type(t) is PhoneTrack and type(t.phones) is list for t in read)
+            # each phone is the inventory's one shared Phone
+            assert all(tp.phone is inv.phone(tp.phone.text) for t in read for tp in t.phones)
