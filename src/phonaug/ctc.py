@@ -21,12 +21,11 @@ from .io import MODEL_TAGS
 
 # the fields of a frame-path line and a track line; labels are checked per run, in
 # decode_track. read_tracks tests a track line inline; a line it refuses is checked
-# against _TRACK_HEAD, then each phone, in track_from_obj, against TRACK_FIELDS
+# whole against TRACK_FIELDS, then built by track_from_obj, through io.parse_record
 FRAME_PATH_FIELDS = {"utt_id": io.STRING, "labels": io.LIST, "frame_ms": io.NUMBER,
                      "blank": io.Optional(io.STRING)}
 TRACK_FIELDS = {"utt_id": io.STRING, "model": io.Optional(io.STRING), "frame_ms": io.NUMBER,
                 "phones": io.ListOf({"symbol": io.STRING, "start": io.INTEGER, "end": io.INTEGER})}
-_TRACK_HEAD = {**TRACK_FIELDS, "phones": io.LIST}
 
 
 def check_frame_ms(utt_id: str, frame_ms: float) -> None:
@@ -177,23 +176,14 @@ def track_line(track: PhoneTrack) -> str:
 
 
 def track_from_obj(obj: dict, inventory: Inventory | None = None) -> PhoneTrack:
-    """The track of a line whose head `_TRACK_HEAD` admits. Each phone's field types
-    are tested as it is built; on a fault, or a symbol that spells no one phone,
-    `io.check` against TRACK_FIELDS first names the line's first ill-typed field.
-    `read_tracks` calls it only on a line that its own inline test refuses."""
+    """The track of a line that TRACK_FIELDS admits; a symbol that spells no one
+    phone fails with the utterance named. `read_tracks` calls it, through
+    io.parse_record, only on a line that its own inline test refuses."""
     phone = (inventory or Inventory.default()).phone
-    phones = []
-    for entry in obj["phones"]:
-        if type(entry) is not dict:
-            io.check(obj, TRACK_FIELDS)  # raises: the full schema refuses the entry
-        symbol, start, end = entry.get("symbol"), entry.get("start"), entry.get("end")
-        if type(symbol) is not str or type(start) is not int or type(end) is not int:
-            io.check(obj, TRACK_FIELDS)  # raises: the full schema refuses the entry
-        try:  # tuple's __new__ builds what TimedPhone's does, without its Python frame
-            phones.append(tuple.__new__(TimedPhone, (phone(symbol), start, end)))
-        except PhonaugError as e:
-            io.check(obj, TRACK_FIELDS)
-            raise in_context(e, io.shown_id(obj["utt_id"])) from None
+    try:
+        phones = [TimedPhone(phone(e["symbol"]), e["start"], e["end"]) for e in obj["phones"]]
+    except PhonaugError as e:
+        raise in_context(e, io.shown_id(obj["utt_id"])) from None
     return PhoneTrack(obj["utt_id"], obj.get("model", "OTHER"), phones, float(obj["frame_ms"]))
 
 
@@ -224,10 +214,10 @@ def read_tracks(path: str | Path, inventory: Inventory | None = None,
 
 def _built(path: str | Path, objs: Iterable[dict], inv: Inventory) -> Iterator[PhoneTrack]:
     """The track of each object of the file at `path`, as
-    io.parse_record(path, n, obj, track_from_obj, _TRACK_HEAD) gives it. The checks of
-    _TRACK_HEAD, track_from_obj and PhoneTrack run inline, with exact types, and each
-    phone comes from the inventory's memo; a line that misses any of them, or whose
-    symbol the memo lacks, goes to parse_record, which builds it or raises its error."""
+    io.parse_record(path, n, obj, track_from_obj, TRACK_FIELDS) gives it. The checks of
+    TRACK_FIELDS and PhoneTrack run inline, with exact types, and each phone comes
+    from the inventory's memo; a line that misses any of them, or whose symbol the
+    memo lacks, goes to parse_record, which builds it or raises its error."""
     memo, number, tags, new = inv._by_symbol, io.NUMBER, MODEL_TAGS, tuple.__new__
     for n, obj in enumerate(objs, start=1):
         utt_id, model = obj.get("utt_id"), obj.get("model", "OTHER")
@@ -254,7 +244,7 @@ def _built(path: str | Path, objs: Iterable[dict], inv: Inventory) -> Iterator[P
             else:
                 yield new(PhoneTrack, (utt_id, model, phones, frame_ms))
                 continue
-        yield io.parse_record(path, n, obj, lambda o: track_from_obj(o, inv), _TRACK_HEAD)
+        yield io.parse_record(path, n, obj, lambda o: track_from_obj(o, inv), TRACK_FIELDS)
 
 
 def decode_file(path: str | Path, out: TextIO, blank: str, frame_ms: float | None,

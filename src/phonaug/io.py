@@ -42,9 +42,9 @@ read whole by `read_json`. Both readers `check` each object against its schema
 of JSON types before its `from_obj` reads it: a fault names the file and the field,
 and any other error that `from_obj` raises names the file. `ctc.read_tracks` tests
 each track line inline, with exact types, and builds it in the same loop; a line
-that fails a test is checked so only up to its `phones` list, and
-`ctc.track_from_obj` type-checks each phone as it builds it, and names a fault as
-`check` would. An error names an utt_id by `shown_id`, cut as `shown` cuts a value.
+that fails a test goes to `parse_record`, which checks it whole against
+`ctc.TRACK_FIELDS` before `ctc.track_from_obj` builds it. An error names an utt_id
+by `shown_id`, cut as `shown` cuts a value.
 A config object must also name no key its schema does not. A record may, and
 `prepare` writes such keys back as it read them.
 """

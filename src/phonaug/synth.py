@@ -90,8 +90,13 @@ def truth_line(t: GroundTruthMatch) -> str:
 def utterances(spec: ScenarioSpec, inventory: Inventory | None = None,
                ) -> Iterator[tuple[PhoneTrack, PhoneTrack, list[GroundTruthMatch]]]:
     """Yield each utterance's RM track, mirrored HM track and intended matches,
-    in utt_id order, one utterance at a time."""
+    in utt_id order, one utterance at a time. An inventory that lacks a symbol
+    they draw fails before the first utterance; one that lacks a voicing pair fails
+    where the pair is first needed."""
     inv = inventory or Inventory.default()
+    for symbol in RM_PLOSIVES + FILLER_VOWELS:
+        if symbol not in inv.base_features:
+            raise PhonaugError(f"synth draws {symbol!r}, which the inventory lacks")
     pitch = SPAN_FRAMES + 2 * spec.jitter  # slot spacing keeps jittered starts ordered
     new = tuple.__new__  # builds what a NamedTuple's __new__ does, without its Python frame
     # choice reads only a sequence's length, so it draws from these lists what it

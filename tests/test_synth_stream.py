@@ -138,6 +138,26 @@ def test_a_fault_after_lines_were_streamed_leaves_no_file(tmp_path):
     assert sorted(tmp_path.iterdir()) == sorted(before + [out])
 
 
+@pytest.mark.parametrize("n_utterances", [5, 0])
+def test_an_inventory_without_a_drawn_symbol_fails_before_any_write(tmp_path, n_utterances):
+    data = json.loads((io.DATA / "inventory.json").read_text("utf-8"))
+    data["phones"] = [entry for entry in data["phones"] if entry["symbol"] != "o"]
+    inv_file = tmp_path / "inventory.json"
+    inv_file.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    spec = ScenarioSpec(seed=1, n_utterances=n_utterances)
+    with pytest.raises(PhonaugError, match="^synth draws 'o', which the inventory lacks$"):
+        next(utterances(spec, Inventory.load(inv_file)), None)
+    (tmp_path / "spec.json").write_text(json.dumps(spec._asdict()), encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    result = invoke(["synth", str(tmp_path / "spec.json"),
+                     "--rm-out", str(out / "rm.jsonl"), "--hm-out", str(out / "hm.jsonl"),
+                     "--truth-out", str(out / "truth.jsonl"), "--inventory", str(inv_file)])
+    assert result.exit_code == 1
+    assert result.output == "Error: synth draws 'o', which the inventory lacks\n"
+    assert list(out.iterdir()) == []
+
+
 def test_replacing_removes_every_temporary_file_on_a_fault(tmp_path):
     old = tmp_path / "b.txt"
     old.write_text("before", encoding="utf-8")

@@ -1,11 +1,14 @@
-"""`ctc.read_tracks` checks a line's head by its schema and each phone's field
-types as `track_from_obj` builds it. On every line, clean or faulty, it must
-give what the whole-line check and then the plain build give: the same tracks,
-or the same error text. A type fault anywhere in a line comes before an unknown
-symbol or a span fault earlier in it."""
+"""`ctc.read_tracks` tests each track line inline and builds a clean one in the
+same loop; any other line goes to `io.parse_record`, which checks it whole
+against TRACK_FIELDS before `track_from_obj` builds it. On every line, clean or
+faulty, it must give what the whole-line check and then the plain build give:
+the same tracks, or the same error text. A type fault anywhere in a line comes
+before an unknown symbol or a span fault earlier in it. Only a line that the
+inline test refuses may reach `track_from_obj`."""
 
 from __future__ import annotations
 
+import json
 import tempfile
 from contextlib import closing
 from pathlib import Path
@@ -13,10 +16,10 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phonaug import Inventory, io
+from phonaug import Inventory, ctc, io, synth
 from phonaug.augment import MatchPair
-from phonaug.ctc import (_TRACK_HEAD, TRACK_FIELDS, PhoneTrack, TimedPhone, in_utt_id_order,
-                         read_tracks, track_from_obj, track_line, track_to_obj)
+from phonaug.ctc import (TRACK_FIELDS, PhoneTrack, TimedPhone, in_utt_id_order, read_tracks,
+                         track_from_obj, track_line, track_to_obj)
 from phonaug.errors import PhonaugError, in_context
 
 INV = Inventory.default()
@@ -135,7 +138,7 @@ def test_timed_phone_and_match_pair_keep_their_fields_in_order():
 def layered_read_tracks(path, inv, role):
     """read_tracks as it was: parse_records, then the order check, then the role check."""
     with closing(io.parse_records(path, lambda obj: track_from_obj(obj, inv),
-                                  _TRACK_HEAD)) as tracks:
+                                  TRACK_FIELDS)) as tracks:
         for track in in_utt_id_order(tracks, path):
             if role and track.model_tag not in (role, "OTHER"):
                 raise PhonaugError(f"{path}: utterance {track.utt_id!r} is tagged "
@@ -226,3 +229,40 @@ def test_read_tracks_reads_files_as_the_layered_reader_does(case):
             assert all(type(t) is PhoneTrack and type(t.phones) is list for t in read)
             # each phone is the inventory's one shared Phone
             assert all(tp.phone is inv.phone(tp.phone.text) for t in read for tp in t.phones)
+
+
+# -- the fast path's traffic ----------------------------------------------------
+# A fast path that sent every line to the reference build would keep every byte
+# and error the same: count the lines that reach it.
+
+
+def test_only_a_line_with_a_symbol_first_met_reaches_track_from_obj(monkeypatch, tmp_path):
+    rm_file, hm_file = tmp_path / "rm.jsonl", tmp_path / "hm.jsonl"
+    with open(rm_file, "w", encoding="utf-8") as rm, open(hm_file, "w", encoding="utf-8") as hm:
+        synth.write(synth.ScenarioSpec(seed=1, n_utterances=200), INV, rm, hm, None)
+    built = []
+    original = ctc.track_from_obj
+
+    def counting(obj, inventory=None):
+        built.append(obj["utt_id"])
+        return original(obj, inventory)
+
+    monkeypatch.setattr(ctc, "track_from_obj", counting)
+    for path in (rm_file, hm_file):
+        lines = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+        met, first_met = set(), []  # the utt_ids of the lines that hold a symbol first met
+        for obj in lines:
+            symbols = {entry["symbol"] for entry in obj["phones"]}
+            if symbols - met:
+                first_met.append(obj["utt_id"])
+            met |= symbols
+        assert 0 < len(first_met) < len(lines) // 10
+
+        inv = fresh_inventory()
+        built.clear()
+        cold = list(read_tracks(path, inv))
+        assert built == first_met
+        built.clear()
+        warm = list(read_tracks(path, inv))
+        assert built == []
+        assert warm == cold and len(cold) == len(lines)
