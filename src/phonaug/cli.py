@@ -2,9 +2,11 @@
 
 Every subcommand is deterministic: identical inputs (and seeds) produce
 byte-identical outputs. A command exits 0 on success and 1 on a hard error,
-with one `Error: ...` line on stderr. A usage error (an unknown command or
-option, a missing or malformed argument, an input path that does not exist,
-is a directory or cannot be read) exits 2 before anything is written: stderr
+with one `Error: ...` line on stderr; an OS error, such as a full disk, gives
+its reason and the file it names, if any. A usage error (an unknown command or
+option, a missing or malformed argument such as a `--frame-ms` that is not
+positive and finite, an input path that does not exist, is a directory or
+cannot be read) exits 2 before anything is read or written: stderr
 holds the command's usage, then one `Error: ...` line naming the
 argument. Options are matched by their full names only, never by a prefix.
 What is skipped is listed where a command skips it: `augment` names each RM
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import math
 import os
 import sys
 
@@ -54,6 +57,17 @@ def _input(path: str) -> str:
     if not os.access(path, os.R_OK):
         raise argparse.ArgumentTypeError(f"File {path!r} is not readable.")
     return path
+
+
+def _frame_ms(text: str) -> float:
+    """A --frame-ms argument: a positive, finite number of milliseconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"frame_ms must be positive and finite, got {value!r}")
+    return value
 
 
 def _load(cls, path: str | None, *args):
@@ -114,14 +128,19 @@ def _add_commands(parser: _Parser, commands: dict, args: list[str]) -> None:
 def main(args: list[str] | None = None, prog_name: str = "phonaug",
          standalone_mode: bool = True) -> None:
     """Run the command line `args` (default: sys.argv[1:]). A usage error exits 2.
-    In standalone mode a PhonaugError exits 1 with one `Error: ...` line on
-    stderr; otherwise it propagates to the caller."""
+    In standalone mode a PhonaugError or an OSError exits 1 with one `Error: ...`
+    line on stderr; otherwise it propagates to the caller."""
     args = sys.argv[1:] if args is None else list(args)
     parser = _Parser(prog=prog_name, description="Selective phonation augmentation pipeline.")
     _add_commands(parser, _COMMANDS, args)
     namespace, extra = parser.parse_known_args(args)
     params = vars(namespace)
     run, command = params.pop("run"), params.pop("parser")
+    # before Python 3.13, `--seed=--` or a positional `--` gives [], and no type runs
+    for action in command._actions:
+        if params.get(action.dest) == [] and action.default != []:
+            name = action.option_strings[0] if action.option_strings else action.dest
+            command.error(f"argument {name}: expected one argument")
     if extra:  # in click's words, which scripts may match
         option = next((a for a in extra if a.startswith("-")), None)
         command.error(f"No such option: {option}" if option else
@@ -139,6 +158,13 @@ def main(args: list[str] | None = None, prog_name: str = "phonaug",
             raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
+    except OSError as e:  # a full disk, a file size limit, a read fault
+        if not standalone_mode:
+            raise
+        reason = e.strerror or str(e)
+        _echo(f"Error: {reason}" if e.filename is None else f"Error: {e.filename}: {reason}",
+              err=True)
+        sys.exit(1)
 
 
 main.main = main  # only for perfbench/run.py, which calls main.main(..., standalone_mode=False)
@@ -148,7 +174,7 @@ main.main = main  # only for perfbench/run.py, which calls main.main(..., standa
           _arg("framepath_file", type=_input),
           _arg("out_file"),
           _arg("--blank", default="_", help="CTC blank token (default: %(default)s)."),
-          _arg("--frame-ms", type=float, help="Override the per-line frame_ms field."),
+          _arg("--frame-ms", type=_frame_ms, help="Override the per-line frame_ms field."),
           _arg("--model-tag", default="OTHER", choices=io.MODEL_TAGS,
                help="The tracks' model (default: %(default)s)."),
           _arg("--inventory", dest="inventory_path", type=_input))

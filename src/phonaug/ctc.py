@@ -20,8 +20,9 @@ from .inventory import Inventory, Phone, tokenize_ipa
 from .io import MODEL_TAGS
 
 # the fields of a frame-path line and a track line; labels are checked per run, in
-# decode_track. read_tracks tests a track line inline; a line it refuses is checked
-# whole against TRACK_FIELDS, then built by track_from_obj, through io.parse_record
+# decode_track. decode_file tests a frame-path line inline, and read_tracks a track
+# line; a line either refuses is checked whole against these, then built, through
+# io.parse_record
 FRAME_PATH_FIELDS = {"utt_id": io.STRING, "labels": io.LIST, "frame_ms": io.NUMBER,
                      "blank": io.Optional(io.STRING)}
 TRACK_FIELDS = {"utt_id": io.STRING, "model": io.Optional(io.STRING), "frame_ms": io.NUMBER,
@@ -111,40 +112,56 @@ def decode_track(path: FramePath, blank: str, inventory: Inventory | None = None
 
     A phone's span is the union of its constituent character runs; combining
     diacritic runs extend the preceding phone's end frame, and whitespace runs
-    belong to no phone.
+    belong to no phone. One loop over the runs merges repeated labels, drops the
+    blank ones (as `greedy_collapse` does) and gives each code point that keeps
+    frames its run's first and last frame.
     """
     inv = inventory or Inventory.default()
+    utt_id, frame_ms, labels = path
+    memo = inv._code_points
     # expand each run to NFD code points so precomposed vocab tokens keep a
     # one-to-one run/code-point correspondence; whitespace separates phones and
     # belongs to none, so only the other code points keep their frames
     pieces: list[str] = []
     starts: list[int] = []
     ends: list[int] = []
-    for label, start, end in greedy_collapse(path, blank):
-        if type(label) is not str:
-            raise io.FieldError(
-                f"field 'labels[{start}]' has the wrong type: {io.shown(label)}")
-        chars = unicodedata.normalize("NFD", label)
-        pieces.append(chars)
-        for ch in chars:
-            if not ch.isspace():
+    start = 0
+    for label, frames in groupby(labels):
+        end = start + len(list(frames))
+        if label != blank:
+            if type(label) is not str:
+                raise io.FieldError(
+                    f"field 'labels[{start}]' has the wrong type: {io.shown(label)}")
+            entry = memo.get(label)
+            if entry is None:
+                chars = unicodedata.normalize("NFD", label)
+                entry = memo[label] = (chars, sum(not ch.isspace() for ch in chars))
+            chars, kept = entry
+            pieces.append(chars)
+            if kept == 1:
                 starts.append(start)
-                ends.append(end)
+                ends.append(end - 1)
+            elif kept:
+                starts += [start] * kept
+                ends += [end - 1] * kept
+        start = end
     try:
         phones = tokenize_ipa("".join(pieces), inv)
     except PhonaugError as e:
-        raise in_context(e, io.shown_id(path.utt_id)) from None
+        raise in_context(e, io.shown_id(utt_id)) from None
 
     # the phones hold exactly the code points that keep frames, in order, and runs
     # are in frame order: a phone spans from its first code point's start to its
-    # last code point's end
-    timed: list[TimedPhone] = []
-    first = 0
+    # last code point's end, so the spans are ordered as PhoneTrack requires.
+    # tuple's __new__ builds what TimedPhone's does, without its Python frame
+    new, timed, first = tuple.__new__, [], 0
     for phone in phones:
         last = first + len(phone.base) + len(phone.diacritics) - 1
-        timed.append(TimedPhone(phone, starts[first], ends[last]))
+        timed.append(new(TimedPhone, (phone, starts[first], ends[last])))
         first = last + 1
-    return PhoneTrack(path.utt_id, model_tag, timed, path.frame_ms)
+    if utt_id and model_tag in MODEL_TAGS:  # frame_ms is FramePath's, checked
+        return new(PhoneTrack, (utt_id, model_tag, timed, frame_ms))
+    return PhoneTrack(utt_id, model_tag, timed, frame_ms)  # raises the check's error
 
 
 # -- JSONL formats ----------------------------------------------------------
@@ -179,12 +196,21 @@ def track_from_obj(obj: dict, inventory: Inventory | None = None) -> PhoneTrack:
     """The track of a line that TRACK_FIELDS admits; a symbol that spells no one
     phone fails with the utterance named. `read_tracks` calls it, through
     io.parse_record, only on a line that its own inline test refuses."""
-    phone = (inventory or Inventory.default()).phone
+    phone, utt_id = (inventory or Inventory.default()).phone, _utt_id(obj)
     try:
         phones = [TimedPhone(phone(e["symbol"]), e["start"], e["end"]) for e in obj["phones"]]
     except PhonaugError as e:
-        raise in_context(e, io.shown_id(obj["utt_id"])) from None
-    return PhoneTrack(obj["utt_id"], obj.get("model", "OTHER"), phones, float(obj["frame_ms"]))
+        raise in_context(e, io.shown_id(utt_id)) from None
+    return PhoneTrack(utt_id, obj.get("model", "OTHER"), phones, float(obj["frame_ms"]))
+
+
+def _utt_id(obj: dict) -> str:
+    """The utt_id of a line that its fields' kinds admit. An empty one is a field
+    fault, before anything else of the line is read, so io.parse_record names the
+    line by its number."""
+    if not obj["utt_id"]:
+        raise io.FieldError("utt_id must be non-empty")
+    return obj["utt_id"]
 
 
 def in_utt_id_order(tracks: Iterable[PhoneTrack], source: str | Path) -> Iterator[PhoneTrack]:
@@ -253,16 +279,49 @@ def decode_file(path: str | Path, out: TextIO, blank: str, frame_ms: float | Non
     the tracks in utt_id order to `out`, an output that `io.replacing` opened; return
     the count of tracks and of empty ones (all blank: no phone to match). A line's
     own `blank` overrides `blank`. A `frame_ms` that is not None overrides each
-    line's, which is then neither read nor checked."""
+    line's, which is then neither read nor checked.
+
+    Each line is tested inline, with exact types, against FRAME_PATH_FIELDS and
+    FramePath's check, and a line that passes goes straight to `decode_track`, its
+    labels uncopied. A line that fails a test, or that decode_track refuses, goes to
+    io.parse_record(path, n, obj, from_obj, fields), which decodes it or raises its
+    error with the file and the line's utt_id or number."""
     def from_obj(obj):
+        utt_id = _utt_id(obj)
         ms = float(obj["frame_ms"] if frame_ms is None else frame_ms)
-        frames = FramePath(obj["utt_id"], ms, tuple(obj["labels"]))
+        frames = FramePath(utt_id, ms, tuple(obj["labels"]))
         return decode_track(frames, obj.get("blank", blank), inventory, model_tag)
 
     fields = {name: kind for name, kind in FRAME_PATH_FIELDS.items()
               if name != "frame_ms" or frame_ms is None}
+    try:  # an override that is no positive finite number sends every line to
+        # parse_record, where from_obj fails on it
+        override = None if frame_ms is None else float(frame_ms)
+        fast = override is None or 0 < override < math.inf
+    except (TypeError, ValueError, OverflowError):
+        override, fast = None, False
+    number, new, tracks = io.NUMBER, tuple.__new__, []
+    with closing(io.read_jsonl(path)) as objs:
+        for n, obj in enumerate(objs, start=1):
+            utt_id, labels, ms = obj.get("utt_id"), obj.get("labels"), override
+            line_blank = obj.get("blank", blank)
+            try:
+                clean = (fast and type(utt_id) is str and utt_id and type(labels) is list
+                         and type(line_blank) is str
+                         and (ms is not None or type(ms := obj.get("frame_ms")) in number
+                              and 0 < (ms := float(ms)) < math.inf))
+            except OverflowError:  # an integer too large for a float
+                clean = False
+            if clean:
+                try:
+                    tracks.append(decode_track(new(FramePath, (utt_id, ms, labels)), line_blank,
+                                               inventory, model_tag))
+                    continue
+                except PhonaugError:
+                    pass  # parse_record raises it again, with the line's context
+            tracks.append(io.parse_record(path, n, obj, from_obj, fields))
     # frame paths come from outside phonaug, so they are sorted here, then
     # checked like every track file: each utt_id once
-    tracks = sorted(io.parse_records(path, from_obj, fields), key=lambda t: t.utt_id)
+    tracks.sort(key=lambda t: t.utt_id)
     n = io.write_lines(out, in_utt_id_order(tracks, path), track_line)
     return n, sum(not track.phones for track in tracks)

@@ -5,7 +5,8 @@ languages can extend it without touching code. All functions are pure. An
 Inventory's symbol tables never change after loading; its only mutable state is
 its phone pattern, compiled on first use, and memo tables (one shared
 Phone per (base, diacritics), per single-phone symbol and per phonation
-rewrite) whose contents never change a result. Every IPA text is read with the
+rewrite, and the NFD code points of each CTC frame label decoded) whose
+contents never change a result. Every IPA text is read with the
 phone pattern alone: a text is valid exactly when the phones it finds hold
 every code point that is not whitespace. A Phone carries its place, its
 manner and its phonation, one of the four shared Phonation constants.
@@ -137,6 +138,9 @@ class Inventory:
         self._phones: dict[tuple[str, tuple[str, ...]], Phone] = {}
         self._by_symbol: dict[str, Phone] = {}  # also keyed by each matched phone's NFD text
         self._rephonated: dict[tuple[str, tuple[str, ...], bool, bool], Phone] = {}
+        # ctc.decode_track's: each CTC frame label met -> its NFD code points and how
+        # many of them are not whitespace
+        self._code_points: dict[str, tuple[str, int]] = {}
 
     @property
     def _phone_pattern(self) -> str:

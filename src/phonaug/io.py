@@ -16,7 +16,8 @@ one vot_ms per instance, one head per distinct onset, and one entry per instance
 in `metrics.Evaluation`'s per-model dict from utt_id to voicing flag (or None),
 which serves both the duplicate check and the paired test. `synth` makes and
 writes one utterance at a time, so nothing of it grows with n_utterances.
-`decode` holds its input in memory so that it can sort it.
+`decode` holds its input's tracks in memory so that it can sort them; it decodes
+each line as it reads it, in one pass over the line's runs (`ctc.decode_track`).
 A string that escapes a lone surrogate ("\\ud800") fails at read with its file
 and line, since no UTF-8 output can hold it.
 An error message shows a rejected value by `shown`, its repr cut to a fixed
@@ -43,8 +44,11 @@ of JSON types before its `from_obj` reads it: a fault names the file and the fie
 and any other error that `from_obj` raises names the file. `ctc.read_tracks` tests
 each track line inline, with exact types, and builds it in the same loop; a line
 that fails a test goes to `parse_record`, which checks it whole against
-`ctc.TRACK_FIELDS` before `ctc.track_from_obj` builds it. An error names an utt_id
-by `shown_id`, cut as `shown` cuts a value.
+`ctc.TRACK_FIELDS` before `ctc.track_from_obj` builds it. `ctc.decode_file` reads
+a frame-path line the same way: a line that passes its inline test goes straight to
+`ctc.decode_track`, and one that fails it, or that decode_track refuses, goes to
+`parse_record`. An error names an utt_id by `shown_id`, cut as `shown` cuts a
+value, and a line whose utt_id is not a non-empty string by its number.
 A config object must also name no key its schema does not. A record may, and
 `prepare` writes such keys back as it read them.
 """
@@ -267,13 +271,14 @@ def parse_records(path: str | Path, from_obj: Callable[[dict], T],
 def parse_record(path: str | Path, n: int, obj: dict, from_obj: Callable[[dict], T],
                  schema: dict) -> T:
     """from_obj of `obj`, the `n`th record of the file at `path`, once `schema` admits
-    it. A fault fails with the file, the record's utt_id (or its position) and the
-    field; a PhonaugError from from_obj gains the file as its context."""
+    it. A fault fails with the file, the record's utt_id (or its position, when the
+    utt_id is not a non-empty string) and the field; a PhonaugError from from_obj gains the file as its context."""
     try:
         return _read(obj, schema, from_obj)
     except FieldError as e:
         utt_id = obj.get("utt_id")
-        where = f"utterance {shown_id(utt_id)!r}" if type(utt_id) is str else f"record {n}"
+        where = f"utterance {shown_id(utt_id)!r}" if type(utt_id) is str and utt_id else \
+            f"record {n}"
         raise in_context(e, f"{path}: {where}") from None
     except PhonaugError as e:
         raise in_context(e, path) from None

@@ -153,6 +153,35 @@ def test_missing_or_ill_typed_field_names_it(tmp_path, command, record, field,
     assert list(tmp_path.iterdir()) == [in_file]
 
 
+@pytest.mark.parametrize("command", ["decode", "augment", "prefilter-aspiration"])
+@pytest.mark.parametrize("also", [{}, {"frame_ms": 0}, {"unknown symbol": "7"}])
+def test_an_empty_utt_id_names_its_line(tmp_path, command, also):
+    # once `Error: in.jsonl: utt_id must be non-empty`, which names no line; an
+    # empty utt_id is reported before any fault of the line but a type fault
+    record = FRAME_PATH if command == "decode" else TRACK
+    empty = {**record, "utt_id": "", "frame_ms": also.get("frame_ms", 20.0)}
+    if "unknown symbol" in also:
+        empty = {**empty, **({"labels": ["7"]} if command == "decode" else
+                             {"phones": [{"symbol": "7", "start": 0, "end": 1}]})}
+    in_file, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    write_lines(in_file, [record, empty])
+    args = {"decode": [str(in_file), str(out)],
+            "augment": [str(in_file), str(in_file), str(out)],
+            "prefilter-aspiration": [str(in_file), str(in_file), "--out", str(out)]}[command]
+    result = invoke([command, *args])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {in_file}: record 2: utt_id must be non-empty\n"
+    assert list(tmp_path.iterdir()) == [in_file]
+
+
+def test_a_type_fault_comes_before_an_empty_utt_id(tmp_path):
+    in_file = tmp_path / "in.jsonl"
+    write_lines(in_file, [{**FRAME_PATH, "utt_id": "", "labels": "t"}])
+    result = invoke(["decode", str(in_file), str(tmp_path / "out.jsonl")])
+    assert result.output == \
+        f"Error: {in_file}: record 1: field 'labels' has the wrong type: 't'\n"
+
+
 def u2_track(symbol):
     return {**TRACK, "utt_id": "u2", "phones": [{"symbol": symbol, "start": 0, "end": 1}]}
 

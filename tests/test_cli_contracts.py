@@ -10,6 +10,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -236,8 +237,11 @@ def test_a_write_fault_on_the_last_output_leaves_every_output_as_it_was(
         (o / name).write_text("OLD", encoding="utf-8")
     full_disk(monkeypatch, outputs[-1])
     result = run(command, i, o)
-    assert result.exit_code == 1
-    assert isinstance(result.exception, OSError) and result.exception.errno == errno.ENOSPC
+    # one Error: line with the OS's reason and the file it names, the temporary
+    # file of the output that failed
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    tmp = re.escape(str(o.resolve() / f".{outputs[-1]}.")) + "[0-9a-f]{8}" + re.escape(".tmp")
+    assert re.fullmatch(f"Error: {tmp}: {os.strerror(errno.ENOSPC)}\n", result.stderr)
     assert sorted(p.name for p in o.iterdir()) == sorted(outputs)  # no .*.tmp file left
     assert [(o / name).read_text(encoding="utf-8") for name in outputs] == ["OLD"] * len(outputs)
 
@@ -352,6 +356,27 @@ def test_stdout_closed_early_exits_1_quietly(dirs):
     assert (o / "tm.jsonl").is_file()  # the stats are printed once the TM file is in place
 
 
+def test_a_file_size_limit_fails_with_one_error_line(dirs):
+    # a write past RLIMIT_FSIZE fails with EFBIG (Python ignores SIGXFSZ): once a
+    # traceback; the OSError names no file
+    resource = pytest.importorskip("resource")
+    i, o = dirs
+    write_lines(i / "paths.jsonl", [{"utt_id": f"u{n:04d}", "frame_ms": 10, "labels": ["t", "a"]}
+                                    for n in range(2000)])
+    src = str(Path(phonaug_io.__file__).resolve().parents[1])
+
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (8192, 8192))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "phonaug.cli", "decode", str(i / "paths.jsonl"),
+         str(o / "tracks.jsonl")], capture_output=True, text=True, preexec_fn=limit_file_size,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}, timeout=120)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == f"Error: {os.strerror(errno.EFBIG)}\n"
+    assert list(o.iterdir()) == []  # no temporary file left
+
+
 PREPARE =[c for c in COMMANDS if c.startswith("prepare-")]
 
 
@@ -439,14 +464,50 @@ def test_frame_ms_must_be_positive_and_finite(frame_ms, where):
                 line["frame_ms"] = frame_ms
             write_lines(source, [line])
             args = ["decode", str(source), str(out)]
-            if where == "--frame-ms":
-                args.append(f"--frame-ms={frame_ms!r}")
+            if where == "--frame-ms":  # a usage error, before any read
+                result = invoke([*args, f"--frame-ms={frame_ms!r}"])
+                usage_error(result, "argument --frame-ms: frame_ms must be positive and "
+                                    f"finite, got {float(frame_ms)!r}")
+                assert not out.exists()
+                return
         result = invoke(args)
         assert result.exit_code == 1, result.output
         assert result.output == (f"Error: {source}: {utt_id}: frame_ms must be positive "
                                  f"and finite, got {float(frame_ms)!r}\n")
         assert not out.exists()
 
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0", "frame_ms must be positive and finite, got 0.0"),
+    ("-20", "frame_ms must be positive and finite, got -20.0"),
+    ("nan", "frame_ms must be positive and finite, got nan"),
+    ("1e400", "frame_ms must be positive and finite, got inf"),
+    ("ten", "invalid float value: 'ten'"),
+    # Python before 3.13 passes `--frame-ms=--` on as [], without its type
+    ("--", "expected one argument" if sys.version_info < (3, 13) else
+     "invalid float value: '--'"),
+], ids=["zero", "negative", "nan", "overflow", "not-a-number", "double-dash"])
+def test_a_bad_frame_ms_option_fails_before_any_read(dirs, value, message):
+    i, o = dirs
+    (i / "paths.jsonl").write_text("", encoding="utf-8")  # nothing to read it against
+    result = invoke(["decode", str(i / "paths.jsonl"), str(o / "tracks.jsonl"),
+                     f"--frame-ms={value}"])
+    usage_error(result, f"argument --frame-ms: {message}")
+    assert list(o.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, message", [
+    # once a TypeError traceback: argparse gave out_file as []
+    (["decode", "{i}/paths.jsonl", "--", "--"], "argument out_file: expected one argument"),
+    (["prepare", "sample", "{i}/manifest.jsonl", "{o}/s.jsonl", "--n", "1", "--seed=--"],
+     "argument --seed: expected one argument" if sys.version_info < (3, 13) else
+     "argument --seed: invalid int value: '--'"),
+], ids=["positional", "option"])
+def test_a_double_dash_as_a_value_is_a_usage_error(dirs, args, message):
+    i, o = dirs
+    usage_error(invoke([a.format(i=i, o=o) for a in args]), message)
+    assert list(o.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, field", [
