@@ -142,24 +142,34 @@ def augment_track(rm: PhoneTrack, hm: PhoneTrack, matches: list[MatchPair],
                   stats: AugmentationStats | None = None) -> PhoneTrack:
     """Copy the RM track, overwriting the phonation of matched phones with the
     HM phonation; place, manner, timestamps and unmatched phones are untouched.
-    `hm` is not read: the matches carry the HM phones."""
+    `hm` is not read: the matches carry the HM phones.
+
+    When each pair's `rm_phone` is the RM track's own phone at its `rm_index` (the
+    same object, as `match_phones` gives it), the TM track holds the RM track's
+    spans, which PhoneTrack checked, and is built without checking them again;
+    otherwise PhoneTrack checks it and raises on a bad span."""
     inv = inventory or Inventory.default()
-    out = list(rm.phones)
-    for pair in matches:
-        target = phonation_of(pair.hm_phone.phone)
+    phones = rm.phones
+    out = list(phones)
+    counts = None if stats is None else stats.counts
+    new, own = tuple.__new__, True
+    for rm_index, _, rm_tp, hm_tp in matches:
+        target = phonation_of(hm_tp.phone)
         if target == BREATHY_VOICED and not breathy:
             target = VOICED
-        phone = with_phonation(pair.rm_phone.phone, target, inv)
-        out[pair.rm_index] = TimedPhone(phone, pair.rm_phone.start_frame,
-                                        pair.rm_phone.end_frame)
-        if stats is not None:
-            stats.matched += 1
-            stats.counts[phone.text] += 1
+        phone = with_phonation(rm_tp.phone, target, inv)
+        # tuple's __new__ builds what TimedPhone's does, without its Python frame
+        out[rm_index] = new(TimedPhone, (phone, rm_tp.start_frame, rm_tp.end_frame))
+        own = own and phones[rm_index] is rm_tp
+        if counts is not None:
+            counts[phone.text] += 1
     if stats is not None:
-        matched_idx = {p.rm_index for p in matches}
-        stats.unmatched_rm_plosives += sum(
-            1 for i, tp in enumerate(rm.phones)
-            if i not in matched_idx and tp.phone.manner == "plosive")
+        stats.matched += len(matches)
+        # a transferred phone is a new object: each one still in place is unmatched
+        stats.unmatched_rm_plosives += sum(1 for tp, kept in zip(phones, out)
+                                           if tp is kept and tp.phone.manner == "plosive")
+    if own:
+        return new(PhoneTrack, (rm.utt_id, "TM", out, rm.frame_ms))
     return PhoneTrack(rm.utt_id, "TM", out, rm.frame_ms)
 
 

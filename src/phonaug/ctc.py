@@ -279,7 +279,8 @@ def decode_file(path: str | Path, out: TextIO, blank: str, frame_ms: float | Non
     the tracks in utt_id order to `out`, an output that `io.replacing` opened; return
     the count of tracks and of empty ones (all blank: no phone to match). A line's
     own `blank` overrides `blank`. A `frame_ms` that is not None overrides each
-    line's, which is then neither read nor checked.
+    line's, which is then neither read nor checked; it must be positive and
+    finite, which is checked before any line is read.
 
     Each line is tested inline, with exact types, against FRAME_PATH_FIELDS and
     FramePath's check, and a line that passes goes straight to `decode_track`, its
@@ -292,21 +293,18 @@ def decode_file(path: str | Path, out: TextIO, blank: str, frame_ms: float | Non
         frames = FramePath(utt_id, ms, tuple(obj["labels"]))
         return decode_track(frames, obj.get("blank", blank), inventory, model_tag)
 
+    if frame_ms is not None:  # an override, checked once, before any line is read
+        frame_ms = float(frame_ms)
+        check_frame_ms(Path(path), frame_ms)  # a Path, which the error shows uncut
     fields = {name: kind for name, kind in FRAME_PATH_FIELDS.items()
               if name != "frame_ms" or frame_ms is None}
-    try:  # an override that is no positive finite number sends every line to
-        # parse_record, where from_obj fails on it
-        override = None if frame_ms is None else float(frame_ms)
-        fast = override is None or 0 < override < math.inf
-    except (TypeError, ValueError, OverflowError):
-        override, fast = None, False
     number, new, tracks = io.NUMBER, tuple.__new__, []
     with closing(io.read_jsonl(path)) as objs:
         for n, obj in enumerate(objs, start=1):
-            utt_id, labels, ms = obj.get("utt_id"), obj.get("labels"), override
+            utt_id, labels, ms = obj.get("utt_id"), obj.get("labels"), frame_ms
             line_blank = obj.get("blank", blank)
             try:
-                clean = (fast and type(utt_id) is str and utt_id and type(labels) is list
+                clean = (type(utt_id) is str and utt_id and type(labels) is list
                          and type(line_blank) is str
                          and (ms is not None or type(ms := obj.get("frame_ms")) in number
                               and 0 < (ms := float(ms)) < math.inf))

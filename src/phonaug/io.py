@@ -55,6 +55,7 @@ A config object must also name no key its schema does not. A record may, and
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
@@ -347,13 +348,22 @@ def check_outputs(*paths: str | Path | None) -> None:
         named[real] = path
 
 
+# the errors that only a write gives, which name no file
+_WRITE_FAULTS = (errno.ENOSPC, errno.EFBIG)
+
+
 @contextmanager
 def replacing(*paths: str | Path | None) -> Iterator[list[TextIO | None]]:
     """One text file to write in place of each path (None for a path that is
     None): temporary files beside them, open together, each of which replaces
     its path once the block ends, so only when all are complete. If the block
     fails, every temporary file is removed and each path is left as it was; if
-    a rename fails, the paths renamed before it stay replaced."""
+    a rename fails, the paths renamed before it stay replaced.
+
+    An OSError is reported under the output it concerns: one that names a
+    temporary file names its path as the caller gave it, and a write fault that
+    names no file (a full disk, a file size limit) names the one path, if only
+    one is not None."""
     check_outputs(*paths)
     # replace a symlink's target, not the link
     targets = [None if path is None else Path(path).resolve() for path in paths]
@@ -366,10 +376,16 @@ def replacing(*paths: str | Path | None) -> Iterator[list[TextIO | None]]:
         for tmp, target in zip(tmps, targets):
             if tmp is not None:
                 os.replace(tmp, target)
-    except BaseException:
+    except BaseException as e:
         for tmp in tmps:
             if tmp is not None:
                 tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError):  # the temporary files are gone: name their outputs
+            given = {str(tmp): path for tmp, path in zip(tmps, paths) if tmp is not None}
+            if e.filename is not None:
+                e.filename = given.get(str(e.filename), e.filename)
+            elif e.errno in _WRITE_FAULTS and len(given) == 1:
+                e.filename, = given.values()
         raise
 
 

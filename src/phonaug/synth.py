@@ -5,9 +5,12 @@ models. Filler vowels are drawn from a set that never appears in the mapping
 table, so fixtures isolate plosive behavior. Generation is a pure function of
 the scenario spec: each utterance draws from its own child RNG state, seeded
 from (seed, index) by reseeding one Random, so utterances could be generated in
-parallel without changing the output. `utterances` yields them one at a time,
-so `write`, which `phonaug synth` calls, writes each as it is made and holds no
-more than one in memory.
+parallel without changing the output. Each integer draw (a phone count, a
+phone, an HM shift) is one `_below` call, which makes the getrandbits draws
+that `Random.choice` and `Random.randint` make on CPython 3.10-3.13, so it
+gives their values; every other draw is `Random.random`. `utterances` yields
+the utterances one at a time, so `write`, which `phonaug synth` calls, writes
+each as it is made and holds no more than one in memory.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import random
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterator, NamedTuple, TextIO, get_type_hints
+from typing import Callable, Iterator, NamedTuple, TextIO, get_type_hints
 
 from . import io
 from .ctc import PhoneTrack, TimedPhone, track_line
@@ -97,40 +100,60 @@ def utterances(spec: ScenarioSpec, inventory: Inventory | None = None,
     for symbol in RM_PLOSIVES + FILLER_VOWELS:
         if symbol not in inv.base_features:
             raise PhonaugError(f"synth draws {symbol!r}, which the inventory lacks")
-    pitch = SPAN_FRAMES + 2 * spec.jitter  # slot spacing keeps jittered starts ordered
+    jitter = spec.jitter
+    pitch = SPAN_FRAMES + 2 * jitter  # slot spacing keeps jittered starts ordered
+    # randint(-jitter, jitter) draws below 2 * jitter + 1; a jitter that is no int
+    # (a ScenarioSpec built in code) still goes to randint, which refuses it as ever
+    shifts = 2 * jitter + 1 if isinstance(jitter, int) else None
     new = tuple.__new__  # builds what a NamedTuple's __new__ does, without its Python frame
-    # choice reads only a sequence's length, so it draws from these lists what it
-    # draws from the symbol tuples
     plosives = [inv.make_phone(s) for s in RM_PLOSIVES]
     vowels = [inv.make_phone(s) for s in FILLER_VOWELS]
+    n_plosives, n_vowels = len(plosives), len(vowels)
     rng = random.Random()  # reseeded per utterance: seed() sets what Random() would
+    bits, draw = rng.getrandbits, rng.random
 
     for u in range(spec.n_utterances):
         utt_id = f"synth-{u:06d}"
         rng.seed(f"{spec.seed}:{u}")
-        n_phones = rng.randint(3, 8)
+        n_phones = 3 + _below(bits, 6)  # randint(3, 8)
         rm_phones: list[TimedPhone] = []
         hm_phones: list[TimedPhone] = []
         truths: list[GroundTruthMatch] = []
         for i in range(n_phones):
             start = i * pitch
             end = start + SPAN_FRAMES - 1
-            if rng.random() < spec.plosive_rate:
-                rm_phone = rng.choice(plosives)
-                if rng.random() < spec.drop_rate:
-                    hm_phone = rng.choice(vowels)
+            if draw() < spec.plosive_rate:
+                rm_phone = plosives[_below(bits, n_plosives)]
+                if draw() < spec.drop_rate:
+                    hm_phone = vowels[_below(bits, n_vowels)]
                 else:
                     target = _draw_phonation(rng, spec, phonation_of(rm_phone))
                     hm_phone = with_phonation(rm_phone, target, inv)
                     truths.append(new(GroundTruthMatch, (utt_id, i, i, target)))
             else:
-                rm_phone = hm_phone = rng.choice(vowels)
+                rm_phone = hm_phone = vowels[_below(bits, n_vowels)]
             rm_phones.append(new(TimedPhone, (rm_phone, start, end)))
-            shift = rng.randint(-spec.jitter, spec.jitter) if spec.jitter else 0
+            shift = 0
+            if jitter:
+                shift = _below(bits, shifts) - jitter if shifts else rng.randint(-jitter, jitter)
             hm_start = max(0, start + shift)
             hm_phones.append(new(TimedPhone, (hm_phone, hm_start, hm_start + SPAN_FRAMES - 1)))
-        yield (PhoneTrack(utt_id, "RM", rm_phones, 20.0),
-               PhoneTrack(utt_id, "HM", hm_phones, 20.0), truths)
+        # each span starts in its own slot of `pitch` frames, within `jitter` of the
+        # slot's start, so the spans are ordered as PhoneTrack requires; the utt_id,
+        # the tags and frame_ms are valid
+        yield (new(PhoneTrack, (utt_id, "RM", rm_phones, 20.0)),
+               new(PhoneTrack, (utt_id, "HM", hm_phones, 20.0)), truths)
+
+
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A random int in [0, n), n > 0, drawn as `Random._randbelow` draws it on
+    CPython 3.10-3.13 for `choice` of n items and `randint` over n values:
+    `getrandbits` of n's bit length, redrawn until it is below n."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def write(spec: ScenarioSpec, inventory: Inventory, rm_out: TextIO, hm_out: TextIO,

@@ -201,6 +201,18 @@ def test_breathy_flag():
     assert serialize([without.phones[0].phone]) == "ɡ"
 
 
+def test_a_pair_whose_rm_phone_is_not_the_tracks_own_is_checked():
+    # the TM track is built unchecked only from the RM track's own phones
+    rm = track(["t", "a"])
+    hm = track(["tʰ", "a"], tag="HM")
+    (pair,) = match_phones(rm, hm, TABLE)
+    moved = pair._replace(rm_phone=pair.rm_phone._replace(start_frame=5, end_frame=9))
+    with pytest.raises(PhonaugError, match=r"^u1: phones\[1\]: start frame 4 comes before 5$"):
+        augment_track(rm, hm, [moved], INV)
+    copy = pair._replace(rm_phone=TimedPhone(*pair.rm_phone))  # equal, not the same
+    assert augment_track(rm, hm, [copy], INV) == augment_track(rm, hm, [pair], INV)
+
+
 def corpus_files(tmp_path, rm_tracks, hm_tracks):
     rm_file = tmp_path / "rm.jsonl"
     hm_file = tmp_path / "hm.jsonl"

@@ -311,6 +311,31 @@ def test_augment_stats_match_ground_truth(tmp_path):
     assert stats["matched"] == n_truth
 
 
+def test_augment_stats_count_the_unmatched_plosives_beside_a_matched_continuant(tmp_path):
+    # a table may pair a continuant: a matched /s/ leaves the count of unmatched
+    # plosives (/p k/, which no entry covers) as it is
+    inv = json.loads((DATA / "inventory.json").read_text(encoding="utf-8"))
+    inv["voicing_pairs"].append(["s", "z"])
+    (tmp_path / "inventory.json").write_text(json.dumps(inv), encoding="utf-8")
+    (tmp_path / "mapping.json").write_text(json.dumps({"entries": [
+        {"rm": ["t", "d"], "hm": ["t", "d"]}, {"rm": ["s", "z"], "hm": ["s", "z"]}]}),
+        encoding="utf-8")
+    for name, tag, symbols in (("rm", "RM", ["s", "a", "t", "p", "k"]),
+                               ("hm", "HM", ["z", "a", "tʰ", "p", "k"])):
+        write_lines(tmp_path / f"{name}.jsonl", [{
+            "utt_id": "u1", "model": tag, "frame_ms": 20.0,
+            "phones": [{"symbol": s, "start": 4 * i, "end": 4 * i + 3}
+                       for i, s in enumerate(symbols)]}])
+    stats = tmp_path / "stats.json"
+    result = invoke(["augment", *(str(tmp_path / f) for f in ("rm.jsonl", "hm.jsonl", "tm.jsonl")),
+                     "--stats-file", str(stats), "--mapping", str(tmp_path / "mapping.json"),
+                     "--inventory", str(tmp_path / "inventory.json")])
+    assert result.exit_code == 0, result.output
+    assert json.loads(stats.read_text(encoding="utf-8")) == {
+        "counts": {"tʰ": 1, "z": 1}, "matched": 2, "unmatched_rm_plosives": 2,
+        "utterances": 1, "missing_counterparts": []}
+
+
 def test_augment_empty_inputs(tmp_path):
     rm, hm, out = tmp_path / "rm.jsonl", tmp_path / "hm.jsonl", tmp_path / "tm.jsonl"
     rm.write_text("")

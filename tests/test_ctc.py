@@ -295,6 +295,16 @@ def test_decode_file_reads_and_fails_as_the_layered_reader_does(lines, frame_ms,
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "paths.jsonl"
         path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
+        # an override that is no positive finite number fails once, before any line
+        if frame_ms == "x":
+            with pytest.raises(ValueError, match="could not convert string to float"):
+                ctc.decode_file(path, StringIO(), "_", frame_ms, model_tag, INV)
+            return
+        if frame_ms is not None and not 0 < frame_ms < math.inf:
+            assert decoded(ctc.decode_file, path, "_", frame_ms, model_tag) == (
+                f"PhonaugError: {path}: frame_ms must be positive and finite, "
+                f"got {float(frame_ms)!r}")
+            return
         expected = decoded(layered_decode_file, path, "_", frame_ms, model_tag)
         assert decoded(ctc.decode_file, path, "_", frame_ms, model_tag) == expected
     if type(expected) is tuple:  # each track's spans are the frame-at-a-time oracle's

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import random
+import warnings
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from phonaug import (
-    Inventory, MappingTable, ScenarioSpec, generate, match_phones, serialize,
-    tokenize_ipa,
+    Inventory, MappingTable, PhoneTrack, ScenarioSpec, augment_track, generate, match_phones,
+    serialize, tokenize_ipa,
 )
+from phonaug.synth import _below, utterances
 
 INV = Inventory.default()
 TABLE = MappingTable.default(INV)
@@ -62,3 +70,49 @@ def test_jittered_precision_recall_floor():
     # can produce occasional off-by-one matches
     assert recall >= 0.99
     assert precision >= 0.95
+
+
+# each draw: ("choice", n) for choice of n items, ("randint", j) for randint(-j, j)
+DRAWS = st.lists(st.one_of(st.tuples(st.just("choice"), st.integers(1, 12)),
+                           st.tuples(st.just("randint"), st.integers(0, 3))), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.one_of(st.integers(-2 ** 70, 2 ** 70), st.text(max_size=8)), draws=DRAWS)
+def test_below_draws_what_choice_and_randint_draw(seed, draws):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for kind, n in draws:
+        if kind == "choice":
+            assert _below(ours.getrandbits, n) == theirs.choice(range(n))
+        else:
+            assert _below(ours.getrandbits, 2 * n + 1) - n == theirs.randint(-n, n)
+    assert ours.getstate() == theirs.getstate()  # the same bits were drawn
+
+
+SPECS = st.builds(
+    ScenarioSpec, seed=st.integers(0, 10 ** 6), n_utterances=st.integers(0, 12),
+    plosive_rate=st.sampled_from([0.0, 0.5, 1.0]), hm_aspiration_rate=st.just(0.3),
+    hm_voicing_rate=st.just(0.2), hm_breathy_rate=st.sampled_from([0.0, 0.5]),
+    jitter=st.integers(0, 4), drop_rate=st.sampled_from([0.0, 0.3, 1.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=SPECS, breathy=st.booleans())
+def test_synth_and_augment_tracks_equal_their_checked_rebuild(spec, breathy):
+    # both build their tracks without PhoneTrack's checks, which must hold anyway
+    for rm, hm, _ in utterances(spec, INV):
+        tm = augment_track(rm, hm, match_phones(rm, hm, TABLE), INV, breathy=breathy)
+        for track in (rm, hm, tm):
+            assert type(track) is PhoneTrack and track == PhoneTrack(*track)
+
+
+def test_a_non_integer_jitter_fails_as_randint_fails():
+    # only a ScenarioSpec built in code holds one: a spec file's jitter is an integer
+    spec = ScenarioSpec(seed=1, n_utterances=2, jitter=1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # randint's, before 3.12
+        with pytest.raises((TypeError, ValueError)) as expected:
+            random.Random(1).randint(-1.5, 1.5)
+        with pytest.raises((TypeError, ValueError)) as got:
+            generate(spec, INV)
+    assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
