@@ -22,7 +22,7 @@ _EXPORTS = {
     "errors": ("PhonaugError",),
     "inventory": (
         "ASPIRATED", "BREATHY_VOICED", "TENUIS", "VOICED", "Inventory", "Phonation", "Phone",
-        "normalize_g", "phonation_of", "serialize", "tokenize_ipa", "with_phonation",
+        "phonation_of", "serialize", "tokenize_ipa", "with_phonation",
     ),
     "manifest": (
         "build_onset_testset", "clean_vocab", "filter_downvoted", "remap_invalid",

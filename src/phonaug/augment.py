@@ -70,9 +70,6 @@ class MappingTable:
     def rm_covered(self, base: str) -> bool:
         return base in self._rm_bases
 
-    def admits(self, rm_base: str, hm_base: str) -> bool:
-        return (rm_base, hm_base) in self._pairs
-
 
 class MatchPair(NamedTuple):
     rm_index: int

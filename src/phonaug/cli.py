@@ -128,8 +128,10 @@ def _add_commands(parser: _Parser, commands: dict, args: list[str]) -> None:
 def main(args: list[str] | None = None, prog_name: str = "phonaug",
          standalone_mode: bool = True) -> None:
     """Run the command line `args` (default: sys.argv[1:]). A usage error exits 2.
-    In standalone mode a PhonaugError or an OSError exits 1 with one `Error: ...`
-    line on stderr; otherwise it propagates to the caller."""
+    A PhonaugError or an OSError propagates to the caller unchanged, unless in
+    standalone mode, where it exits 1: a BrokenPipeError (stdout closed early)
+    quietly, any other with one `Error: ...` line on stderr, which gives an
+    OSError's reason and the file it names, if any."""
     args = sys.argv[1:] if args is None else list(args)
     parser = _Parser(prog=prog_name, description="Selective phonation augmentation pipeline.")
     _add_commands(parser, _COMMANDS, args)
@@ -148,22 +150,16 @@ def main(args: list[str] | None = None, prog_name: str = "phonaug",
                       f"({' '.join(extra)})")
     try:
         run(**params)
-    except PhonaugError as e:
+    except (PhonaugError, OSError) as e:  # an OSError: a full disk, a size limit, a read fault
         if not standalone_mode:
             raise
-        _echo(f"Error: {e}", err=True)
-        sys.exit(1)
-    except BrokenPipeError:  # stdout closed early, as by `| head`: exit 1 quietly
-        if not standalone_mode:
-            raise
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
-    except OSError as e:  # a full disk, a file size limit, a read fault
-        if not standalone_mode:
-            raise
-        reason = e.strerror or str(e)
-        _echo(f"Error: {reason}" if e.filename is None else f"Error: {e.filename}: {reason}",
-              err=True)
+        if isinstance(e, BrokenPipeError):  # stdout closed early, as by `| head`: say nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        elif isinstance(e, PhonaugError):
+            _echo(f"Error: {e}", err=True)
+        else:
+            where = "" if e.filename is None else f"{e.filename}: "
+            _echo(f"Error: {where}{e.strerror or e}", err=True)
         sys.exit(1)
 
 

@@ -7,6 +7,7 @@ milliseconds happens only at reporting time, so all comparisons are exact.
 from __future__ import annotations
 
 import math
+import sys
 import unicodedata
 from contextlib import closing
 from itertools import groupby
@@ -27,6 +28,11 @@ FRAME_PATH_FIELDS = {"utt_id": io.STRING, "labels": io.LIST, "frame_ms": io.NUMB
                      "blank": io.Optional(io.STRING)}
 TRACK_FIELDS = {"utt_id": io.STRING, "model": io.Optional(io.STRING), "frame_ms": io.NUMBER,
                 "phones": io.ListOf({"symbol": io.STRING, "start": io.INTEGER, "end": io.INTEGER})}
+# the largest float. An int compares with a float exactly, so a JSON number in
+# (0, FLOAT_MAX] is a positive and finite frame_ms that float() converts without
+# overflow; the inline line tests send any other number to io.parse_record, which
+# converts it first (an int that float() rounds down to FLOAT_MAX reads as it)
+FLOAT_MAX = sys.float_info.max
 
 
 def check_frame_ms(utt_id: str, frame_ms: float) -> None:
@@ -248,13 +254,9 @@ def _built(path: str | Path, objs: Iterable[dict], inv: Inventory) -> Iterator[P
     for n, obj in enumerate(objs, start=1):
         utt_id, model = obj.get("utt_id"), obj.get("model", "OTHER")
         frame_ms, entries = obj.get("frame_ms"), obj.get("phones")
-        try:
-            clean = (type(utt_id) is str and utt_id and model in tags
-                     and type(frame_ms) in number and 0 < (frame_ms := float(frame_ms)) < math.inf
-                     and type(entries) is list)
-        except OverflowError:  # an integer too large for a float
-            clean = False
-        if clean:
+        # frame_ms is tested as read, exactly (see FLOAT_MAX), then converted
+        if (type(utt_id) is str and utt_id and model in tags and type(frame_ms) in number
+                and 0 < frame_ms <= FLOAT_MAX and type(entries) is list):
             phones, previous = [], 0
             for entry in entries:
                 if type(entry) is not dict:
@@ -268,7 +270,7 @@ def _built(path: str | Path, objs: Iterable[dict], inv: Inventory) -> Iterator[P
                 phones.append(new(TimedPhone, (phone, start, end)))
                 previous = start
             else:
-                yield new(PhoneTrack, (utt_id, model, phones, frame_ms))
+                yield new(PhoneTrack, (utt_id, model, phones, float(frame_ms)))
                 continue
         yield io.parse_record(path, n, obj, lambda o: track_from_obj(o, inv), TRACK_FIELDS)
 
@@ -294,7 +296,11 @@ def decode_file(path: str | Path, out: TextIO, blank: str, frame_ms: float | Non
         return decode_track(frames, obj.get("blank", blank), inventory, model_tag)
 
     if frame_ms is not None:  # an override, checked once, before any line is read
-        frame_ms = float(frame_ms)
+        try:
+            frame_ms = float(frame_ms)
+        except (TypeError, ValueError):
+            raise PhonaugError(f"{path}: frame_ms must be a number, got {io.shown(frame_ms)}"
+                               ) from None
         check_frame_ms(Path(path), frame_ms)  # a Path, which the error shows uncut
     fields = {name: kind for name, kind in FRAME_PATH_FIELDS.items()
               if name != "frame_ms" or frame_ms is None}
@@ -303,17 +309,14 @@ def decode_file(path: str | Path, out: TextIO, blank: str, frame_ms: float | Non
         for n, obj in enumerate(objs, start=1):
             utt_id, labels, ms = obj.get("utt_id"), obj.get("labels"), frame_ms
             line_blank = obj.get("blank", blank)
-            try:
-                clean = (type(utt_id) is str and utt_id and type(labels) is list
-                         and type(line_blank) is str
-                         and (ms is not None or type(ms := obj.get("frame_ms")) in number
-                              and 0 < (ms := float(ms)) < math.inf))
-            except OverflowError:  # an integer too large for a float
-                clean = False
-            if clean:
+            # frame_ms is tested as read, exactly (see FLOAT_MAX), then converted
+            if (type(utt_id) is str and utt_id and type(labels) is list
+                    and type(line_blank) is str
+                    and (ms is not None or type(ms := obj.get("frame_ms")) in number
+                         and 0 < ms <= FLOAT_MAX)):
                 try:
-                    tracks.append(decode_track(new(FramePath, (utt_id, ms, labels)), line_blank,
-                                               inventory, model_tag))
+                    tracks.append(decode_track(new(FramePath, (utt_id, float(ms), labels)),
+                                               line_blank, inventory, model_tag))
                     continue
                 except PhonaugError:
                     pass  # parse_record raises it again, with the line's context

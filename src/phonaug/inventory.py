@@ -247,11 +247,6 @@ class Inventory:
         return first, (memo.get(found[1]) or self._spelled(found[1])).base
 
 
-def normalize_g(s: str) -> str:
-    """Replace every Latin small g (U+0067) with script g (U+0261)."""
-    return s.replace("g", "ɡ")
-
-
 def tokenize_ipa(s: str, inventory: Inventory | None = None) -> list[Phone]:
     """Segment an IPA string into the phones that Inventory._phone_re finds in its
     NFD code points, which must hold all but whitespace. A fault (unknown code point,

@@ -326,15 +326,16 @@ class Evaluation:
                 # TARGET_PHONEMES and a tag of MODEL_TAGS are strings already
                 utt_id, phoneme, onset = obj.get("utt_id"), obj.get("phoneme"), obj.get("onset")
                 vot, model = obj.get("vot_ms"), obj.get("model", "OTHER")
-                try:
-                    fault = not (type(utt_id) is str and type(onset) is str
-                                 and type(vot) in number and -limit < (vot := float(vot)) < limit
-                                 and phoneme in TARGET_PHONEMES and model in MODEL_TAGS)
-                except OverflowError:  # an integer too large for a float
-                    fault = True
-                if fault:  # parse_record raises it: a field's itself, any other by EvalInstance
+                # an int compares with a float exactly, and none inside the limit
+                # overflows float(): vot_ms is tested as read, then converted
+                if not (type(utt_id) is str and type(onset) is str
+                        and type(vot) in number and -limit < vot < limit
+                        and phoneme in TARGET_PHONEMES and model in MODEL_TAGS):
+                    # parse_record raises it: a field's itself, any other by EvalInstance
                     utt_id, phoneme, vot, onset, model = io.parse_record(
                         path, n, obj, EvalInstance.from_obj, INSTANCE_FIELDS)
+                else:
+                    vot = float(vot)
                 seen = voicing[model]
                 if utt_id in seen:
                     raise PhonaugError(

@@ -56,6 +56,8 @@ class ScenarioSpec(_SpecFields):
             raise PhonaugError("all rates must be probabilities in [0, 1]")
         if self.hm_aspiration_rate + self.hm_voicing_rate + self.hm_breathy_rate > 1:
             raise PhonaugError("HM phonation rates must sum to at most 1")
+        if not isinstance(self.jitter, int):  # a spec file's is; one built in code may not be
+            raise PhonaugError(f"jitter must be an integer, got {io.shown(self.jitter)}")
         if self.jitter < 0:
             raise PhonaugError("jitter must be non-negative")
         if self.n_utterances < 0:
@@ -76,16 +78,12 @@ class GroundTruthMatch(NamedTuple):
     hm_index: int
     phonation: Phonation
 
-    def to_obj(self) -> dict:
-        return {"utt_id": self.utt_id, "rm_index": self.rm_index,
-                "hm_index": self.hm_index, "phonation": self.phonation.name}
-
 
 def truth_line(t: GroundTruthMatch) -> str:
-    """The line of `t` in a truth file, without its newline: the bytes of
-    `io.dump_line(t.to_obj())`, formatted in its sorted key order without
-    building the dict, as `ctc.track_line` formats a track. A phonation name is
-    a lowercase ASCII word, which JSON spells as it is."""
+    """The line of `t` in a truth file, without its newline: the JSON object of
+    its utt_id, rm_index, hm_index and phonation name, formatted in sorted key
+    order, as `ctc.track_line` formats a track. A phonation name is a lowercase
+    ASCII word, which JSON spells as it is."""
     return (f'{{"hm_index":{t.hm_index},"phonation":"{t.phonation.name}",'
             f'"rm_index":{t.rm_index},"utt_id":{encode_basestring(t.utt_id)}}}')
 
@@ -102,9 +100,7 @@ def utterances(spec: ScenarioSpec, inventory: Inventory | None = None,
             raise PhonaugError(f"synth draws {symbol!r}, which the inventory lacks")
     jitter = spec.jitter
     pitch = SPAN_FRAMES + 2 * jitter  # slot spacing keeps jittered starts ordered
-    # randint(-jitter, jitter) draws below 2 * jitter + 1; a jitter that is no int
-    # (a ScenarioSpec built in code) still goes to randint, which refuses it as ever
-    shifts = 2 * jitter + 1 if isinstance(jitter, int) else None
+    shifts = 2 * jitter + 1  # randint(-jitter, jitter) draws below this
     new = tuple.__new__  # builds what a NamedTuple's __new__ does, without its Python frame
     plosives = [inv.make_phone(s) for s in RM_PLOSIVES]
     vowels = [inv.make_phone(s) for s in FILLER_VOWELS]
@@ -133,9 +129,7 @@ def utterances(spec: ScenarioSpec, inventory: Inventory | None = None,
             else:
                 rm_phone = hm_phone = vowels[_below(bits, n_vowels)]
             rm_phones.append(new(TimedPhone, (rm_phone, start, end)))
-            shift = 0
-            if jitter:
-                shift = _below(bits, shifts) - jitter if shifts else rng.randint(-jitter, jitter)
+            shift = _below(bits, shifts) - jitter if jitter else 0
             hm_start = max(0, start + shift)
             hm_phones.append(new(TimedPhone, (hm_phone, hm_start, hm_start + SPAN_FRAMES - 1)))
         # each span starts in its own slot of `pitch` frames, within `jitter` of the

@@ -6,6 +6,7 @@ malformed config file or a line that is not UTF-8 is named in the error."""
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import json
 import math
@@ -13,6 +14,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -20,8 +22,9 @@ from clirun import invoke
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phonaug import Inventory, ScenarioSpec, generate
+from phonaug import Inventory, ScenarioSpec, ctc, generate
 from phonaug import io as phonaug_io
+from phonaug.cli import main
 from phonaug.ctc import track_to_obj
 from phonaug.errors import PhonaugError
 from phonaug.io import DATA, dump_line, write_jsonl
@@ -354,6 +357,42 @@ def test_stdout_closed_early_exits_1_quietly(dirs):
     assert (o / "tm.jsonl").is_file()  # the stats are printed once the TM file is in place
 
 
+@pytest.mark.parametrize("make, stderr", [
+    (lambda: PhonaugError("u1: boom"), "Error: u1: boom\n"),
+    (lambda: OSError(errno.EIO, os.strerror(errno.EIO), "x.jsonl"),
+     f"Error: x.jsonl: {os.strerror(errno.EIO)}\n"),
+    (lambda: OSError(errno.EIO, os.strerror(errno.EIO)), f"Error: {os.strerror(errno.EIO)}\n"),
+    (lambda: OSError("no errno"), "Error: no errno\n"),
+    (lambda: BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE)), ""),
+], ids=["phonaug", "os-file", "os-no-file", "os-no-errno", "broken-pipe"])
+def test_main_raises_a_commands_error_unless_standalone(dirs, monkeypatch, tmp_path,
+                                                        make, stderr):
+    # the benchmark runs commands in process with standalone_mode=False and
+    # counts an error that reaches it as a failed operation
+    i, o = dirs
+    raised = []
+
+    def fail(*args):
+        raised.append(make())
+        raise raised[-1]
+
+    monkeypatch.setattr(ctc, "decode_file", fail)
+    args = [a.format(i=i, o=o) for a in COMMANDS["decode"][0]]
+    # a broken pipe points stdout at os.devnull, so stdout is a file of its own here
+    err = StringIO()
+    with open(tmp_path / "stdout", "w", encoding="utf-8") as out, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(Exception) as caught:
+            main(args, standalone_mode=False)
+        assert caught.value is raised[0] and str(caught.value) == str(make())
+        assert err.getvalue() == ""
+        # standalone: exit 1, with one Error: line, or quietly where stdout is gone
+        with pytest.raises(SystemExit) as exited:
+            main(args)
+    assert (exited.value.code, err.getvalue()) == (1, stderr)
+    assert list(o.iterdir()) == []
+
+
 def test_a_file_size_limit_fails_with_one_error_line(dirs):
     # a write past RLIMIT_FSIZE fails with EFBIG (Python ignores SIGXFSZ): once a
     # traceback, then a line without the file; the OSError names none, and the
@@ -523,6 +562,25 @@ def test_a_number_too_large_for_a_float_is_a_field_error(dirs, command, field):
     assert result.output == (f"Error: {source}: utterance {objs[0]['utt_id']!r}: "
                              "ill-typed field: int too large to convert to float\n")
     assert list(o.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["decode", "augment"])
+def test_a_frame_ms_that_rounds_to_the_largest_float_reads_as_that_float(dirs, command):
+    # an int just above the largest float, which float() rounds down to it: the
+    # inline test refuses it, and the reference build gives the track it gave
+    i, o = dirs
+    sources = {"decode": ["paths.jsonl"], "augment": ["rm.jsonl", "hm.jsonl"]}[command]
+    runs = []
+    for frame_ms in (sys.float_info.max, int(sys.float_info.max) + 1):
+        for name in sources:  # augment refuses an RM and HM pair at two frame rates
+            objs = [json.loads(line) for line in (i / name).read_text("utf-8").splitlines()]
+            objs[0]["frame_ms"] = frame_ms
+            write_lines(i / name, objs)
+        result = run(command, i, o)
+        assert result.exit_code == 0, result.output
+        runs.append((result.output, {p.name: p.read_bytes() for p in o.iterdir()}))
+    assert runs[1] == runs[0]
+    assert repr(sys.float_info.max).encode() in runs[0][1][COMMANDS[command][1][0]]
 
 
 # per config file: (fault, the field the error names) for a missing field, a

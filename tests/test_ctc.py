@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import tempfile
 import unicodedata
 from io import StringIO
@@ -291,14 +292,17 @@ def decoded(decode, path, blank, frame_ms, model_tag):
          frame_ms=None, model_tag="RM")
 @example(lines=[{"utt_id": "u1", "frame_ms": 10, "blank": None, "labels": ["t"]}],
          frame_ms=None, model_tag="RM")
+# an int above the largest float that float() rounds down to it: a track at that frame_ms
+@example(lines=[{"utt_id": "u1", "frame_ms": int(sys.float_info.max) + 1, "labels": ["t"]}],
+         frame_ms=None, model_tag="RM")
 def test_decode_file_reads_and_fails_as_the_layered_reader_does(lines, frame_ms, model_tag):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "paths.jsonl"
         path.write_text("".join(json.dumps(obj) + "\n" for obj in lines), encoding="utf-8")
         # an override that is no positive finite number fails once, before any line
         if frame_ms == "x":
-            with pytest.raises(ValueError, match="could not convert string to float"):
-                ctc.decode_file(path, StringIO(), "_", frame_ms, model_tag, INV)
+            assert decoded(ctc.decode_file, path, "_", frame_ms, model_tag) == (
+                f"PhonaugError: {path}: frame_ms must be a number, got 'x'")
             return
         if frame_ms is not None and not 0 < frame_ms < math.inf:
             assert decoded(ctc.decode_file, path, "_", frame_ms, model_tag) == (

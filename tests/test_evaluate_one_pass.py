@@ -191,14 +191,17 @@ def test_read_refuses_a_second_utt_id_per_model_outside_the_group_too(rows, grou
     repeated = next((k for j, k in enumerate(keys) if k in keys[:j]), None)
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "in.jsonl"
-        path.write_text("".join(json.dumps({"utt_id": utt_id, "phoneme": phoneme, "vot_ms": 5.0,
+        # an int vot_ms is read as the float it converts to, as EvalInstance holds it
+        path.write_text("".join(json.dumps({"utt_id": utt_id, "phoneme": phoneme,
+                                            "vot_ms": 5 if model == "BM" else 5.0,
                                             "onset": "b", "model": model}) + "\n"
                                 for (model, utt_id), (_, _, phoneme) in zip(keys, rows)),
                         encoding="utf-8")
         kept = Evaluation().read(path, INV, CFG, group)
         if repeated is None:
-            assert [(m, u, p) for m, u, p, _, _ in kept] == [
-                (model, utt_id, phoneme) for (model, utt_id), (_, _, phoneme) in zip(keys, rows)
+            assert [(m, u, p, repr(v)) for m, u, p, v, _ in kept] == [
+                (model, utt_id, phoneme, "5.0")
+                for (model, utt_id), (_, _, phoneme) in zip(keys, rows)
                 if group is None or POA_GROUP_OF[phoneme] == group]
         else:
             with pytest.raises(PhonaugError) as failure:

@@ -202,7 +202,7 @@ def test_mapping_table_lookups_match_entry_scan(table):
     for rm_base in BASES:
         assert table.rm_covered(rm_base) == any(rm_base in rm for rm, _ in table.entries)
         for hm_base in BASES:
-            assert table.admits(rm_base, hm_base) == any(
+            assert ((rm_base, hm_base) in table._pairs) == any(
                 rm_base in rm and hm_base in hm for rm, hm in table.entries)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from phonaug import (
     ASPIRATED, BREATHY_VOICED, TENUIS, VOICED, Inventory,
-    normalize_g, phonation_of, serialize, tokenize_ipa, with_phonation,
+    phonation_of, serialize, tokenize_ipa, with_phonation,
 )
 from phonaug.errors import NoVoicingCounterpart, OrphanDiacritic, PhonaugError, UnknownSymbol
 
@@ -161,18 +161,6 @@ def test_phonation_rewrite_laws_exhaustive():
             assert out.place == phone.place
             assert out.manner == phone.manner
             assert with_phonation(out, target, INV) == out
-
-
-def test_normalize_g():
-    assert normalize_g("gɛt") == "ɡɛt"
-    assert normalize_g("") == ""
-
-
-def test_normalize_g_idempotent_on_random_strings():
-    rng = random.Random(7)
-    for _ in range(1000):
-        s = random_inventory_string(rng) + "g" * rng.randint(0, 2)
-        assert normalize_g(normalize_g(s)) == normalize_g(s)
 
 
 def test_latin_g_absent_from_inventory():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +12,7 @@ from phonaug import (
     Inventory, MappingTable, PhoneTrack, ScenarioSpec, augment_track, generate, match_phones,
     serialize, tokenize_ipa,
 )
+from phonaug.errors import PhonaugError
 from phonaug.synth import _below, utterances
 
 INV = Inventory.default()
@@ -106,13 +106,12 @@ def test_synth_and_augment_tracks_equal_their_checked_rebuild(spec, breathy):
             assert type(track) is PhoneTrack and track == PhoneTrack(*track)
 
 
-def test_a_non_integer_jitter_fails_as_randint_fails():
-    # only a ScenarioSpec built in code holds one: a spec file's jitter is an integer
-    spec = ScenarioSpec(seed=1, n_utterances=2, jitter=1.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)  # randint's, before 3.12
-        with pytest.raises((TypeError, ValueError)) as expected:
-            random.Random(1).randint(-1.5, 1.5)
-        with pytest.raises((TypeError, ValueError)) as got:
-            generate(spec, INV)
-    assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+def test_a_non_integer_jitter_is_refused_when_the_spec_is_built():
+    # only a ScenarioSpec built in code can hold one: a spec file's jitter is an integer
+    with pytest.raises(PhonaugError, match=r"^jitter must be an integer, got 1\.5$"):
+        ScenarioSpec(seed=1, n_utterances=2, jitter=1.5)
+    with pytest.raises(PhonaugError, match=r"^jitter must be an integer, got '1'$"):
+        ScenarioSpec(seed=1, n_utterances=2, jitter="1")
+    # a bool is an int, as before, and draws as 1 does
+    assert generate(ScenarioSpec(seed=1, n_utterances=5, jitter=True), INV) == generate(
+        ScenarioSpec(seed=1, n_utterances=5, jitter=1), INV)

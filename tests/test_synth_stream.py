@@ -38,20 +38,26 @@ UTT_ID_CHARS = st.one_of(
 PHONATIONS = [TENUIS, ASPIRATED, VOICED, BREATHY_VOICED]
 
 
+def truth_obj(t: GroundTruthMatch) -> dict:
+    """The JSON object of a truth: the reference that `truth_line` must match."""
+    return {"utt_id": t.utt_id, "rm_index": t.rm_index,
+            "hm_index": t.hm_index, "phonation": t.phonation.name}
+
+
 @given(st.text(UTT_ID_CHARS), st.integers(0, 2**62), st.integers(0, 2**62),
        st.sampled_from(PHONATIONS + [Phonation(v, s) for v in (False, True)
                                      for s in (False, True)]))
 @example('u"1\\\x00\U0001F600', 2**62, 0, BREATHY_VOICED)
 def test_truth_line_is_the_generic_encoders_line(utt_id, rm_index, hm_index, phonation):
     t = GroundTruthMatch(utt_id, rm_index, hm_index, phonation)
-    assert truth_line(t) == io.dump_line(t.to_obj())
+    assert truth_line(t) == io.dump_line(truth_obj(t))
 
 
 def test_ground_truth_match_is_a_tuple_record():
     t = GroundTruthMatch("u1", 2, 3, VOICED)
     assert isinstance(t, tuple) and GroundTruthMatch._fields == (
         "utt_id", "rm_index", "hm_index", "phonation")
-    assert t.to_obj() == {"utt_id": "u1", "rm_index": 2, "hm_index": 3, "phonation": "voiced"}
+    assert truth_obj(t) == {"utt_id": "u1", "rm_index": 2, "hm_index": 3, "phonation": "voiced"}
 
 
 specs = st.builds(
@@ -76,7 +82,7 @@ def test_streamed_files_equal_generate_and_the_list_writers(spec):
         rm_tracks, hm_tracks, truth = generate(spec, INV)
         io.write_jsonl(d / "rm.ref", map(track_to_obj, rm_tracks))
         io.write_jsonl(d / "hm.ref", map(track_to_obj, hm_tracks))
-        io.write_jsonl(d / "truth.ref", (t.to_obj() for t in truth))
+        io.write_jsonl(d / "truth.ref", map(truth_obj, truth))
         for name in ("rm", "hm", "truth"):
             assert (d / f"{name}.jsonl").read_bytes() == (d / f"{name}.ref").read_bytes()
 

@@ -9,6 +9,7 @@ inline test refuses may reach `track_from_obj`."""
 from __future__ import annotations
 
 import json
+import sys
 import tempfile
 from contextlib import closing
 from pathlib import Path
@@ -213,6 +214,9 @@ def fresh_inventory(warm=False):
            {"utt_id": "u0", "model": "HM", "frame_ms": 20.0, "phones": []}], "RM", True))
 @example(([{"utt_id": "u0", "model": "HM", "frame_ms": 20.0, "phones": []}], "RM", True))
 @example(([{"utt_id": "u0", "frame_ms": 10 ** 400, "phones": []}], None, True))
+# above the largest float, which float() rounds it down to: a track at that frame_ms
+@example(([{"utt_id": "u0", "frame_ms": int(sys.float_info.max) + 1,
+            "phones": [{"symbol": "t", "start": 0, "end": 1}]}], None, True))
 @example(([{"utt_id": "", "model": "RM", "frame_ms": 20.0, "phones": []}], "RM", True))
 @example(([{"utt_id": "u0", "model": "BM", "frame_ms": 20.0, "phones": []}], None, True))
 def test_read_tracks_reads_files_as_the_layered_reader_does(case):
