@@ -6,7 +6,6 @@ milliseconds happens only at reporting time, so all comparisons are exact.
 
 from __future__ import annotations
 
-import math
 import sys
 import unicodedata
 from contextlib import closing
@@ -30,17 +29,24 @@ TRACK_FIELDS = {"utt_id": io.STRING, "model": io.Optional(io.STRING), "frame_ms"
                 "phones": io.ListOf({"symbol": io.STRING, "start": io.INTEGER, "end": io.INTEGER})}
 # the largest float. An int compares with a float exactly, so a JSON number in
 # (0, FLOAT_MAX] is a positive and finite frame_ms that float() converts without
-# overflow; the inline line tests send any other number to io.parse_record, which
-# converts it first (an int that float() rounds down to FLOAT_MAX reads as it)
+# overflow; check_frame_ms refuses any other value, and the inline line tests send
+# any other number to io.parse_record, which converts it first (an int that float()
+# rounds down to FLOAT_MAX reads as it)
 FLOAT_MAX = sys.float_info.max
 
 
-def check_frame_ms(utt_id: str, frame_ms: float) -> None:
-    """A frame length must be positive and finite: NaN and infinity are not
-    JSON, and no frame index scales to milliseconds by them."""
-    if not 0 < frame_ms < math.inf:
+def check_frame_ms(utt_id: str, frame_ms: float) -> float:
+    """`frame_ms` as a float, once it is a frame length: a JSON number (an int or a
+    float, not a bool or a subclass, which a track line could not write) in
+    (0, FLOAT_MAX]. NaN and infinity are not JSON, and no frame index scales to
+    milliseconds by them. The one copy of the rule outside the inline line tests."""
+    if type(frame_ms) not in io.NUMBER:
         raise PhonaugError(
-            f"{io.shown_id(utt_id)}: frame_ms must be positive and finite, got {frame_ms!r}")
+            f"{io.shown_id(utt_id)}: frame_ms must be a number, got {io.shown(frame_ms)}")
+    if not 0 < frame_ms <= FLOAT_MAX:
+        raise PhonaugError(f"{io.shown_id(utt_id)}: frame_ms must be positive and finite, "
+                           f"got {io.shown(frame_ms)}")
+    return float(frame_ms)
 
 
 class _FramePathFields(NamedTuple):
@@ -56,8 +62,7 @@ class FramePath(_FramePathFields):
     _make = classmethod(checked_make)
 
     def __new__(cls, utt_id: str, frame_ms: float, labels: tuple[str, ...]) -> "FramePath":
-        check_frame_ms(utt_id, frame_ms)
-        return tuple.__new__(cls, (utt_id, frame_ms, labels))
+        return tuple.__new__(cls, (utt_id, check_frame_ms(utt_id, frame_ms), labels))
 
 
 class TimedPhone(NamedTuple):
@@ -83,7 +88,7 @@ class PhoneTrack(_TrackFields):
             raise PhonaugError("utt_id must be non-empty")
         if model_tag not in MODEL_TAGS:
             raise PhonaugError(f"{io.shown_id(utt_id)}: unknown model tag {io.shown(model_tag)}")
-        check_frame_ms(utt_id, frame_ms)
+        frame_ms = check_frame_ms(utt_id, frame_ms)
         previous = 0
         for i, (_, start, end) in enumerate(phones):
             if not 0 <= start <= end:
@@ -281,8 +286,8 @@ def decode_file(path: str | Path, out: TextIO, blank: str, frame_ms: float | Non
     the tracks in utt_id order to `out`, an output that `io.replacing` opened; return
     the count of tracks and of empty ones (all blank: no phone to match). A line's
     own `blank` overrides `blank`. A `frame_ms` that is not None overrides each
-    line's, which is then neither read nor checked; it must be positive and
-    finite, which is checked before any line is read.
+    line's, which is then neither read nor checked; `check_frame_ms` refuses a bad
+    one, naming the file, before any line is read.
 
     Each line is tested inline, with exact types, against FRAME_PATH_FIELDS and
     FramePath's check, and a line that passes goes straight to `decode_track`, its
@@ -296,12 +301,7 @@ def decode_file(path: str | Path, out: TextIO, blank: str, frame_ms: float | Non
         return decode_track(frames, obj.get("blank", blank), inventory, model_tag)
 
     if frame_ms is not None:  # an override, checked once, before any line is read
-        try:
-            frame_ms = float(frame_ms)
-        except (TypeError, ValueError):
-            raise PhonaugError(f"{path}: frame_ms must be a number, got {io.shown(frame_ms)}"
-                               ) from None
-        check_frame_ms(Path(path), frame_ms)  # a Path, which the error shows uncut
+        frame_ms = check_frame_ms(Path(path), frame_ms)  # a Path, which the error shows uncut
     fields = {name: kind for name, kind in FRAME_PATH_FIELDS.items()
               if name != "frame_ms" or frame_ms is None}
     number, new, tracks = io.NUMBER, tuple.__new__, []

@@ -204,14 +204,9 @@ def shown_id(utt_id: str) -> str:
 
 def check(obj: dict, schema: dict, closed: bool = False) -> None:
     """Raise FieldError naming the field by its path (`phones[0].start`) unless `obj` fits,
-    and, if `closed`, unless its schema names every key; a type fault anywhere comes first."""
-    # the common case, inline: plain kinds that fit (a list, map or object kind holds no type)
-    for name, kind in schema.items():
-        if type(obj.get(name, _ABSENT)) not in kind:
-            break
-    else:
-        if not closed:
-            return
+    and, if `closed`, unless its schema names every key; a type fault anywhere comes first.
+    The track, frame-path and instance readers test each line inline and call it only on
+    a line that they refuse; each manifest line and each config file is checked by it alone."""
     fault = _fault(obj, schema) or closed and _fault(obj, schema, closed=True)
     if fault:
         path, value = fault[0][1:], fault[1]  # the path without its leading "."

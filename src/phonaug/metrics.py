@@ -223,7 +223,10 @@ def mcnemar_exact(bm: Sequence[bool], tm: Sequence[bool]) -> float:
     """Two-sided exact (binomial) McNemar p-value over paired correct-flags.
 
     With no discordant pairs the p-value is 1.0 by convention; otherwise
-    p = min(1, 2 * P(X <= min(b, c))) for X ~ Binomial(b + c, 1/2).
+    p = min(1, 2 * P(X <= min(b, c))) for X ~ Binomial(b + c, 1/2). The tail is
+    summed in exact integers from one running binomial coefficient,
+    C(n, i) = C(n, i - 1) * (n - i + 1) // i: one step per term, so the number of
+    steps is linear in the discordant pairs.
     """
     if len(bm) != len(tm):
         raise PhonaugError("paired outcome vectors must have equal length")
@@ -235,8 +238,11 @@ def mcnemar_exact(bm: Sequence[bool], tm: Sequence[bool]) -> float:
     k = min(b, c)
     # an integer ratio stays exact for any n; in floats, 0.5 ** n is subnormal
     # past n = 1022 and 2.0 * tail overflows near n = 1026
-    p = 2 * sum(math.comb(n, i) for i in range(k + 1)) / 2 ** n
-    return min(p, 1.0)
+    term = tail = 1  # C(n, 0)
+    for i in range(1, k + 1):
+        term = term * (n - i + 1) // i  # C(n, i), exact: i divides the product
+        tail += term
+    return min(2 * tail / 2 ** n, 1.0)
 
 
 # -- reporting ----------------------------------------------------------------

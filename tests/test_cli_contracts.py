@@ -6,6 +6,7 @@ malformed config file or a line that is not UTF-8 is named in the error."""
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import errno
 import json
@@ -19,12 +20,12 @@ from pathlib import Path
 
 import pytest
 from clirun import invoke
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phonaug import Inventory, ScenarioSpec, ctc, generate
 from phonaug import io as phonaug_io
-from phonaug.cli import main
+from phonaug.cli import _frame_ms, main
 from phonaug.ctc import track_to_obj
 from phonaug.errors import PhonaugError
 from phonaug.io import DATA, dump_line, write_jsonl
@@ -533,6 +534,31 @@ def test_a_bad_frame_ms_option_fails_before_any_read(dirs, value, message):
                      f"--frame-ms={value}"])
     usage_error(result, f"argument --frame-ms: {message}")
     assert list(o.iterdir()) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(x=0.0)
+@example(x=-0.0)
+@example(x=5e-324)
+@example(x=-5e-324)
+@example(x=sys.float_info.min)
+@example(x=sys.float_info.max)
+@example(x=-sys.float_info.max)
+@example(x=math.inf)
+@example(x=-math.inf)
+@example(x=math.nan)
+def test_the_option_and_the_library_admit_the_same_frame_ms(x):
+    # written twice, because argparse needs its own message: the two must agree
+    try:
+        option = _frame_ms(repr(x))
+    except argparse.ArgumentTypeError:
+        option = None
+    try:
+        library = ctc.check_frame_ms("u", x)
+    except PhonaugError:
+        library = None
+    assert option == library and (option is None or option == x and type(library) is float)
 
 
 @pytest.mark.parametrize("args, message", [

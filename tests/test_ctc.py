@@ -307,7 +307,7 @@ def test_decode_file_reads_and_fails_as_the_layered_reader_does(lines, frame_ms,
         if frame_ms is not None and not 0 < frame_ms < math.inf:
             assert decoded(ctc.decode_file, path, "_", frame_ms, model_tag) == (
                 f"PhonaugError: {path}: frame_ms must be positive and finite, "
-                f"got {float(frame_ms)!r}")
+                f"got {frame_ms!r}")
             return
         expected = decoded(layered_decode_file, path, "_", frame_ms, model_tag)
         assert decoded(ctc.decode_file, path, "_", frame_ms, model_tag) == expected
@@ -316,6 +316,29 @@ def test_decode_file_reads_and_fails_as_the_layered_reader_does(lines, frame_ms,
         for obj, track in zip(sorted(lines, key=lambda o: o["utt_id"]), tracks):
             assert [(p["symbol"], p["start"], p["end"]) for p in track["phones"]] == \
                 frame_oracle(obj["labels"], obj.get("blank", "_"))
+
+
+# an override that check_frame_ms refuses, and the rest of its error text
+BAD_OVERRIDES = {
+    "bool": (True, "must be a number, got True"),
+    "int-too-large": (10 ** 400, "must be positive and finite, got 1" + "0" * 59 + "..."),
+    "numeric-str": ("20", "must be a number, got '20'"),
+    "str": ("x", "must be a number, got 'x'"),
+    "zero-int": (0, "must be positive and finite, got 0"),
+    "negative": (-1.0, "must be positive and finite, got -1.0"),
+    "nan": (math.nan, "must be positive and finite, got nan"),
+    "inf": (math.inf, "must be positive and finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("content", ["", "not json\n"], ids=["empty", "unreadable"])
+@pytest.mark.parametrize("frame_ms, problem", BAD_OVERRIDES.values(), ids=BAD_OVERRIDES)
+def test_a_bad_frame_ms_override_fails_naming_the_file_before_any_line(tmp_path, content,
+                                                                       frame_ms, problem):
+    path = tmp_path / "paths.jsonl"
+    path.write_text(content, encoding="utf-8")
+    assert decoded(ctc.decode_file, path, "_", frame_ms, "RM") == (
+        f"PhonaugError: {path}: frame_ms {problem}")
 
 
 # -- the fast path's traffic ------------------------------------------------------

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import math
 import random
+import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from phonaug import (
     ClassifierConfig, Classified, EvalInstance, Inventory, Realization, asp_pct,
@@ -269,6 +272,39 @@ def test_mcnemar_bit_identical_to_float_form_below_1023():
     for n, k in cases:
         tail = sum(math.comb(n, i) for i in range(k + 1))
         assert mcnemar_exact(*discordant(k, n - k)) == min(2.0 * tail * 0.5 ** n, 1.0)
+
+
+def comb_sum_p(b, c):
+    """The p-value as a sum of one `math.comb` per tail term: the oracle for the
+    running coefficient."""
+    n, k = b + c, min(b, c)
+    return 1.0 if n == 0 else min(2 * sum(math.comb(n, i) for i in range(k + 1)) / 2 ** n, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(b=st.integers(0, 400), c=st.integers(0, 400), same=st.integers(0, 5),
+       order=st.randoms(use_true_random=False))
+def test_mcnemar_equals_the_comb_sum(b, c, same, order):
+    assume(b + c <= 400)
+    pairs = [(True, False)] * b + [(False, True)] * c + [(True, True), (False, False)] * same
+    order.shuffle(pairs)
+    bm, tm = [x for x, _ in pairs], [y for _, y in pairs]
+    assert mcnemar_exact(bm, tm) == comb_sum_p(b, c)
+
+
+def test_mcnemar_closed_forms_at_twenty_thousand_pairs():
+    n = 20000
+    assert mcnemar_exact(*discordant(n // 2, n // 2)) == 1.0
+    # the tail is C(n, 0) + C(n, 1) = n + 1
+    assert mcnemar_exact(*discordant(1, n - 1)) == min(1, 2 * (n + 1) / 2 ** n)
+
+
+def test_mcnemar_is_fast_on_twenty_thousand_pairs():
+    # a math.comb per tail term makes the cost cubic in n: tens of seconds at this n
+    flags = discordant(10000, 10000)
+    start = time.perf_counter()
+    assert mcnemar_exact(*flags) == 1.0
+    assert time.perf_counter() - start < 2.0
 
 
 def velar_tm_fixture():

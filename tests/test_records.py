@@ -19,6 +19,14 @@ from phonaug.errors import PhonaugError
 INV = Inventory.default()
 T, A = INV.phone("t"), INV.phone("a")
 
+
+class Twenty(float):
+    """A float that a track line could not write: its repr is no JSON number."""
+
+    def __repr__(self):
+        return "twenty"
+
+
 PATH = FramePath("u1", 20.0, ("_", "t", "a"))
 TRACK = PhoneTrack("u1", "RM", [TimedPhone(T, 0, 1), TimedPhone(A, 2, 3)], 20.0)
 SPEC = ScenarioSpec(seed=1, n_utterances=2)
@@ -31,10 +39,17 @@ CASES = {
                                 "u1: frame_ms must be positive and finite, got nan"),
     "frame-path-infinite-frame-ms": (PATH, {"frame_ms": math.inf},
                                      "u1: frame_ms must be positive and finite, got inf"),
+    "frame-path-bool-frame-ms": (PATH, {"frame_ms": True},
+                                 "u1: frame_ms must be a number, got True"),
+    "frame-path-float-subclass-frame-ms": (PATH, {"frame_ms": Twenty(20.0)},
+                                           "u1: frame_ms must be a number, got twenty"),
     "track-empty-utt_id": (TRACK, {"utt_id": ""}, "utt_id must be non-empty"),
     "track-unknown-tag": (TRACK, {"model_tag": "rm"}, "u1: unknown model tag 'rm'"),
     "track-negative-frame-ms": (TRACK, {"frame_ms": -20.0},
                                 "u1: frame_ms must be positive and finite, got -20.0"),
+    "track-bool-frame-ms": (TRACK, {"frame_ms": True}, "u1: frame_ms must be a number, got True"),
+    "track-float-subclass-frame-ms": (TRACK, {"frame_ms": Twenty(20.0)},
+                                      "u1: frame_ms must be a number, got twenty"),
     "track-inverted-span": (TRACK, {"phones": [TimedPhone(T, 2, 1)]},
                             "u1: phones[0]: invalid frame span 2..1"),
     "track-start-before-previous": (TRACK, {"phones": [TimedPhone(T, 2, 3), TimedPhone(A, 1, 4)]},

@@ -28,8 +28,10 @@ OTHERS = sorted(d for d, role in INV.diacritics.items() if role not in SPREAD)
 # DEL, NEL and the Unicode line and paragraph separators, and non-BMP characters
 AWKWARD = '"\\\x00\x08\t\n\x0c\r\x1b\x1f\x7f\x85\u2028\u2029\U0001F600\U00010348'
 utt_ids = st.text(st.one_of(st.sampled_from(AWKWARD), st.characters()), min_size=1)
-frame_ms = st.one_of(st.sampled_from([5e-324, 0.1, 20.0, 1e22, sys.float_info.max]),
-                     st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False))
+# an int too: PhoneTrack stores a frame_ms as a float, so track_line writes one
+frame_ms = st.one_of(st.sampled_from([5e-324, 0.1, 20.0, 1e22, sys.float_info.max, 20]),
+                     st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False),
+                     st.integers(1, int(sys.float_info.max)))
 
 
 @st.composite
@@ -64,6 +66,13 @@ def tracks(draw):
                     sys.float_info.max))
 def test_track_line_is_the_generic_encoding(track):
     assert track_line(track) == dump_line(track_to_obj(track))
+
+
+def test_an_int_frame_ms_is_kept_and_written_as_a_float():
+    track = PhoneTrack("u1", "RM", [TimedPhone(INV.phone("t"), 0, 1)], 20)
+    assert type(track.frame_ms) is float and track.frame_ms == 20.0
+    assert track_line(track) == ('{"frame_ms":20.0,"model":"RM","phones":'
+                                 '[{"end":1,"start":0,"symbol":"t"}],"utt_id":"u1"}')
 
 
 def reencodes(path: Path) -> bool:
