@@ -15,14 +15,24 @@ and `prepare remap` writes each rewrite and drop to its `--report-file`;
 `prefilter-aspiration` skips such utterances and counts them on stderr. With
 `--fail-missing`, `augment` fails on the first one instead, naming the HM file:
 `Error: hm.jsonl: no HM counterpart for utterance 'u1'`.
+
+`run` is the process entry, which `python -m phonaug.cli` and the `phonaug`
+script call: it runs `main` without the cyclic garbage collector, since
+reference counting frees every record a command makes, and freezes the heap
+before the interpreter shuts down, so that its last collection does not walk
+it either. A SIGTERM unwinds the command, so `io.replacing` removes its
+temporary files, and then ends the process by SIGTERM as before. `main` called
+in-process leaves the caller's collector and signal handlers as they were.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import math
 import os
+import signal
 import sys
 
 from . import io
@@ -164,6 +174,29 @@ def main(args: list[str] | None = None, prog_name: str = "phonaug",
 
 
 main.main = main  # only for perfbench/run.py, which calls main.main(..., standalone_mode=False)
+
+
+class _Terminated(BaseException):
+    """A SIGTERM, raised in the main thread as SIGINT's KeyboardInterrupt is."""
+
+
+def _terminate(signum, frame):
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)  # a second one must not cut the unwinding
+    raise _Terminated
+
+
+def run() -> None:
+    """Run `main()` as the command's own process: see the module docstring."""
+    gc.disable()
+    if signal.getsignal(signal.SIGTERM) == signal.SIG_DFL:  # an inherited SIG_IGN stays
+        signal.signal(signal.SIGTERM, _terminate)
+    try:
+        main()
+    except _Terminated:  # unwound: the temporary files are gone
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGTERM)
+    finally:
+        gc.freeze()
 
 
 @_command("decode",
@@ -369,4 +402,4 @@ def cmd_evaluate(instances_file, out_prefix, continuants_path, inventory_path,
 
 
 if __name__ == "__main__":
-    main()
+    run()
